@@ -11,6 +11,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -33,6 +34,7 @@ from .exact import (
     tree_bp,
     variable_elimination,
 )
+from .factors import LOG, reduce_factor
 from .io import (
     export_dot,
     load_dataset,
@@ -53,6 +55,7 @@ from .models import (
     BayesianNetwork,
     MarkovRandomField,
     bn_to_mrf,
+    check_evidence,
     enumerate_inference,
     log_joint,
     validate,
@@ -123,6 +126,29 @@ def _as_mrf(model) -> MarkovRandomField:
     return bn_to_mrf(model) if isinstance(model, BayesianNetwork) else model
 
 
+def _reduced_mrf(model, evidence) -> tuple[MarkovRandomField, float]:
+    """The model as an MRF over its unobserved variables, each factor
+    reduced to the evidence, plus the log of the product of the factors
+    that the evidence reduced to constants."""
+    mrf = _as_mrf(model)
+    if not evidence:
+        return mrf, 0.0
+    evidence = check_evidence(mrf, evidence)
+    kept, log_offset = [], 0.0
+    for f in mrf.factors:
+        g = reduce_factor(f, evidence)
+        if g.scope:
+            kept.append(g)
+            continue
+        value = float(g.table)
+        if g.domain == LOG:
+            log_offset += value
+        else:
+            log_offset += math.log(value) if value > 0.0 else -math.inf
+    free = [v for name, v in mrf.variables.items() if name not in evidence]
+    return MarkovRandomField(free, kept), log_offset
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -189,27 +215,33 @@ def _cmd_map(args, out) -> int:
         assignment, logp = enumerate_inference(model, mode="map", evidence=evidence)
     elif engine == "maxprod":
         assignment, logp = max_product_decode(model, evidence)
-    elif engine == "graphcut":
-        energy_model = mrf_to_energy_model(_as_mrf(model))
-        labels, energy = graphcut_map(energy_model)
-        assignment = {
-            name: model.variable(name).states[value]
-            for name, value in labels.items()
-        }
-        logp = log_joint(_as_mrf(model), assignment)
-        print(f"energy={_float_fmt(energy)}", file=out)
-    elif engine == "dualdecomp":
-        state = dual_decomposition(_as_mrf(model), max_iters=args.max_iters)
-        assignment, logp = state.assignment, state.objective
-        print(f"agreement={str(state.agreement).lower()}", file=out)
-        print(f"bound={_float_fmt(state.best_bound)}", file=out)
-    elif engine == "localsearch":
-        assignment, logp = local_search_map(_as_mrf(model), seed=args.seed,
-                                            max_sweeps=args.max_iters)
-    elif engine == "anneal":
-        assignment, logp = simulated_annealing_map(_as_mrf(model), seed=args.seed)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        # These engines search the MRF of the unobserved variables; the
+        # factors the evidence reduces to constants add to every score.
+        mrf, log_offset = _reduced_mrf(model, evidence)
+        if engine == "graphcut":
+            energy_model = mrf_to_energy_model(mrf)
+            labels, energy = graphcut_map(energy_model)
+            assignment = {
+                name: mrf.variable(name).states[value]
+                for name, value in labels.items()
+            }
+            logp = log_joint(mrf, assignment)
+            print(f"energy={_float_fmt(energy)}", file=out)
+        elif engine == "dualdecomp":
+            state = dual_decomposition(mrf, max_iters=args.max_iters)
+            assignment, logp = state.assignment, state.objective
+            print(f"agreement={str(state.agreement).lower()}", file=out)
+            print(f"bound={_float_fmt(state.best_bound + log_offset)}", file=out)
+        elif engine == "localsearch":
+            assignment, logp = local_search_map(mrf, seed=args.seed,
+                                                max_sweeps=args.max_iters)
+        elif engine == "anneal":
+            assignment, logp = simulated_annealing_map(mrf, seed=args.seed)
+        else:
+            raise ValueError(f"unknown engine {engine!r}")
+        assignment = {**evidence, **assignment}
+        logp += log_offset
     for name in sorted(assignment):
         print(f"map[{name}]={assignment[name]}", file=out)
     print(f"logp={_float_fmt(logp)}", file=out)

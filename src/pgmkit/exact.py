@@ -9,6 +9,7 @@ are recovered exactly without underflow.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -20,6 +21,7 @@ from .errors import (
     NotATreeError,
     OrderingError,
     ScopeError,
+    TooLargeError,
     ZeroEvidenceError,
 )
 from .factors import Factor, Semiring, MAX_PRODUCT, SUM_PRODUCT
@@ -33,6 +35,7 @@ from .models import (
 )
 
 HEURISTICS = ("min_neighbors", "min_weight", "min_fill")
+DECODE_CAP = 2**24  # entries in the largest max-product table (128 MiB of floats)
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,14 @@ def _greedy_order(adj: dict[str, set[str]], cards: Mapping[str, int],
     """Simulated greedy elimination; returns ordering and induced width.
 
     ``targets`` are never eliminated but still participate as neighbors.
+    Each step eliminates the remaining node of least ``(cost, name)``. The
+    costs sit in a lazy heap: an elimination re-costs only the nodes whose
+    cost it can change (its neighbours, and for min_fill their neighbours
+    too), and heap entries whose cost is out of date are skipped.
     """
     adj = {n: set(nbrs) for n, nbrs in adj.items()}
-    remaining = sorted(n for n in adj if n not in targets)
-    order: list[str] = []
-    width = 0
 
-    def cost(n: str) -> float:
+    def cost(n: str) -> int:
         nbrs = adj[n]
         if heuristic == "min_neighbors":
             return len(nbrs)
@@ -70,7 +74,7 @@ def _greedy_order(adj: dict[str, set[str]], cards: Mapping[str, int],
                 out *= cards[m]
             return out
         if heuristic == "min_fill":
-            nbrs = sorted(nbrs)
+            nbrs = list(nbrs)
             return sum(
                 1
                 for i in range(len(nbrs))
@@ -79,37 +83,54 @@ def _greedy_order(adj: dict[str, set[str]], cards: Mapping[str, int],
             )
         raise ValueError(f"unknown heuristic {heuristic!r}")
 
-    while remaining:
-        best = min(remaining, key=lambda n: (cost(n), n))
+    current = {n: cost(n) for n in adj if n not in targets}
+    heap = [(c, n) for n, c in current.items()]
+    heapq.heapify(heap)
+    order: list[str] = []
+    width = 0
+    while heap:
+        c, best = heapq.heappop(heap)
+        if current.get(best) != c:
+            continue
+        del current[best]
         order.append(best)
-        remaining.remove(best)
-        nbrs = sorted(adj[best])
-        width = max(width, len(nbrs) + 1 - 1)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        for m in nbrs:
-            adj[m].discard(best)
-        del adj[best]
+        nbrs = _eliminate_node(adj, best)
+        width = max(width, len(nbrs))
+        touched = set(nbrs)
+        if heuristic == "min_fill":
+            for m in nbrs:
+                touched |= adj[m]
+        for m in touched:
+            if m in current:
+                c = cost(m)
+                if c != current[m]:
+                    current[m] = c
+                    heapq.heappush(heap, (c, m))
     return order, width
+
+
+def _eliminate_node(adj: dict[str, set[str]], node: str) -> set[str]:
+    """Remove ``node`` from the graph, joining its neighbours pairwise;
+    returns the neighbours it had."""
+    nbrs = adj.pop(node)
+    for m in nbrs:
+        links = adj[m]
+        links.discard(node)
+        links.update(nbrs)
+        links.discard(m)
+    return nbrs
+
+
+def _elimination_scopes(adj: dict[str, set[str]], order: Sequence[str]):
+    """Yield (node, neighbours at its elimination) along a fixed ordering."""
+    adj = {n: set(nbrs) for n, nbrs in adj.items()}
+    for node in order:
+        yield node, _eliminate_node(adj, node)
 
 
 def simulate_width(adj: dict[str, set[str]], order: Sequence[str]) -> int:
     """Induced width of a fixed (partial) elimination ordering."""
-    adj = {n: set(nbrs) for n, nbrs in adj.items()}
-    width = 0
-    for node in order:
-        nbrs = sorted(adj[node])
-        width = max(width, len(nbrs))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        for m in nbrs:
-            adj[m].discard(node)
-        del adj[node]
-    return width
+    return max((len(nbrs) for _, nbrs in _elimination_scopes(adj, order)), default=0)
 
 
 def choose_ordering(model: Model, heuristic: str = "min_fill",
@@ -179,11 +200,11 @@ def variable_elimination(model: Model, query: Iterable[str],
     log_norm = 0.0
     max_scope = max((len(f.scope) for f in factors), default=0)
 
+    pool = _FactorPool(factors)
     for var in ordering:
-        bucket = [f for f in factors if var in f.names]
+        bucket = pool.take(var)
         if not bucket:
             continue
-        factors = [f for f in factors if var not in f.names]
         combined = bucket[0]
         for f in bucket[1:]:
             combined = fa.product(combined, f)
@@ -196,10 +217,11 @@ def variable_elimination(model: Model, query: Iterable[str],
                     "all probability mass vanished during elimination; "
                     "the evidence has probability zero"
                 )
-            tau = Factor(tau.scope, tau.table / total)
+            tau = Factor(tau.scope, tau.table / total, _trusted=True)
             log_norm += math.log(total)
-        factors.append(tau)
+        pool.add(tau)
 
+    factors = pool.factors()
     if factors:
         result = factors[0]
         for f in factors[1:]:
@@ -217,8 +239,41 @@ def variable_elimination(model: Model, query: Iterable[str],
         if total <= 0.0:
             raise ZeroEvidenceError("the evidence has probability zero")
         log_norm += math.log(total)
-        result = Factor(result.scope, result.table / total)
+        result = Factor(result.scope, result.table / total, _trusted=True)
     return VeResult(result, log_norm, max_scope)
+
+
+class _FactorPool:
+    """Factors in the order they joined, indexed by the variables they
+    mention, so an elimination step finds its bucket without a scan."""
+
+    def __init__(self, factors: Iterable[Factor]):
+        self._factors: dict[int, Factor] = {}
+        self._holding: dict[str, set[int]] = {}
+        self._next = 0
+        for f in factors:
+            self.add(f)
+
+    def add(self, f: Factor) -> None:
+        key = self._next
+        self._next += 1
+        self._factors[key] = f
+        for name in f.names:
+            self._holding.setdefault(name, set()).add(key)
+
+    def take(self, var: str) -> list[Factor]:
+        """Remove and return the factors over ``var``, in pool order."""
+        bucket = []
+        for key in sorted(self._holding.pop(var, ())):
+            f = self._factors.pop(key)
+            for name in f.names:
+                if name != var:
+                    self._holding[name].discard(key)
+            bucket.append(f)
+        return bucket
+
+    def factors(self) -> list[Factor]:
+        return list(self._factors.values())
 
 
 def _scalar_value(f: Factor) -> float:
@@ -335,7 +390,7 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
         total = float(np.sum(msg.table))
         if total <= 0.0:
             raise ZeroEvidenceError("the evidence has probability zero")
-        store.put(source, target, Factor(msg.scope, msg.table / total))
+        store.put(source, target, Factor(msg.scope, msg.table / total, _trusted=True))
         log_scale[(source, target)] = scale + math.log(total)
 
     for node in reversed(order):      # leaves toward the component roots
@@ -354,7 +409,7 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
         total = float(np.sum(belief.table))
         if total <= 0.0:
             raise ZeroEvidenceError("the evidence has probability zero")
-        return Factor(belief.scope, belief.table / total), scale + math.log(total)
+        return Factor(belief.scope, belief.table / total, _trusted=True), scale + math.log(total)
 
     marginals: dict[str, Factor] = {}
     component_log_z: dict[int, float] = {}
@@ -404,7 +459,8 @@ def _factor_graph_components(fg: FactorGraph) -> list[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
-def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
+def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None,
+                       cap: int = DECODE_CAP):
     """MAP assignment and its log score.
 
     Runs max-product elimination in reverse name order, keeping a
@@ -412,6 +468,10 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
     variables in name order, breaking every tie toward the lowest state
     index. The result is exactly the lexicographically-first argmax, which
     matches the enumeration oracle's tie-breaking.
+
+    Before allocating anything, the elimination is simulated on the
+    interaction graph; if its largest table would hold more than ``cap``
+    entries, TooLargeError is raised.
     """
     if isinstance(model_or_jt, JunctionTree):
         jt = model_or_jt
@@ -424,15 +484,26 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
     from .models import log_joint
 
     names = sorted(n for n in model.variables if n not in evidence)
-    pool = [
+    graph = interaction_graph(model)
+    adj = {n: {m for m in graph.neighbors(n) if m not in evidence} for n in names}
+    for var, nbrs in _elimination_scopes(adj, names[::-1]):
+        entries = model.variable(var).cardinality * math.prod(
+            model.variable(m).cardinality for m in nbrs
+        )
+        if entries > cap:
+            raise TooLargeError(
+                f"max-product decoding needs a table of {entries} entries when it "
+                f"eliminates {var!r}, over the cap of {cap}"
+            )
+
+    pool = _FactorPool(
         f for f in (fa.reduce_factor(f, evidence) for f in model_factors(model))
         if f.scope
-    ]
+    )
     assignment = dict(evidence)
     pointers: list[tuple[str, Factor | None, np.ndarray | None]] = []
     for var in reversed(names):
-        bucket = [f for f in pool if var in f.names]
-        pool = [f for f in pool if var not in f.names]
+        bucket = pool.take(var)
         if not bucket:
             pointers.append((var, None, None))
             continue
@@ -444,7 +515,7 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
             combined, sorted(combined.names, key=lambda n: (n != var, n))
         )
         argmax = np.argmax(combined.table, axis=0)  # lowest state index on ties
-        pool.append(fa.eliminate(combined, [var], MAX_PRODUCT))
+        pool.add(fa.eliminate(combined, [var], MAX_PRODUCT))
         pointers.append((var, combined, argmax))
 
     # traceback in name order (reverse of elimination)
@@ -472,7 +543,8 @@ class JunctionTree:
     """A calibrated-on-demand clique tree.
 
     Cliques are frozensets of variable names; ``tree_edges`` connect clique
-    indices and carry sepsets (intersections of endpoint scopes). The
+    indices and carry sepsets (intersections of endpoint scopes). The tree
+    is fixed at construction, when its adjacency map is built. The
     potentials are products of the model factors assigned to each clique
     (family preservation). After :func:`jt_calibrate`, ``beliefs[c]`` is
     proportional to p(x_c, evidence) and ``log_partition`` holds log Z.
@@ -491,15 +563,17 @@ class JunctionTree:
     belief_log_scale: list[float] | None = None
     calibrated: bool = False
     log_partition: float = math.nan
+    _adjacency: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        adjacency: dict[int, list[int]] = {}
+        for a, b in self.tree_edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        self._adjacency = {i: sorted(nbrs) for i, nbrs in adjacency.items()}
 
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.tree_edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return list(self._adjacency.get(i, ()))
 
     def clique_for(self, variable: str) -> int:
         """Index of the smallest clique containing the variable (ties by order)."""
@@ -533,38 +607,25 @@ def family_preservation_holds(jt: JunctionTree) -> bool:
 
 
 def running_intersection_holds(jt: JunctionTree) -> bool:
-    """Direct path check: every clique on the path between two cliques
-    contains their intersection."""
-    n = len(jt.cliques)
-    adj = {i: jt.neighbors(i) for i in range(n)}
+    """For every variable, the cliques holding it form a connected subtree.
 
-    def path(i, j):
-        prev = {i: None}
-        stack = [i]
+    On a tree this is the running-intersection property: every clique on
+    the path between two cliques contains their intersection.
+    """
+    holding: dict[str, set[int]] = {}
+    for k, c in enumerate(jt.cliques):
+        for name in c:
+            holding.setdefault(name, set()).add(k)
+    for members in holding.values():
+        start = min(members)
+        seen, stack = {start}, [start]
         while stack:
-            u = stack.pop()
-            if u == j:
-                out = [j]
-                while prev[out[-1]] is not None:
-                    out.append(prev[out[-1]])
-                return out[::-1]
-            for w in adj[u]:
-                if w not in prev:
-                    prev[w] = u
+            for w in jt.neighbors(stack.pop()):
+                if w in members and w not in seen:
+                    seen.add(w)
                     stack.append(w)
-        return None
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = jt.cliques[i] & jt.cliques[j]
-            if not inter:
-                continue
-            p = path(i, j)
-            if p is None:
-                return False
-            for mid in p:
-                if not inter <= jt.cliques[mid]:
-                    return False
+        if len(seen) != len(members):
+            return False
     return True
 
 
@@ -572,9 +633,11 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     """Moralize/skeletonize, chordalize, and assemble a maximum-weight
     clique tree with sepset-cardinality edge weights.
 
-    Zero-weight edges (empty sepsets) are kept so a spanning tree exists
-    even for disconnected models. Each factor is assigned to the
-    lexicographically smallest containing clique.
+    Kruskal runs on the clique pairs that share a variable. If they leave
+    the cliques disconnected, zero-weight edges (empty sepsets) join the
+    pieces, in label order, so a spanning tree exists even for
+    disconnected models. Each factor is assigned to the lexicographically
+    smallest containing clique.
     """
     graph = interaction_graph(model)
     ordering = choose_ordering(model, heuristic).order
@@ -583,20 +646,31 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     cliques = max_cliques(chordal, elim_cliques)
     if not cliques:
         cliques = [frozenset()]
+    holding: dict[str, list[int]] = {}
+    for k, c in enumerate(cliques):
+        for name in c:
+            holding.setdefault(name, []).append(k)
 
     labels = [f"c{i}" for i in range(len(cliques))]
-    pairs = [
-        (labels[i], labels[j])
-        for i in range(len(cliques))
-        for j in range(i + 1, len(cliques))
-    ]
-    weights = {
-        (labels[i], labels[j]): len(cliques[i] & cliques[j])
-        for i in range(len(cliques))
-        for j in range(i + 1, len(cliques))
-    }
-    clique_graph = UndirectedGraph(labels, pairs)
-    tree = max_weight_spanning_tree(clique_graph, weights).tree
+    weights = {}
+    for members in holding.values():
+        for x, i in enumerate(members):
+            for j in members[x + 1:]:
+                if (labels[i], labels[j]) not in weights:
+                    weights[(labels[i], labels[j])] = len(cliques[i] & cliques[j])
+    spanning = max_weight_spanning_tree(UndirectedGraph(labels, weights), weights)
+    tree_pairs = list(spanning.tree.edges)
+    if not spanning.connected:
+        # Every pair across two pieces has an empty sepset. Taken in label
+        # order, the first such pairs join the least label to the least
+        # label of each other piece.
+        first = min(labels)
+        tree_pairs += [
+            (first, min(piece))
+            for piece in spanning.tree.connected_components()
+            if first not in piece
+        ]
+    tree = UndirectedGraph(labels, tree_pairs)
     index = {lab: k for k, lab in enumerate(labels)}
     tree_edges = sorted((index[u], index[v]) for u, v in tree.edges)
     sepsets = {}
@@ -605,24 +679,28 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
         sepsets[(b, a)] = cliques[a] & cliques[b]
 
     factors = model_factors(model)
-    assignment = []
     ranked = sorted(range(len(cliques)), key=lambda k: tuple(sorted(cliques[k])))
+    rank = {k: r for r, k in enumerate(ranked)}
+    assignment = []
     for f in factors:
         names = set(f.names)
-        home = next((k for k in ranked if names <= cliques[k]), None)
+        candidates = holding.get(f.names[0], ()) if f.names else ranked
+        home = min((k for k in candidates if names <= cliques[k]), key=rank.get, default=None)
         if home is None:
             raise RuntimeError(
                 f"factor over {sorted(names)} fits no clique; chordalization is inconsistent"
             )
         assignment.append(home)
 
+    homed: list[list[Factor]] = [[] for _ in cliques]
+    for f, home in zip(factors, assignment):
+        homed[home].append(f)
     potentials = []
-    for k, c in enumerate(cliques):
+    for c, assigned in zip(cliques, homed):
         scope = [model.variable(n) for n in sorted(c)]
         pot = fa.ones_like(scope)
-        for fi, home in enumerate(assignment):
-            if home == k:
-                pot = fa.product(pot, factors[fi])
+        for f in assigned:
+            pot = fa.product(pot, f)
         potentials.append(fa.align_to(pot, sorted(c)) if c else pot)
 
     jt = JunctionTree(model, list(cliques), tree_edges, sepsets, potentials, assignment)
@@ -680,7 +758,7 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
         total = float(np.sum(msg.table))
         if total <= 0.0:
             raise ZeroEvidenceError("the evidence has probability zero")
-        messages[(i, j)] = Factor(msg.scope, msg.table / total)
+        messages[(i, j)] = Factor(msg.scope, msg.table / total, _trusted=True)
         scales[(i, j)] = scale + math.log(total)
 
     for u in reversed(order):
@@ -702,7 +780,7 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
         total = float(np.sum(b.table))
         if total <= 0.0:
             raise ZeroEvidenceError("the evidence has probability zero")
-        beliefs.append(Factor(b.scope, b.table / total))
+        beliefs.append(Factor(b.scope, b.table / total, _trusted=True))
         belief_scales.append(scale + math.log(total))
         if log_z is None:
             log_z = scale + math.log(total)

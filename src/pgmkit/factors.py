@@ -99,41 +99,43 @@ class Factor:
         domain: "linear" (default) or "log".
     """
 
-    __slots__ = ("scope", "table", "domain")
+    __slots__ = ("scope", "table", "domain", "names")
 
-    def __init__(self, scope: Sequence[Variable], values, domain: str = LINEAR):
+    def __init__(self, scope: Sequence[Variable], values, domain: str = LINEAR,
+                 *, _trusted: bool = False):
+        # ``_trusted`` marks a table pgmkit computed itself from valid
+        # factors: it is used without the defensive copy and the negativity
+        # scan that user-supplied tables get. Either way the table is
+        # C-ordered, which fixes the summation order of later reductions.
         scope = tuple(scope)
-        names = [v.name for v in scope]
+        names = tuple(v.name for v in scope)
         if len(set(names)) != len(names):
-            raise ScopeError(f"duplicate variables in scope {names}")
+            raise ScopeError(f"duplicate variables in scope {list(names)}")
         if domain not in (LINEAR, LOG):
             raise ValueError(f"unknown domain tag {domain!r}")
         shape = tuple(v.cardinality for v in scope)
-        table = np.asarray(values, dtype=float)
+        table = np.asarray(values, dtype=float, order="C")
         if table.shape != shape:
-            expected = int(np.prod(shape)) if shape else 1
+            expected = math.prod(shape)
             if table.size != expected:
                 raise ValueError(
-                    f"table has {table.size} entries, scope {names} requires {expected}"
+                    f"table has {table.size} entries, scope {list(names)} requires {expected}"
                 )
-            table = table.reshape(shape).copy()
-        else:
+            table = table.reshape(shape)
+        if not _trusted:
             table = table.copy()
-        if domain == LINEAR and table.size and np.min(table) < 0:
-            raise ValueError("linear-domain factor entries must be nonnegative")
+            if domain == LINEAR and table.size and np.min(table) < 0:
+                raise ValueError("linear-domain factor entries must be nonnegative")
         table.flags.writeable = False
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "names", names)
 
     def __setattr__(self, name, value):
         raise AttributeError("factors are immutable")
 
     # -- introspection -------------------------------------------------
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.scope)
 
     @property
     def values(self) -> np.ndarray:
@@ -202,11 +204,10 @@ def product(f: Factor, g: Factor) -> Factor:
         raise ValueError("cannot multiply factors with different domain tags")
     _check_shared_variables(f, g)
     scope = list(f.scope) + [v for v in g.scope if v.name not in f.names]
-    names = [v.name for v in scope]
     a = _broadcast_to_scope(f, scope)
     b = _broadcast_to_scope(g, scope)
     op = np.add if f.domain == LOG else np.multiply
-    return Factor(scope, op(a, b), domain=f.domain)
+    return Factor(scope, op(a, b), domain=f.domain, _trusted=True)
 
 
 def product_all(factors: Iterable[Factor]) -> Factor:
@@ -253,20 +254,23 @@ def eliminate(f: Factor, variables: Iterable[str], semiring: Semiring = SUM_PROD
             raise ValueError(f"semiring {semiring.kind} undefined for log-domain factors")
     else:
         table = semiring.aggregate(f.table, axis=axes)
-    return Factor(keep, table, domain=f.domain)
+    return Factor(keep, table, domain=f.domain, _trusted=True)
 
 
 def reduce_factor(f: Factor, evidence: Mapping[str, str]) -> Factor:
     """Slice the factor at the evidence states, dropping those variables."""
-    relevant = {k: v for k, v in evidence.items() if k in f.names}
-    if not relevant:
+    index: list = []
+    keep = []
+    for v in f.scope:
+        state = evidence.get(v.name)
+        if state is None:
+            index.append(slice(None))
+            keep.append(v)
+        else:
+            index.append(v.index_of(state))
+    if len(keep) == len(index):
         return f
-    index: list = [slice(None)] * len(f.scope)
-    for name, state in relevant.items():
-        var = f.variable(name)
-        index[f.axis(name)] = var.index_of(state)
-    keep = [v for v in f.scope if v.name not in relevant]
-    return Factor(keep, f.table[tuple(index)], domain=f.domain)
+    return Factor(keep, f.table[tuple(index)], domain=f.domain, _trusted=True)
 
 
 def normalize(f: Factor) -> tuple[Factor, float]:
@@ -276,7 +280,7 @@ def normalize(f: Factor) -> tuple[Factor, float]:
     total = float(np.sum(f.table))
     if total <= 0.0:
         raise DegenerateDistributionError("cannot normalize an all-zero factor")
-    return Factor(f.scope, f.table / total), total
+    return Factor(f.scope, f.table / total, _trusted=True), total
 
 
 def divide(f: Factor, g: Factor) -> Factor:
@@ -301,7 +305,7 @@ def divide(f: Factor, g: Factor) -> Factor:
 def ones_like(scope: Sequence[Variable], domain: str = LINEAR) -> Factor:
     shape = tuple(v.cardinality for v in scope)
     fill = 0.0 if domain == LOG else 1.0
-    return Factor(scope, np.full(shape, fill), domain=domain)
+    return Factor(scope, np.full(shape, fill), domain=domain, _trusted=True)
 
 
 def align_to(f: Factor, scope_order: Sequence[str]) -> Factor:
@@ -310,7 +314,7 @@ def align_to(f: Factor, scope_order: Sequence[str]) -> Factor:
         raise ScopeError(f"{list(scope_order)} is not a permutation of {list(f.names)}")
     order = [f.names.index(n) for n in scope_order]
     scope = [f.scope[i] for i in order]
-    return Factor(scope, np.transpose(f.table, order), domain=f.domain)
+    return Factor(scope, np.transpose(f.table, order), domain=f.domain, _trusted=True)
 
 
 def assignments(scope: Sequence[Variable]) -> Iterable[dict[str, str]]:
@@ -319,6 +323,6 @@ def assignments(scope: Sequence[Variable]) -> Iterable[dict[str, str]]:
         yield {}
         return
     shape = tuple(v.cardinality for v in scope)
-    for flat in range(int(np.prod(shape))):
+    for flat in range(math.prod(shape)):
         idx = np.unravel_index(flat, shape)
         yield {v.name: v.states[i] for v, i in zip(scope, idx)}

@@ -155,7 +155,7 @@ def document_to_model(document: dict) -> Model:
             if name not in by_name:
                 raise SchemaError(f"scope references unknown variable {name!r}", path=path)
             scope.append(by_name[name])
-        expected = int(np.prod([v.cardinality for v in scope])) if scope else 1
+        expected = math.prod(v.cardinality for v in scope)
         if len(table) != expected:
             raise SchemaError(
                 f"table has {len(table)} entries but the scope "

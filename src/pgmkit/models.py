@@ -67,27 +67,49 @@ class BayesianNetwork:
         missing = set(self.variables) - set(self.cpds)
         for name in sorted(missing):
             out.append(Violation(name, "no CPD declared"))
+        checks = []
         for name in sorted(self.cpds):
             cpd = self.cpds[name]
             expected = (name,) + tuple(self.dag.parents(name)) if name in self.dag.nodes else None
             if expected is not None and set(cpd.names) != set(expected):
-                out.append(Violation(name, f"CPD scope {list(cpd.names)} != child+parents {list(expected)}"))
+                problem = f"CPD scope {list(cpd.names)} != child+parents {list(expected)}"
+            elif cpd.names[0] != name:
+                problem = "CPD scope must list the child variable first"
+            else:
+                problem = None
+            checks.append((name, cpd, problem))
+        flags = zip(*_cpd_flags([cpd.table for _, cpd, problem in checks if problem is None]))
+        for name, cpd, problem in checks:
+            if problem is not None:
+                out.append(Violation(name, problem))
                 continue
-            if cpd.names[0] != name:
-                out.append(Violation(name, "CPD scope must list the child variable first"))
-                continue
-            if np.min(cpd.table) < 0:
+            negative, rows_ok = next(flags)
+            if negative:
                 out.append(Violation(name, "negative CPD entry"))
-            row_sums = np.sum(cpd.table, axis=0)
-            if not np.allclose(row_sums, 1.0, atol=1e-9):
+            if not rows_ok:
                 out.append(Violation(name, "rows do not sum to 1 over the child states"))
         return out
 
     def joint_size(self) -> int:
-        return int(np.prod([v.cardinality for v in self.variables.values()]))
+        return math.prod(v.cardinality for v in self.variables.values())
 
     def __repr__(self):
         return f"BayesianNetwork(variables={len(self.variables)}, edges={len(self.dag.edges)})"
+
+
+def _cpd_flags(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per CPD table: whether it has a negative entry, and whether every
+    row (sum over the child axis) is within 1e-9 + 1e-5 of 1, the
+    tolerance of ``np.allclose(sums, 1, atol=1e-9)``; a NaN sum fails.
+    All tables are checked in one vectorised pass."""
+    if not tables:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    sums = [np.sum(t, axis=0).reshape(-1) for t in tables]
+    sum_starts = np.cumsum([0] + [s.size for s in sums[:-1]])
+    entry_starts = np.cumsum([0] + [t.size for t in tables[:-1]])
+    close = np.abs(np.concatenate(sums) - 1.0) <= 1e-9 + 1e-5
+    minima = np.minimum.reduceat(np.concatenate([t.reshape(-1) for t in tables]), entry_starts)
+    return minima < 0, np.logical_and.reduceat(close, sum_starts)
 
 
 class MarkovRandomField:
@@ -135,7 +157,7 @@ class MarkovRandomField:
         return out
 
     def joint_size(self) -> int:
-        return int(np.prod([v.cardinality for v in self.variables.values()]))
+        return math.prod(v.cardinality for v in self.variables.values())
 
     def is_pairwise(self) -> bool:
         return all(len(f.scope) <= 2 for f in self.factors)
@@ -150,6 +172,16 @@ class FactorGraph:
 
     variables: tuple[Variable, ...]
     factors: tuple[Factor, ...]
+    _factors_of: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        factors_of: dict[str, list[int]] = {}
+        for i, f in enumerate(self.factors):
+            for name in f.names:
+                factors_of.setdefault(name, []).append(i)
+        object.__setattr__(
+            self, "_factors_of", {n: tuple(ids) for n, ids in factors_of.items()}
+        )
 
     @property
     def edges(self) -> tuple[tuple[int, str], ...]:
@@ -162,7 +194,7 @@ class FactorGraph:
         return self.factors[i].names
 
     def neighbors_of_variable(self, name: str) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.factors) if name in f.names)
+        return self._factors_of.get(name, ())
 
     def is_tree(self) -> bool:
         """True iff the bipartite graph is connected and acyclic."""
@@ -345,7 +377,7 @@ def random_cpds(variables: Sequence[Variable], dag: DirectedGraph,
     for name in dag.nodes:
         child = by_name[name]
         parents = [by_name[p] for p in dag.parents(name)]
-        rows = int(np.prod([p.cardinality for p in parents])) if parents else 1
+        rows = math.prod(p.cardinality for p in parents)
         table = rng.dirichlet([concentration] * child.cardinality, size=rows).T
         shape = (child.cardinality,) + tuple(p.cardinality for p in parents)
         cpds[name] = Factor([child, *parents], table.reshape(shape))

@@ -167,7 +167,7 @@ def jt_forward_sample(jt: JunctionTree, n: int, rng: np.random.Generator) -> Sam
             continue
         aligned = fa.align_to(belief, known + new)
         new_cards = [model.variable(v).cardinality for v in new]
-        block = int(np.prod(new_cards))
+        block = math.prod(new_cards)
         table = aligned.table.reshape(-1, block)
         if known:
             strides = np.cumprod(
@@ -178,7 +178,7 @@ def jt_forward_sample(jt: JunctionTree, n: int, rng: np.random.Generator) -> Sam
             rows = np.zeros(n, dtype=np.int64)
         flat = _categorical_rows(table[rows], rng)
         for pos, v in enumerate(new):
-            divisor = int(np.prod(new_cards[pos + 1:]))
+            divisor = math.prod(new_cards[pos + 1:])
             states[:, col_of[v]] = (flat // divisor) % new_cards[pos]
         filled.update(new)
     variables = tuple(model.variables[n] for n in names)
@@ -293,7 +293,7 @@ def _check_proposal_support(bn, evidence, proposal, hidden) -> None:
     Exact by enumeration when the hidden joint is small; skipped above the
     cap, where the violation would surface as an infinite weight anyway.
     """
-    size = int(np.prod([v.cardinality for v in hidden])) if hidden else 1
+    size = math.prod(v.cardinality for v in hidden)
     if size > _SUPPORT_CHECK_CAP:
         return
     cards = [v.cardinality for v in hidden]
@@ -382,7 +382,7 @@ class _ConditionalSampler:
         for name in self.free:
             touching = [f for f in reduced if name in f.names]
             blanket = sorted({v for f in touching for v in f.names if v != name})
-            size = int(np.prod([model.variable(b).cardinality for b in blanket])) if blanket else 1
+            size = math.prod(model.variable(b).cardinality for b in blanket)
             card = model.variable(name).cardinality
             if touching and size * card <= cache_cap:
                 joint = touching[0]
@@ -500,7 +500,7 @@ def gibbs_transition_matrix(model: Model, evidence: Mapping[str, str] | None = N
     sampler = _ConditionalSampler(model, evidence)
     free = sampler.free
     cards = [model.variable(nm).cardinality for nm in free]
-    size = int(np.prod(cards)) if free else 1
+    size = math.prod(cards)
     strides = np.cumprod([1] + cards[::-1][:-1])[::-1] if free else np.array([])
 
     def vec_of(flat):
@@ -631,7 +631,7 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
 
     cards = [model.variable(nm).cardinality for nm in free]
-    size = int(np.prod(cards)) if free else 1
+    size = math.prod(cards)
     if size <= CONDITIONAL_CACHE_CAP:
         strides = np.cumprod([1] + cards[::-1][:-1])[::-1] if free else np.array([])
         grid = np.indices(cards).reshape(len(cards), -1).T
@@ -711,7 +711,7 @@ def mh_transition_matrix(model: Model, kernel,
     evidence = check_evidence(model, evidence or {})
     free = [nm for nm in sorted(model.variables) if nm not in evidence]
     cards = [model.variable(nm).cardinality for nm in free]
-    size = int(np.prod(cards)) if free else 1
+    size = math.prod(cards)
     strides = np.cumprod([1] + cards[::-1][:-1])[::-1] if free else np.array([])
     reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
 

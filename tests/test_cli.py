@@ -25,6 +25,43 @@ def voting_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def ising_path(tmp_path):
+    """Three binary variables in a row with agreement couplings."""
+    from pgmkit.factors import Factor, Variable
+    from pgmkit.models import MarkovRandomField
+
+    vs = [Variable(n, ("0", "1")) for n in "abc"]
+    agree = np.array([[3.0, 1.0], [1.0, 3.0]])
+    factors = [
+        Factor([vs[0], vs[1]], agree),
+        Factor([vs[1], vs[2]], agree),
+        Factor([vs[0]], [1.0, 4.0]),
+        Factor([vs[2]], [2.0, 1.0]),
+    ]
+    path = tmp_path / "ising.json"
+    path.write_text(serialize_model(MarkovRandomField(vs, factors)))
+    return str(path)
+
+
+@pytest.fixture
+def grid_path(tmp_path):
+    """An 8x8 binary grid MRF: its joint has 2^64 entries."""
+    from pgmkit.factors import Factor, Variable
+    from pgmkit.models import MarkovRandomField
+
+    gen = np.random.default_rng(0)
+    vs = {(r, c): Variable(f"G{r}{c}", ("s0", "s1")) for r in range(8) for c in range(8)}
+    factors = [Factor([v], np.exp(gen.normal(0, 0.5, size=2))) for v in vs.values()]
+    for (r, c), v in vs.items():
+        for nb in ((r, c + 1), (r + 1, c)):
+            if nb in vs:
+                factors.append(Factor([v, vs[nb]], np.exp(gen.normal(0, 0.3, size=(2, 2)))))
+    path = tmp_path / "grid.json"
+    path.write_text(serialize_model(MarkovRandomField(list(vs.values()), factors)))
+    return str(path)
+
+
 def run(argv):
     buffer = stdio.StringIO()
     code = main(argv, out=buffer)
@@ -106,6 +143,27 @@ class TestQuery:
                        "--evidence", "b=1"])
         assert code == 3
 
+    def test_meanfield_on_a_grid_beyond_int64(self, grid_path):
+        code, out = run(["query", "--model", grid_path, "--target", "G34",
+                         "--engine", "meanfield", "--max-iters", "2"])
+        assert code == 0
+        assert math.isfinite(float(grep(out, "elbo")))
+
+    def test_enum_on_a_grid_beyond_int64_is_too_large(self, grid_path, capsys):
+        code, _ = run(["query", "--model", grid_path, "--target", "G34",
+                       "--engine", "enum"])
+        assert code == 3
+        assert "18446744073709551616 entries exceeds the cap" in capsys.readouterr().err
+
+    def test_mh_on_a_grid_beyond_int64(self, grid_path):
+        code, out = run(["query", "--model", grid_path, "--target", "G34",
+                         "--engine", "mh", "--n", "20", "--burn-in", "5",
+                         "--evidence", "G00=s1"])
+        assert code == 0
+        line = [l for l in out.splitlines() if l.startswith("p[")][0]
+        values = [float(part.split("=")[1]) for part in line.split()]
+        assert sum(values) == pytest.approx(1.0)
+
     def test_gibbs_engine_close_to_exact(self, student_path):
         code, out = run(["query", "--model", student_path, "--target", "LETTER",
                          "--engine", "gibbs", "--n", "20000", "--seed", "5"])
@@ -131,6 +189,48 @@ class TestMap:
         _, mp_out = run(["map", "--model", student_path, "--engine", "maxprod"])
         for key in ("map[DIFFICULTY]", "map[GRADE]", "logp"):
             assert grep(enum_out, key) == grep(mp_out, key)
+
+    def test_maxprod_too_large_exits_3(self, tmp_path, capsys):
+        # reverse name order eliminates the hub Z first, over all 25 leaves
+        from pgmkit.factors import Factor, Variable
+        from pgmkit.models import MarkovRandomField
+
+        hub = Variable("Z", ("0", "1"))
+        leaves = [Variable(f"A{k:02d}", ("0", "1")) for k in range(25)]
+        factors = [Factor([hub, leaf], [[2.0, 1.0], [1.0, 2.0]]) for leaf in leaves]
+        path = tmp_path / "star.json"
+        path.write_text(serialize_model(MarkovRandomField([hub, *leaves], factors)))
+        code, _ = run(["map", "--model", str(path), "--engine", "maxprod"])
+        assert code == 3
+        assert "eliminates 'Z'" in capsys.readouterr().err
+        code, out = run(["map", "--model", str(path), "--engine", "maxprod",
+                         "--evidence", "Z=1"])
+        assert code == 0
+        assert grep(out, "map[A00]") == "1"
+
+    def test_every_engine_honours_evidence(self, student_path, ising_path):
+        from pgmkit.io import parse_model
+        from pgmkit.models import log_joint
+
+        cases = [
+            (student_path, "SAT", "s1", ("enum", "maxprod", "localsearch", "anneal")),
+            # graph cuts and dual decomposition need a binary pairwise model
+            (ising_path, "b", "1", ("enum", "maxprod", "localsearch", "anneal",
+                                     "graphcut", "dualdecomp")),
+        ]
+        for path, name, state, engines in cases:
+            with open(path) as handle:
+                model = parse_model(handle.read())
+            for engine in engines:
+                code, out = run(["map", "--model", path, "--engine", engine,
+                                 "--evidence", f"{name}={state}", "--seed", "1"])
+                assert code == 0, engine
+                assert grep(out, f"map[{name}]") == state, engine
+                assignment = {n: grep(out, f"map[{n}]") for n in model.variables}
+                want = log_joint(model, assignment)
+                assert float(grep(out, "logp")) == pytest.approx(want, rel=1e-5), engine
+                if engine == "dualdecomp":
+                    assert float(grep(out, "bound")) >= want - 1e-5
 
     def test_lp_export(self, voting_path, tmp_path):
         lp_path = tmp_path / "map.lp"

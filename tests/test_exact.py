@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from conftest import random_bn, random_mrf, random_tree_mrf
 from pgmkit import factors as fa
-from pgmkit.errors import NotATreeError, OrderingError, ZeroEvidenceError
+from pgmkit.errors import NotATreeError, OrderingError, TooLargeError, ZeroEvidenceError
 from pgmkit.exact import (
     MAX_PRODUCT,
+    _greedy_order,
     build_junction_tree,
     choose_ordering,
     family_preservation_holds,
@@ -22,7 +24,7 @@ from pgmkit.exact import (
     variable_elimination,
 )
 from pgmkit.factors import Factor, Variable
-from pgmkit.graphs import DirectedGraph
+from pgmkit.graphs import DirectedGraph, UndirectedGraph, max_weight_spanning_tree
 from pgmkit.models import (
     BayesianNetwork,
     MarkovRandomField,
@@ -293,6 +295,19 @@ class TestMaxProductDecode:
             want, _ = enumerate_inference(bn, mode="map", evidence=ev)
             assert got == want
 
+    def test_table_cap_is_checked_before_allocating(self):
+        # in reverse name order the largest table comes when INVESTMENT
+        # goes, over {INVESTMENT, DIFFICULTY, GRADE}: 2 * 2 * 3 entries
+        bn = student_network()
+        with pytest.raises(TooLargeError, match="12 entries .* 'INVESTMENT'"):
+            max_product_decode(bn, cap=11)
+        assignment, _ = max_product_decode(bn, cap=12)
+        assert assignment == max_product_decode(bn)[0]
+        # evidence on GRADE removes it from the simulated elimination
+        got, _ = max_product_decode(bn, {"GRADE": "g1"}, cap=4)
+        want, _ = enumerate_inference(bn, mode="map", evidence={"GRADE": "g1"})
+        assert got == want
+
 
 class TestJunctionTree:
     def test_asia_structure(self, rng):
@@ -445,3 +460,150 @@ class TestEngineAgreement:
                     assert np.allclose(
                         bp.marginal(target).values, want.values, atol=1e-9
                     )
+
+
+# ---------------------------------------------------------------------------
+# The indexed fast paths against the direct scans they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_greedy_order(adj, cards, targets, heuristic):
+    """Greedy elimination that re-costs every remaining node at every step."""
+    adj = {n: set(nbrs) for n, nbrs in adj.items()}
+    remaining = sorted(n for n in adj if n not in targets)
+    order, width = [], 0
+
+    def cost(n):
+        nbrs = sorted(adj[n])
+        if heuristic == "min_neighbors":
+            return len(nbrs)
+        if heuristic == "min_weight":
+            return math.prod([cards[n]] + [cards[m] for m in nbrs])
+        return sum(
+            1
+            for i in range(len(nbrs))
+            for j in range(i + 1, len(nbrs))
+            if nbrs[j] not in adj[nbrs[i]]
+        )
+
+    while remaining:
+        best = min(remaining, key=lambda n: (cost(n), n))
+        order.append(best)
+        remaining.remove(best)
+        nbrs = sorted(adj[best])
+        width = max(width, len(nbrs))
+        for u in nbrs:
+            adj[u] |= set(nbrs) - {u}
+            adj[u].discard(best)
+        del adj[best]
+    return order, width
+
+
+def reference_tree_edges(cliques):
+    """Kruskal on the complete clique graph, zero-weight pairs included."""
+    labels = [f"c{i}" for i in range(len(cliques))]
+    pairs = [(labels[i], labels[j]) for i in range(len(cliques)) for j in range(i + 1, len(cliques))]
+    weights = {(labels[i], labels[j]): len(cliques[i] & cliques[j])
+               for i in range(len(cliques)) for j in range(i + 1, len(cliques))}
+    tree = max_weight_spanning_tree(UndirectedGraph(labels, pairs), weights).tree
+    index = {lab: k for k, lab in enumerate(labels)}
+    return sorted((index[u], index[v]) for u, v in tree.edges)
+
+
+def reference_running_intersection(jt):
+    """Every clique on the path between two cliques holds their intersection."""
+    adj = {i: jt.neighbors(i) for i in range(len(jt.cliques))}
+
+    def path(i, j):
+        prev, stack = {i: None}, [i]
+        while stack:
+            u = stack.pop()
+            if u == j:
+                out = [j]
+                while prev[out[-1]] is not None:
+                    out.append(prev[out[-1]])
+                return out
+            for w in adj[u]:
+                if w not in prev:
+                    prev[w] = u
+                    stack.append(w)
+        return None
+
+    for i in range(len(jt.cliques)):
+        for j in range(i + 1, len(jt.cliques)):
+            inter = jt.cliques[i] & jt.cliques[j]
+            if inter:
+                p = path(i, j)
+                if p is None or any(not inter <= jt.cliques[k] for k in p):
+                    return False
+    return True
+
+
+def random_graph_model(rng):
+    """A random MRF over up to 14 variables, often disconnected."""
+    n = int(rng.integers(1, 15))
+    return random_mrf(rng, n=n, max_states=4, n_factors=n + int(rng.integers(0, 2 * n)),
+                      max_scope=int(rng.integers(2, 4)))
+
+
+class TestFastPathsMatchReferences:
+    def test_greedy_order_matches_min_scan(self, rng):
+        for _ in range(150):
+            n = int(rng.integers(1, 16))
+            names = [f"n{k}" for k in range(n)]       # n10 sorts before n2
+            p = float(rng.uniform(0.0, 0.6))
+            adj = {a: set() for a in names}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        adj[names[i]].add(names[j])
+                        adj[names[j]].add(names[i])
+            cards = {a: int(rng.integers(2, 5)) for a in names}
+            targets = {a for a in names if rng.random() < 0.15}
+            for heuristic in ("min_neighbors", "min_weight", "min_fill"):
+                got = _greedy_order(adj, cards, targets, heuristic)
+                assert got == reference_greedy_order(adj, cards, targets, heuristic)
+
+    def test_orderings_and_clique_trees_match_references(self, rng):
+        disconnected = 0
+        for _ in range(60):
+            model = random_graph_model(rng)
+            graph = interaction_graph(model)
+            adj = {n: set(graph.neighbors(n)) for n in graph.nodes}
+            cards = {n: model.variable(n).cardinality for n in adj}
+            disconnected += len(graph.connected_components()) > 1
+            for heuristic in ("min_neighbors", "min_weight", "min_fill"):
+                ordering = choose_ordering(model, heuristic)
+                want = reference_greedy_order(adj, cards, set(), heuristic)
+                assert (list(ordering.order), ordering.induced_width) == want
+                jt = build_junction_tree(model, heuristic)
+                assert jt.tree_edges == reference_tree_edges(jt.cliques)
+                assert running_intersection_holds(jt) and reference_running_intersection(jt)
+        assert disconnected >= 10
+
+    def test_running_intersection_agrees_on_broken_trees(self, rng):
+        broken = 0
+        for _ in range(60):
+            jt = build_junction_tree(random_graph_model(rng))
+            n = len(jt.cliques)
+            if n < 3:
+                continue
+            # a random spanning tree over the same cliques
+            order = [int(k) for k in rng.permutation(n)]
+            edges = [(order[k], order[int(rng.integers(0, k))]) for k in range(1, n)]
+            rewired = dataclasses.replace(jt, tree_edges=edges)
+            got = running_intersection_holds(rewired)
+            assert got == reference_running_intersection(rewired)
+            broken += not got
+            # dropping an edge splits the tree
+            split = dataclasses.replace(jt, tree_edges=jt.tree_edges[1:])
+            assert running_intersection_holds(split) == reference_running_intersection(split)
+        assert broken >= 10
+
+    def test_long_chain_sends_two_messages_per_edge(self, rng):
+        bn = chain_bn(600, rng)
+        result = tree_bp(bn)
+        edges = len(to_factor_graph(bn).edges)
+        assert result.messages.sends == 2 * edges == 2 * 1199
+        want = variable_elimination(bn, ["x599"]).normalized()
+        assert np.allclose(result.marginal("x599").values, want.values, atol=1e-12)
