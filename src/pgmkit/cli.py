@@ -11,7 +11,6 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -34,7 +33,6 @@ from .exact import (
     tree_bp,
     variable_elimination,
 )
-from .factors import LOG, reduce_factor
 from .io import (
     export_dot,
     load_dataset,
@@ -58,6 +56,7 @@ from .models import (
     check_evidence,
     enumerate_inference,
     log_joint,
+    reduce_to_evidence,
     validate,
 )
 from .sampling import (
@@ -134,17 +133,7 @@ def _reduced_mrf(model, evidence) -> tuple[MarkovRandomField, float]:
     if not evidence:
         return mrf, 0.0
     evidence = check_evidence(mrf, evidence)
-    kept, log_offset = [], 0.0
-    for f in mrf.factors:
-        g = reduce_factor(f, evidence)
-        if g.scope:
-            kept.append(g)
-            continue
-        value = float(g.table)
-        if g.domain == LOG:
-            log_offset += value
-        else:
-            log_offset += math.log(value) if value > 0.0 else -math.inf
+    kept, log_offset = reduce_to_evidence(mrf, evidence)
     free = [v for name, v in mrf.variables.items() if name not in evidence]
     return MarkovRandomField(free, kept), log_offset
 

@@ -32,10 +32,14 @@ from .models import (
     Model,
     check_evidence,
     model_factors,
+    reduce_to_evidence,
 )
 
 HEURISTICS = ("min_neighbors", "min_weight", "min_fill")
-DECODE_CAP = 2**24  # entries in the largest max-product table (128 MiB of floats)
+# Entries in the largest table max_product_decode will build: a 1 GiB
+# budget of float64. A step's peak is under three times that (the
+# product, its reordered copy, the back-pointers and the max-marginal).
+DECODE_CAP = 2**27
 
 
 @dataclass(frozen=True)
@@ -331,19 +335,9 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
     same two phases and the component log-partitions add up.
     """
     evidence = check_evidence(model, evidence or {})
-    scalar_log = 0.0
-    reduced: list[Factor] = []
-    factor_ids: list[int] = []
-    for i, f in enumerate(model_factors(model)):
-        g = fa.reduce_factor(f, evidence)
-        if g.scope:
-            reduced.append(g)
-            factor_ids.append(i)
-        else:
-            value = float(g.table)
-            if value <= 0.0:
-                raise ZeroEvidenceError("the evidence has probability zero")
-            scalar_log += math.log(value)
+    reduced, scalar_log = reduce_to_evidence(model, evidence)
+    if scalar_log == -math.inf:
+        raise ZeroEvidenceError("the evidence has probability zero")
     variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
     fg = FactorGraph(tuple(variables), tuple(reduced))
     n_nodes = len(variables) + len(reduced)
@@ -459,8 +453,7 @@ def _factor_graph_components(fg: FactorGraph) -> list[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
-def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None,
-                       cap: int = DECODE_CAP):
+def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
     """MAP assignment and its log score.
 
     Runs max-product elimination in reverse name order, keeping a
@@ -470,8 +463,8 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None,
     matches the enumeration oracle's tie-breaking.
 
     Before allocating anything, the elimination is simulated on the
-    interaction graph; if its largest table would hold more than ``cap``
-    entries, TooLargeError is raised.
+    interaction graph; if its largest table would hold more than
+    ``DECODE_CAP`` entries, TooLargeError is raised.
     """
     if isinstance(model_or_jt, JunctionTree):
         jt = model_or_jt
@@ -490,22 +483,19 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None,
         entries = model.variable(var).cardinality * math.prod(
             model.variable(m).cardinality for m in nbrs
         )
-        if entries > cap:
+        if entries > DECODE_CAP:
             raise TooLargeError(
                 f"max-product decoding needs a table of {entries} entries when it "
-                f"eliminates {var!r}, over the cap of {cap}"
+                f"eliminates {var!r}, over the cap of {DECODE_CAP}"
             )
 
-    pool = _FactorPool(
-        f for f in (fa.reduce_factor(f, evidence) for f in model_factors(model))
-        if f.scope
-    )
+    pool = _FactorPool(reduce_to_evidence(model, evidence)[0])
     assignment = dict(evidence)
-    pointers: list[tuple[str, Factor | None, np.ndarray | None]] = []
+    pointers: list[tuple[str, tuple[str, ...], np.ndarray | None]] = []
     for var in reversed(names):
         bucket = pool.take(var)
         if not bucket:
-            pointers.append((var, None, None))
+            pointers.append((var, (), None))
             continue
         combined = bucket[0]
         for f in bucket[1:]:
@@ -516,15 +506,14 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None,
         )
         argmax = np.argmax(combined.table, axis=0)  # lowest state index on ties
         pool.add(fa.eliminate(combined, [var], MAX_PRODUCT))
-        pointers.append((var, combined, argmax))
+        pointers.append((var, combined.names[1:], argmax))
 
     # traceback in name order (reverse of elimination)
-    for var, combined, argmax in reversed(pointers):
+    for var, rest, argmax in reversed(pointers):
         v = model.variable(var)
-        if combined is None:
+        if argmax is None:
             assignment[var] = v.states[0]
             continue
-        rest = combined.names[1:]
         idx = tuple(
             model.variable(n).index_of(assignment[n]) for n in rest
         )

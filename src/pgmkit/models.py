@@ -67,26 +67,20 @@ class BayesianNetwork:
         missing = set(self.variables) - set(self.cpds)
         for name in sorted(missing):
             out.append(Violation(name, "no CPD declared"))
-        checks = []
         for name in sorted(self.cpds):
             cpd = self.cpds[name]
             expected = (name,) + tuple(self.dag.parents(name)) if name in self.dag.nodes else None
             if expected is not None and set(cpd.names) != set(expected):
-                problem = f"CPD scope {list(cpd.names)} != child+parents {list(expected)}"
-            elif cpd.names[0] != name:
-                problem = "CPD scope must list the child variable first"
-            else:
-                problem = None
-            checks.append((name, cpd, problem))
-        flags = zip(*_cpd_flags([cpd.table for _, cpd, problem in checks if problem is None]))
-        for name, cpd, problem in checks:
-            if problem is not None:
-                out.append(Violation(name, problem))
+                out.append(Violation(name, f"CPD scope {list(cpd.names)} != child+parents {list(expected)}"))
                 continue
-            negative, rows_ok = next(flags)
-            if negative:
+            if cpd.names[0] != name:
+                out.append(Violation(name, "CPD scope must list the child variable first"))
+                continue
+            if cpd.table.min() < 0:
                 out.append(Violation(name, "negative CPD entry"))
-            if not rows_ok:
+            # the tolerance of np.allclose(row_sums, 1, atol=1e-9); NaN fails
+            row_sums = cpd.table.sum(axis=0)
+            if not (np.abs(row_sums - 1.0) <= 1e-9 + 1e-5).all():
                 out.append(Violation(name, "rows do not sum to 1 over the child states"))
         return out
 
@@ -95,21 +89,6 @@ class BayesianNetwork:
 
     def __repr__(self):
         return f"BayesianNetwork(variables={len(self.variables)}, edges={len(self.dag.edges)})"
-
-
-def _cpd_flags(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per CPD table: whether it has a negative entry, and whether every
-    row (sum over the child axis) is within 1e-9 + 1e-5 of 1, the
-    tolerance of ``np.allclose(sums, 1, atol=1e-9)``; a NaN sum fails.
-    All tables are checked in one vectorised pass."""
-    if not tables:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-    sums = [np.sum(t, axis=0).reshape(-1) for t in tables]
-    sum_starts = np.cumsum([0] + [s.size for s in sums[:-1]])
-    entry_starts = np.cumsum([0] + [t.size for t in tables[:-1]])
-    close = np.abs(np.concatenate(sums) - 1.0) <= 1e-9 + 1e-5
-    minima = np.minimum.reduceat(np.concatenate([t.reshape(-1) for t in tables]), entry_starts)
-    return minima < 0, np.logical_and.reduceat(close, sum_starts)
 
 
 class MarkovRandomField:
@@ -334,6 +313,27 @@ def check_evidence(model: Model, evidence: Mapping[str, str]) -> dict[str, str]:
         var.index_of(state)  # raises EvidenceError on bad labels
         out[name] = state
     return out
+
+
+def reduce_to_evidence(model: Model, evidence: Mapping[str, str]) -> tuple[list[Factor], float]:
+    """The model's factors reduced to the (checked) evidence.
+
+    Returns the reduced factors that keep a variable, in model order, and
+    the log of the product of those the evidence fixes completely (-inf
+    when one of them is zero).
+    """
+    kept, log_offset = [], 0.0
+    for f in model_factors(model):
+        g = fa.reduce_factor(f, evidence)
+        if g.scope:
+            kept.append(g)
+            continue
+        value = float(g.table)
+        if g.domain == fa.LOG:
+            log_offset += value
+        else:
+            log_offset += math.log(value) if value > 0.0 else -math.inf
+    return kept, log_offset
 
 
 def log_joint(model: Model, assignment: Mapping[str, str]) -> float:

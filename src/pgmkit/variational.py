@@ -17,7 +17,7 @@ from .models import (
     Model,
     check_evidence,
     enumerate_inference,
-    model_factors,
+    reduce_to_evidence,
 )
 
 _ENUMERABLE = 1 << 16
@@ -125,14 +125,10 @@ def elbo(model: Model, q: FactoredDistribution,
     free = [n for n in sorted(model.variables) if n not in evidence]
     if sorted(q.tables) != free:
         raise ValueError(f"q must cover exactly the free variables {free}")
-    total = q.entropy()
-    for f in model_factors(model):
-        g = fa.reduce_factor(f, evidence)
-        if g.scope:
-            total += _expected_log_factor(g, q)
-        else:
-            value = float(g.table)
-            total += math.log(value) if value > 0 else -math.inf
+    reduced, total = reduce_to_evidence(model, evidence)
+    total += q.entropy()
+    for g in reduced:
+        total += _expected_log_factor(g, q)
     return float(total)
 
 
@@ -165,10 +161,7 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
     evidence = check_evidence(model, evidence or {})
     free_names = [n for n in sorted(model.variables) if n not in evidence]
     free_vars = [model.variables[n] for n in free_names]
-    reduced = [
-        f for f in (fa.reduce_factor(f, evidence) for f in model_factors(model))
-        if f.scope
-    ]
+    reduced, _ = reduce_to_evidence(model, evidence)
     touching = {
         n: [f for f in reduced if n in f.names] for n in free_names
     }
@@ -250,10 +243,7 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     evidence = check_evidence(model, evidence or {})
-    reduced = [
-        f for f in (fa.reduce_factor(f, evidence) for f in model_factors(model))
-        if f.scope
-    ]
+    reduced, _ = reduce_to_evidence(model, evidence)
     variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
     var_of = {v.name: v for v in variables}
     touching = {

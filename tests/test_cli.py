@@ -191,12 +191,13 @@ class TestMap:
             assert grep(enum_out, key) == grep(mp_out, key)
 
     def test_maxprod_too_large_exits_3(self, tmp_path, capsys):
-        # reverse name order eliminates the hub Z first, over all 25 leaves
+        # reverse name order eliminates the hub Z first, over all 27
+        # leaves: 2**28 entries, twice the default cap
         from pgmkit.factors import Factor, Variable
         from pgmkit.models import MarkovRandomField
 
         hub = Variable("Z", ("0", "1"))
-        leaves = [Variable(f"A{k:02d}", ("0", "1")) for k in range(25)]
+        leaves = [Variable(f"A{k:02d}", ("0", "1")) for k in range(27)]
         factors = [Factor([hub, leaf], [[2.0, 1.0], [1.0, 2.0]]) for leaf in leaves]
         path = tmp_path / "star.json"
         path.write_text(serialize_model(MarkovRandomField([hub, *leaves], factors)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bn, random_mrf, random_tree_mrf
-from pgmkit import factors as fa
+from pgmkit import exact, factors as fa
 from pgmkit.errors import NotATreeError, OrderingError, TooLargeError, ZeroEvidenceError
 from pgmkit.exact import (
     MAX_PRODUCT,
@@ -295,16 +295,19 @@ class TestMaxProductDecode:
             want, _ = enumerate_inference(bn, mode="map", evidence=ev)
             assert got == want
 
-    def test_table_cap_is_checked_before_allocating(self):
+    def test_table_cap_is_checked_before_allocating(self, monkeypatch):
         # in reverse name order the largest table comes when INVESTMENT
         # goes, over {INVESTMENT, DIFFICULTY, GRADE}: 2 * 2 * 3 entries
         bn = student_network()
+        want, _ = max_product_decode(bn)
+        monkeypatch.setattr(exact, "DECODE_CAP", 11)
         with pytest.raises(TooLargeError, match="12 entries .* 'INVESTMENT'"):
-            max_product_decode(bn, cap=11)
-        assignment, _ = max_product_decode(bn, cap=12)
-        assert assignment == max_product_decode(bn)[0]
+            max_product_decode(bn)
+        monkeypatch.setattr(exact, "DECODE_CAP", 12)
+        assert max_product_decode(bn)[0] == want
         # evidence on GRADE removes it from the simulated elimination
-        got, _ = max_product_decode(bn, {"GRADE": "g1"}, cap=4)
+        monkeypatch.setattr(exact, "DECODE_CAP", 4)
+        got, _ = max_product_decode(bn, {"GRADE": "g1"})
         want, _ = enumerate_inference(bn, mode="map", evidence={"GRADE": "g1"})
         assert got == want
 
