@@ -28,7 +28,6 @@ from .factors import Factor, Semiring, MAX_PRODUCT, SUM_PRODUCT
 from .graphs import UndirectedGraph, max_cliques, max_weight_spanning_tree, moralize, triangulate
 from .models import (
     BayesianNetwork,
-    FactorGraph,
     Model,
     check_evidence,
     model_factors,
@@ -132,11 +131,6 @@ def _elimination_scopes(adj: dict[str, set[str]], order: Sequence[str]):
         yield node, _eliminate_node(adj, node)
 
 
-def simulate_width(adj: dict[str, set[str]], order: Sequence[str]) -> int:
-    """Induced width of a fixed (partial) elimination ordering."""
-    return max((len(nbrs) for _, nbrs in _elimination_scopes(adj, order)), default=0)
-
-
 def choose_ordering(model: Model, heuristic: str = "min_fill",
                     query: Iterable[str] = (),
                     evidence: Iterable[str] = ()) -> EliminationOrdering:
@@ -200,7 +194,7 @@ def variable_elimination(model: Model, query: Iterable[str],
 
     rescale = semiring.kind == "sum_product"
     factors = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
-    factors = [f for f in factors if f.scope or _scalar_value(f) != 1.0]
+    factors = [f for f in factors if f.scope or float(f.table) != 1.0]
     log_norm = 0.0
     max_scope = max((len(f.scope) for f in factors), default=0)
 
@@ -209,27 +203,17 @@ def variable_elimination(model: Model, query: Iterable[str],
         bucket = pool.take(var)
         if not bucket:
             continue
-        combined = bucket[0]
-        for f in bucket[1:]:
-            combined = fa.product(combined, f)
+        combined = fa.product_all(bucket)
         max_scope = max(max_scope, len(combined.scope))
         tau = fa.eliminate(combined, [var], semiring)
         if rescale:
-            total = float(np.sum(tau.table))
-            if total <= 0.0:
-                raise ZeroEvidenceError(
-                    "all probability mass vanished during elimination; "
-                    "the evidence has probability zero"
-                )
-            tau = Factor(tau.scope, tau.table / total, _trusted=True)
-            log_norm += math.log(total)
+            tau, log_total = _rescaled(tau)
+            log_norm += log_total
         pool.add(tau)
 
     factors = pool.factors()
     if factors:
-        result = factors[0]
-        for f in factors[1:]:
-            result = fa.product(result, f)
+        result = fa.product_all(factors)
     else:
         result = fa.ones_like([model.variable(q) for q in query])
     max_scope = max(max_scope, len(result.scope))
@@ -239,11 +223,8 @@ def variable_elimination(model: Model, query: Iterable[str],
             sorted(query),
         )
     if rescale:
-        total = float(np.sum(result.table))
-        if total <= 0.0:
-            raise ZeroEvidenceError("the evidence has probability zero")
-        log_norm += math.log(total)
-        result = Factor(result.scope, result.table / total, _trusted=True)
+        result, log_total = _rescaled(result)
+        log_norm += log_total
     return VeResult(result, log_norm, max_scope)
 
 
@@ -280,8 +261,12 @@ class _FactorPool:
         return list(self._factors.values())
 
 
-def _scalar_value(f: Factor) -> float:
-    return float(f.table) if f.scope == () else math.nan
+def _rescaled(f: Factor) -> tuple[Factor, float]:
+    """f scaled to sum to 1, and the log of the total pulled out."""
+    total = float(np.sum(f.table))
+    if total <= 0.0:
+        raise ZeroEvidenceError("the evidence has probability zero")
+    return Factor(f.scope, f.table / total, _trusted=True), math.log(total)
 
 
 def posterior(model: Model, target: str,
@@ -291,7 +276,8 @@ def posterior(model: Model, target: str,
 
 
 # ---------------------------------------------------------------------------
-# Belief propagation on factor trees
+# Two-pass calibration on trees: belief propagation on factor trees here,
+# the junction tree below
 # ---------------------------------------------------------------------------
 
 
@@ -307,13 +293,6 @@ class MessageStore:
     messages: dict[tuple, Factor] = field(default_factory=dict)
     sends: int = 0
 
-    def put(self, source, target, message: Factor) -> None:
-        self.messages[(source, target)] = message
-        self.sends += 1
-
-    def get(self, source, target) -> Factor:
-        return self.messages[(source, target)]
-
 
 @dataclass
 class TreeBpResult:
@@ -324,6 +303,93 @@ class TreeBpResult:
 
     def marginal(self, name: str) -> Factor:
         return self.marginals[name]
+
+
+@dataclass
+class _Calibration:
+    messages: dict           # (source, target) -> normalized message
+    message_log_scale: dict  # (source, target) -> log of the mass pulled out
+    beliefs: dict            # node -> normalized belief
+    belief_log_scale: dict   # node -> log of the belief's unnormalized total
+    root: dict               # node -> the root of its tree
+
+
+def _tree_schedule(nodes: Iterable, neighbors: Mapping[object, Iterable]):
+    """Depth-first order, parent and root of every node; each component is
+    rooted at its first node in ``nodes`` order, and a parent precedes its
+    children in the order."""
+    order: list = []
+    parent: dict = {}
+    root: dict = {}
+    for start in nodes:
+        if start in parent:
+            continue
+        parent[start] = None
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            root[node] = start
+            for nb in neighbors[node]:
+                if nb not in parent:
+                    parent[nb] = node
+                    stack.append(nb)
+    return order, parent, root
+
+
+def _calibrate(nodes: Sequence, neighbors: Mapping[object, Sequence],
+               base: Mapping[object, Factor],
+               keep: Mapping[tuple, Iterable[str]]) -> _Calibration:
+    """Two-pass sum-product calibration of a forest (Shafer-Shenoy).
+
+    Each node holds a base potential. The message from ``s`` to ``t`` is
+    the base of ``s`` times every message into ``s`` except the one from
+    ``t``, summed down to ``keep[(s, t)]``; a node's belief is its base
+    times all its incoming messages. Messages and beliefs are normalized,
+    and the log of every pulled-out total is carried along, so a belief's
+    log scale is the log-partition of its tree. Messages flow from the
+    leaves to the roots of :func:`_tree_schedule`, then back out. A graph
+    with a cycle raises NotATreeError before any message is sent (a clique
+    tree from build_junction_tree never has one).
+    """
+    order, parent, root = _tree_schedule(nodes, neighbors)
+    n_edges = sum(len(nbrs) for nbrs in neighbors.values()) // 2
+    if n_edges != len(nodes) - sum(p is None for p in parent.values()):
+        raise NotATreeError(
+            "the model's factor graph contains a cycle; use a junction tree"
+        )
+
+    messages: dict = {}
+    scales: dict = {}
+
+    def combine(node, skip=None, kept=None) -> tuple[Factor, float]:
+        out, scale = base[node], 0.0
+        for nb in neighbors[node]:
+            if nb != skip:
+                out = fa.product(out, messages[(nb, node)])
+                scale += scales[(nb, node)]
+        if kept is not None:
+            out = fa.eliminate(out, [n for n in out.names if n not in kept])
+        out, log_total = _rescaled(out)
+        return out, scale + log_total
+
+    def send(source, target) -> None:
+        edge = (source, target)
+        messages[edge], scales[edge] = combine(source, target, keep[edge])
+
+    for node in reversed(order):      # leaves toward the roots
+        if parent[node] is not None:
+            send(node, parent[node])
+    for node in order:                # roots back out
+        for nb in neighbors[node]:
+            if nb != parent[node]:
+                send(node, nb)
+
+    beliefs: dict = {}
+    belief_scales: dict = {}
+    for node in nodes:
+        beliefs[node], belief_scales[node] = combine(node)
+    return _Calibration(messages, scales, beliefs, belief_scales, root)
 
 
 def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpResult:
@@ -339,113 +405,30 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
     if scalar_log == -math.inf:
         raise ZeroEvidenceError("the evidence has probability zero")
     variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
-    fg = FactorGraph(tuple(variables), tuple(reduced))
-    n_nodes = len(variables) + len(reduced)
-    components = _factor_graph_components(fg)
-    if len(fg.edges) != n_nodes - len(components):
-        raise NotATreeError(
-            "the model's factor graph contains a cycle; use a junction tree"
-        )
-    var_of = {v.name: v for v in variables}
-
-    def neighbors(node):
-        kind, key = node
-        if kind == "v":
-            return [("f", i) for i in fg.neighbors_of_variable(key)]
-        return [("v", n) for n in fg.neighbors_of_factor(key)]
-
-    order: list[tuple] = []
-    parent: dict[tuple, tuple | None] = {}
-    for comp in components:
-        root = comp[0]
-        parent[root] = None
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            for nb in neighbors(node):
-                if nb != parent[node]:
-                    parent[nb] = node
-                    stack.append(nb)
-
-    store = MessageStore()
-    log_scale: dict[tuple, float] = {}
-
-    def send(source, target) -> None:
-        skind, skey = source
-        msg = fa.ones_like([var_of[skey]]) if skind == "v" else reduced[skey]
-        scale = 0.0
-        for nb in neighbors(source):
-            if nb != target:
-                msg = fa.product(msg, store.get(nb, source))
-                scale += log_scale[(nb, source)]
-        if skind == "f":
-            msg = fa.eliminate(msg, [n for n in msg.names if n != target[1]])
-        total = float(np.sum(msg.table))
-        if total <= 0.0:
-            raise ZeroEvidenceError("the evidence has probability zero")
-        store.put(source, target, Factor(msg.scope, msg.table / total, _trusted=True))
-        log_scale[(source, target)] = scale + math.log(total)
-
-    for node in reversed(order):      # leaves toward the component roots
-        if parent[node] is not None:
-            send(node, parent[node])
-    for node in order:                # roots back out
-        for nb in neighbors(node):
-            if nb != parent[node]:
-                send(node, nb)
-
-    def belief_at(node, base: Factor) -> tuple[Factor, float]:
-        belief, scale = base, 0.0
-        for nb in neighbors(node):
-            belief = fa.product(belief, store.get(nb, node))
-            scale += log_scale[(nb, node)]
-        total = float(np.sum(belief.table))
-        if total <= 0.0:
-            raise ZeroEvidenceError("the evidence has probability zero")
-        return Factor(belief.scope, belief.table / total, _trusted=True), scale + math.log(total)
-
-    marginals: dict[str, Factor] = {}
-    component_log_z: dict[int, float] = {}
-    comp_of: dict[tuple, int] = {
-        node: ci for ci, comp in enumerate(components) for node in comp
-    }
-    for v in variables:
-        belief, logz = belief_at(("v", v.name), fa.ones_like([v]))
-        marginals[v.name] = belief
-        component_log_z[comp_of[("v", v.name)]] = logz
-    factor_beliefs = []
+    nodes = [("v", v.name) for v in variables] + [("f", i) for i in range(len(reduced))]
+    neighbors: dict[tuple, list[tuple]] = {node: [] for node in nodes}
+    base: dict[tuple, Factor] = {("v", v.name): fa.ones_like([v]) for v in variables}
+    keep: dict[tuple, tuple[str]] = {}
     for i, f in enumerate(reduced):
-        belief, logz = belief_at(("f", i), f)
-        factor_beliefs.append(belief)
-        component_log_z[comp_of[("f", i)]] = logz
+        base[("f", i)] = f
+        for name in f.names:
+            neighbors[("f", i)].append(("v", name))
+            neighbors[("v", name)].append(("f", i))
+            keep[(("f", i), ("v", name))] = keep[(("v", name), ("f", i))] = (name,)
+    cal = _calibrate(nodes, neighbors, base, keep)
+
+    # all beliefs of a tree agree on its log Z up to rounding; each tree
+    # reports the one at its last node
+    component_log_z: dict[tuple, float] = {}
+    for node in nodes:
+        component_log_z[cal.root[node]] = cal.belief_log_scale[node]
     log_z = scalar_log + sum(component_log_z.values())
-    return TreeBpResult(marginals, factor_beliefs, store, float(log_z))
-
-
-def _factor_graph_components(fg: FactorGraph) -> list[list[tuple]]:
-    nodes = [("v", v.name) for v in fg.variables] + [
-        ("f", i) for i in range(len(fg.factors))
-    ]
-    seen: set[tuple] = set()
-    components = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            comp.append(node)
-            kind, key = node
-            if kind == "v":
-                stack.extend(("f", i) for i in fg.neighbors_of_variable(key))
-            else:
-                stack.extend(("v", n) for n in fg.neighbors_of_factor(key))
-        components.append(comp)
-    return components
+    return TreeBpResult(
+        {v.name: cal.beliefs[("v", v.name)] for v in variables},
+        [cal.beliefs[("f", i)] for i in range(len(reduced))],
+        MessageStore(cal.messages, len(cal.messages)),
+        float(log_z),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +480,7 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
         if not bucket:
             pointers.append((var, (), None))
             continue
-        combined = bucket[0]
-        for f in bucket[1:]:
-            combined = fa.product(combined, f)
+        combined = fa.product_all(bucket)
         # put var first so argmax along axis 0 indexes by the remaining scope
         combined = fa.align_to(
             combined, sorted(combined.names, key=lambda n: (n != var, n))
@@ -687,9 +668,7 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     potentials = []
     for c, assigned in zip(cliques, homed):
         scope = [model.variable(n) for n in sorted(c)]
-        pot = fa.ones_like(scope)
-        for f in assigned:
-            pot = fa.product(pot, f)
+        pot = fa.product_all([fa.ones_like(scope), *assigned])
         potentials.append(fa.align_to(pot, sorted(c)) if c else pot)
 
     jt = JunctionTree(model, list(cliques), tree_edges, sepsets, potentials, assignment)
@@ -707,80 +686,20 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
     """
     evidence = check_evidence(jt.model, evidence or {})
     jt.evidence = dict(evidence)
-    worked = [fa.reduce_factor(p, evidence) for p in jt.potentials]
-    n = len(jt.cliques)
-    neighbors = {i: jt.neighbors(i) for i in range(n)}
-
-    # inward-outward schedule over each connected tree component
-    order: list[int] = []
-    parent: dict[int, int | None] = {}
-    for root in range(n):
-        if root in parent:
-            continue
-        parent[root] = None
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in neighbors[u]:
-                if w not in parent:
-                    parent[w] = u
-                    stack.append(w)
-
-    messages: dict[tuple[int, int], Factor] = {}
-    scales: dict[tuple[int, int], float] = {}
-
-    def send(i: int, j: int) -> None:
-        sep = sorted(
-            s for s in jt.sepsets[(i, j)] if s not in evidence
-        )
-        msg = worked[i]
-        scale = 0.0
-        for k in neighbors[i]:
-            if k != j:
-                msg = fa.product(msg, messages[(k, i)])
-                scale += scales[(k, i)]
-        msg = fa.eliminate(msg, [v for v in msg.names if v not in sep])
-        if set(msg.names) != set(sep):  # empty-potential corner: broadcast
-            missing = [jt.model.variable(s) for s in sep if s not in msg.names]
-            msg = fa.product(msg, fa.ones_like(missing)) if missing else msg
-        total = float(np.sum(msg.table))
-        if total <= 0.0:
-            raise ZeroEvidenceError("the evidence has probability zero")
-        messages[(i, j)] = Factor(msg.scope, msg.table / total, _trusted=True)
-        scales[(i, j)] = scale + math.log(total)
-
-    for u in reversed(order):
-        if parent[u] is not None:
-            send(u, parent[u])
-    for u in order:
-        for w in neighbors[u]:
-            if w != parent[u]:
-                send(u, w)
-
-    beliefs, belief_scales = [], []
-    log_z = None
-    for i in range(n):
-        b = worked[i]
-        scale = 0.0
-        for k in neighbors[i]:
-            b = fa.product(b, messages[(k, i)])
-            scale += scales[(k, i)]
-        total = float(np.sum(b.table))
-        if total <= 0.0:
-            raise ZeroEvidenceError("the evidence has probability zero")
-        beliefs.append(Factor(b.scope, b.table / total, _trusted=True))
-        belief_scales.append(scale + math.log(total))
-        if log_z is None:
-            log_z = scale + math.log(total)
-
-    jt.messages = messages
-    jt.message_log_scale = scales
-    jt.beliefs = beliefs
-    jt.belief_log_scale = belief_scales
+    nodes = range(len(jt.cliques))
+    cal = _calibrate(
+        nodes,
+        {i: jt.neighbors(i) for i in nodes},
+        {i: fa.reduce_factor(p, evidence) for i, p in enumerate(jt.potentials)},
+        {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()},
+    )
+    jt.messages = cal.messages
+    jt.message_log_scale = cal.message_log_scale
+    jt.beliefs = [cal.beliefs[i] for i in nodes]
+    jt.belief_log_scale = [cal.belief_log_scale[i] for i in nodes]
     jt.calibrated = True
-    jt.log_partition = float(log_z if log_z is not None else 0.0)
-    assert len(messages) == 2 * len(jt.tree_edges)
+    jt.log_partition = float(jt.belief_log_scale[0] if nodes else 0.0)
+    assert len(jt.messages) == 2 * len(jt.tree_edges)
     return jt
 
 

@@ -317,6 +317,15 @@ def align_to(f: Factor, scope_order: Sequence[str]) -> Factor:
     return Factor(scope, np.transpose(f.table, order), domain=f.domain, _trusted=True)
 
 
+def strides(cards: Sequence[int]) -> np.ndarray:
+    """Flat-index strides of a C-ordered table over axes of these sizes:
+    ``states @ strides(cards)`` maps rows of states to flat table indices."""
+    out = np.ones(len(cards), dtype=np.int64)
+    for k in range(len(cards) - 1, 0, -1):
+        out[k - 1] = out[k] * cards[k]
+    return out
+
+
 def assignments(scope: Sequence[Variable]) -> Iterable[dict[str, str]]:
     """All joint assignments to the scope, first variable slowest-varying."""
     if not scope:

@@ -100,9 +100,8 @@ def counts(dataset: Dataset, scope: Sequence[str]) -> CountTable:
     cards = [v.cardinality for v in variables]
     if not variables:
         return CountTable((), np.array(float(dataset.n)))
-    strides = np.cumprod([1] + cards[::-1][:-1])[::-1]
     cols = np.column_stack([dataset.column(n) for n in scope])
-    flat = cols @ strides
+    flat = cols @ fa.strides(cards)
     table = np.bincount(flat, minlength=math.prod(cards)).astype(float)
     return CountTable(tuple(variables), table.reshape(cards))
 
@@ -224,25 +223,11 @@ def score(structure: DirectedGraph, dataset: Dataset, kind: str = "bic",
     if dataset.n == 0:
         raise InsufficientDataError("cannot score an empty dataset")
     structure.validate_dag()
+    cache = {} if _cache is None else _cache
     total = 0.0
     for name in structure.nodes:
         parents = tuple(structure.parents(name))
-        key = (kind, name, parents)
-        if _cache is not None and key in _cache:
-            total += _cache[key]
-            continue
-        if kind == "bd":
-            value = _family_bd(dataset, name, parents, bd_prior_count)
-        else:
-            value = _family_loglik(dataset, name, parents)
-            dim = _family_dim(dataset, name, parents)
-            if kind == "aic":
-                value -= dim
-            elif kind == "bic":
-                value -= math.log(dataset.n) / 2 * dim
-        if _cache is not None:
-            _cache[key] = value
-        total += value
+        total += _family_score(dataset, kind, name, parents, bd_prior_count, cache)
     return total
 
 
@@ -397,16 +382,16 @@ def _move_gain(g, candidate, move, dataset, kind, cache) -> float:
     touched = {v} if move[0] in ("add", "delete") else {u, v}
     gain = 0.0
     for node in touched:
-        gain += _family_score(dataset, kind, node, tuple(candidate.parents(node)), cache)
-        gain -= _family_score(dataset, kind, node, tuple(g.parents(node)), cache)
+        gain += _family_score(dataset, kind, node, tuple(candidate.parents(node)), 1.0, cache)
+        gain -= _family_score(dataset, kind, node, tuple(g.parents(node)), 1.0, cache)
     return gain
 
 
-def _family_score(dataset, kind, child, parents, cache) -> float:
-    key = (kind, child, parents)
+def _family_score(dataset, kind, child, parents, prior_count, cache) -> float:
+    key = (kind, child, parents, prior_count)
     if key not in cache:
         if kind == "bd":
-            value = _family_bd(dataset, child, parents, 1.0)
+            value = _family_bd(dataset, child, parents, prior_count)
         else:
             value = _family_loglik(dataset, child, parents)
             dim = _family_dim(dataset, child, parents)
@@ -780,10 +765,8 @@ def _dataset_log_score(mrf: MarkovRandomField, dataset: Dataset) -> np.ndarray:
     out = np.zeros(dataset.n)
     with np.errstate(divide="ignore"):
         for f in mrf.factors:
-            cards = [v.cardinality for v in f.scope]
-            strides = np.cumprod([1] + cards[::-1][:-1])[::-1]
             cols = np.column_stack([dataset.column(n) for n in f.names])
-            out += np.log(f.values)[cols @ strides]
+            out += np.log(f.values)[cols @ fa.strides(f.table.shape)]
     return out
 
 
@@ -823,10 +806,9 @@ def pseudo_likelihood(mrf: MarkovRandomField, dataset: Dataset,
             other_cards = [mrf.variable(nm).cardinality for nm in other_names]
             flat = t.reshape(-1, card)
             if other_names:
-                strides = np.cumprod([1] + other_cards[::-1][:-1])[::-1]
                 rows = np.column_stack(
                     [dataset.column(nm) for nm in other_names]
-                ) @ strides
+                ) @ fa.strides(other_cards)
             else:
                 rows = np.zeros(n, dtype=np.int64)
             logits += flat[rows]

@@ -263,10 +263,6 @@ def _pairwise_parts(mrf: MarkovRandomField):
     return names, unary, edges
 
 
-def map_objective(mrf: MarkovRandomField, assignment: Mapping[str, str]) -> float:
-    return log_joint(mrf, assignment)
-
-
 # ---------------------------------------------------------------------------
 # LP / ILP export
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     InvalidKernelError,
     TrappedStateError,
 )
-from .exact import JunctionTree
+from .exact import JunctionTree, _tree_schedule
 from .factors import Factor, Variable
 from .graphs import topological_sort
 from .models import (
@@ -80,10 +80,6 @@ class SampleBatch:
         return "\n".join(lines) + "\n"
 
 
-def _batch_columns(model: Model, evidence: Mapping[str, str]) -> list[Variable]:
-    return [model.variables[n] for n in sorted(model.variables)]
-
-
 def _categorical_rows(table_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw per row of an (n, k) matrix of unnormalized probabilities."""
     totals = table_rows.sum(axis=1, keepdims=True)
@@ -114,9 +110,7 @@ def forward_sample(bn: BayesianNetwork, n: int, rng: np.random.Generator) -> Sam
         aligned = fa.align_to(cpd, parents + [name])
         table = aligned.table.reshape(-1, child.cardinality)
         if parents:
-            strides = np.cumprod(
-                [1] + [bn.variables[p].cardinality for p in parents[::-1]][:-1]
-            )[::-1]
+            strides = fa.strides([bn.variables[p].cardinality for p in parents])
             rows = states[:, [col_of[p] for p in parents]] @ strides
         else:
             rows = np.zeros(n, dtype=np.int64)
@@ -142,22 +136,8 @@ def jt_forward_sample(jt: JunctionTree, n: int, rng: np.random.Generator) -> Sam
         states[:, col_of[name]] = model.variable(name).index_of(state)
 
     # deterministic traversal: component roots in index order
-    n_cliques = len(jt.cliques)
-    parent: dict[int, int | None] = {}
-    order: list[int] = []
-    for root in range(n_cliques):
-        if root in parent:
-            continue
-        parent[root] = None
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in jt.neighbors(u):
-                if w not in parent:
-                    parent[w] = u
-                    stack.append(w)
-
+    cliques = range(len(jt.cliques))
+    order, _, _ = _tree_schedule(cliques, {i: jt.neighbors(i) for i in cliques})
     filled: set[str] = set(jt.evidence)
     for idx in order:
         belief = jt.beliefs[idx]
@@ -170,9 +150,7 @@ def jt_forward_sample(jt: JunctionTree, n: int, rng: np.random.Generator) -> Sam
         block = math.prod(new_cards)
         table = aligned.table.reshape(-1, block)
         if known:
-            strides = np.cumprod(
-                [1] + [model.variable(v).cardinality for v in known[::-1]][:-1]
-            )[::-1]
+            strides = fa.strides([model.variable(v).cardinality for v in known])
             rows = states[:, [col_of[v] for v in known]] @ strides
         else:
             rows = np.zeros(n, dtype=np.int64)
@@ -217,16 +195,22 @@ def rejection_estimate(bn: BayesianNetwork, evidence: Mapping[str, str],
     return RejectionResult(accepted / n, accepted, n, accepted == 0)
 
 
-def batch_log_unnormalized(model: Model, names: Sequence[str],
+def batch_log_unnormalized(factors: Sequence[Factor], names: Sequence[str],
                            states: np.ndarray) -> np.ndarray:
-    """Vectorized log of the unnormalized joint for each row of states."""
+    """Vectorized log of the product of the factors for each row of states,
+    whose columns are the variables ``names``."""
     col_of = {name: k for k, name in enumerate(names)}
     out = np.zeros(states.shape[0])
     with np.errstate(divide="ignore"):
-        for f in model_factors(model):
-            cards = [v.cardinality for v in f.scope]
-            strides = np.cumprod([1] + cards[::-1][:-1])[::-1]
-            flat = states[:, [col_of[v] for v in f.names]] @ strides
+        for f in factors:
+            if not f.scope:
+                value = float(f.table)
+                if f.domain == fa.LOG:
+                    out += value
+                else:
+                    out += math.log(value) if value > 0 else -np.inf
+                continue
+            flat = states[:, [col_of[v] for v in f.names]] @ fa.strides(f.table.shape)
             logtab = f.table.reshape(-1) if f.domain == fa.LOG else np.log(f.values)
             out += logtab[flat]
     return out
@@ -304,7 +288,7 @@ def _check_proposal_support(bn, evidence, proposal, hidden) -> None:
         full[:, names.index(v.name)] = grid[:, k]
     for name, state in evidence.items():
         full[:, names.index(name)] = bn.variable(name).index_of(state)
-    log_p = batch_log_unnormalized(bn, names, full)
+    log_p = batch_log_unnormalized(model_factors(bn), names, full)
     log_q = proposal.log_prob_batch(grid)
     if np.any(np.isneginf(log_q) & (log_p > -np.inf)):
         raise InfiniteWeightError(
@@ -340,7 +324,7 @@ def importance_estimate(bn: BayesianNetwork, evidence: Mapping[str, str],
     full[:, hidden_cols] = z
     for name, state in evidence.items():
         full[:, names.index(name)] = bn.variable(name).index_of(state)
-    log_p = batch_log_unnormalized(bn, names, full)
+    log_p = batch_log_unnormalized(model_factors(bn), names, full)
     log_q = proposal.log_prob_batch(z)
     weights = np.exp(log_p - log_q)
     batch = SampleBatch(
@@ -385,16 +369,12 @@ class _ConditionalSampler:
             size = math.prod(model.variable(b).cardinality for b in blanket)
             card = model.variable(name).cardinality
             if touching and size * card <= cache_cap:
-                joint = touching[0]
-                for f in touching[1:]:
-                    joint = fa.product(joint, f)
-                aligned = fa.align_to(joint, blanket + [name])
+                aligned = fa.align_to(fa.product_all(touching), blanket + [name])
                 table = aligned.table.reshape(size, card)
                 strides = np.zeros(len(self.free), dtype=np.int64)
-                acc = 1
-                for b in blanket[::-1]:
-                    strides[self.col_of[b]] = acc
-                    acc *= model.variable(b).cardinality
+                strides[[self.col_of[b] for b in blanket]] = fa.strides(
+                    aligned.table.shape[:-1]
+                )
                 self.plans[name] = ("table", table, strides)
             else:
                 self.plans[name] = ("factors", touching, blanket)
@@ -501,7 +481,7 @@ def gibbs_transition_matrix(model: Model, evidence: Mapping[str, str] | None = N
     free = sampler.free
     cards = [model.variable(nm).cardinality for nm in free]
     size = math.prod(cards)
-    strides = np.cumprod([1] + cards[::-1][:-1])[::-1] if free else np.array([])
+    strides = fa.strides(cards)
 
     def vec_of(flat):
         return np.array(
@@ -633,9 +613,9 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     cards = [model.variable(nm).cardinality for nm in free]
     size = math.prod(cards)
     if size <= CONDITIONAL_CACHE_CAP:
-        strides = np.cumprod([1] + cards[::-1][:-1])[::-1] if free else np.array([])
+        strides = fa.strides(cards)
         grid = np.indices(cards).reshape(len(cards), -1).T
-        lp_table = _batch_log_reduced(reduced, free, grid)
+        lp_table = batch_log_unnormalized(reduced, free, grid)
 
         def log_ptilde(state_vec: np.ndarray) -> float:
             return float(lp_table[int(state_vec @ strides)])
@@ -643,7 +623,7 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     else:
 
         def log_ptilde(state_vec: np.ndarray) -> float:
-            return float(_batch_log_reduced(reduced, free, state_vec[None, :])[0])
+            return float(batch_log_unnormalized(reduced, free, state_vec[None, :])[0])
 
     state = _initial_state(model, evidence, rng, free)
     current_lp = log_ptilde(state)
@@ -688,22 +668,6 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     )
 
 
-def _batch_log_reduced(reduced: Sequence[Factor], names: Sequence[str],
-                       states: np.ndarray) -> np.ndarray:
-    col_of = {name: k for k, name in enumerate(names)}
-    out = np.zeros(states.shape[0])
-    with np.errstate(divide="ignore"):
-        for f in reduced:
-            if not f.scope:
-                out += math.log(float(f.table)) if float(f.table) > 0 else -np.inf
-                continue
-            cards = [v.cardinality for v in f.scope]
-            strides = np.cumprod([1] + cards[::-1][:-1])[::-1]
-            flat = states[:, [col_of[v] for v in f.names]] @ strides
-            out += np.log(f.values)[flat]
-    return out
-
-
 def mh_transition_matrix(model: Model, kernel,
                          evidence: Mapping[str, str] | None = None
                          ) -> tuple[np.ndarray, list[dict[str, str]]]:
@@ -712,7 +676,7 @@ def mh_transition_matrix(model: Model, kernel,
     free = [nm for nm in sorted(model.variables) if nm not in evidence]
     cards = [model.variable(nm).cardinality for nm in free]
     size = math.prod(cards)
-    strides = np.cumprod([1] + cards[::-1][:-1])[::-1] if free else np.array([])
+    strides = fa.strides(cards)
     reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
 
     def vec_of(flat):
@@ -722,7 +686,7 @@ def mh_transition_matrix(model: Model, kernel,
         )
 
     vecs = [vec_of(flat) for flat in range(size)]
-    log_p = _batch_log_reduced(reduced, free, np.array(vecs).reshape(size, len(free)))
+    log_p = batch_log_unnormalized(reduced, free, np.array(vecs).reshape(size, len(free)))
     T = np.zeros((size, size))
     for x in range(size):
         for y in range(size):

@@ -139,9 +139,10 @@ class TestQuery:
         )
         path = tmp_path / "det.json"
         path.write_text(serialize_model(bn))
-        code, _ = run(["query", "--model", str(path), "--target", "a",
-                       "--evidence", "b=1"])
-        assert code == 3
+        for engine in ("ve", "bp", "jtree"):
+            code, _ = run(["query", "--model", str(path), "--target", "a",
+                           "--evidence", "b=1", "--engine", engine])
+            assert code == 3, engine
 
     def test_meanfield_on_a_grid_beyond_int64(self, grid_path):
         code, out = run(["query", "--model", grid_path, "--target", "G34",

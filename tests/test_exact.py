@@ -19,12 +19,11 @@ from pgmkit.exact import (
     jt_query,
     max_product_decode,
     running_intersection_holds,
-    simulate_width,
     tree_bp,
     variable_elimination,
 )
 from pgmkit.factors import Factor, Variable
-from pgmkit.graphs import DirectedGraph, UndirectedGraph, max_weight_spanning_tree
+from pgmkit.graphs import DirectedGraph, UndirectedGraph, induced_width, max_weight_spanning_tree
 from pgmkit.models import (
     BayesianNetwork,
     MarkovRandomField,
@@ -62,10 +61,9 @@ class TestChooseOrdering:
         for _ in range(trials):
             mrf = random_mrf(rng, n=7, max_states=2, n_factors=12)
             graph = interaction_graph(mrf)
-            adj = {n: set(graph.neighbors(n)) for n in graph.nodes}
             chosen = choose_ordering(mrf, "min_fill")
             random_order = list(rng.permutation(graph.nodes))
-            if chosen.induced_width <= simulate_width(adj, random_order):
+            if chosen.induced_width <= induced_width(graph, random_order):
                 wins += 1
         assert wins >= 95
 
@@ -153,7 +151,12 @@ class TestVariableElimination:
         with pytest.raises(OrderingError):
             variable_elimination(bn, ["x0"], ordering=["x1"])
 
-    def test_zero_evidence_raises(self):
+    @pytest.mark.parametrize("engine", [
+        lambda bn, ev: variable_elimination(bn, ["a"], ev),
+        tree_bp,
+        lambda bn, ev: jt_calibrate(build_junction_tree(bn), ev),
+    ], ids=["variable_elimination", "tree_bp", "jt_calibrate"])
+    def test_zero_evidence_raises(self, engine):
         a = Variable("a", ("0", "1"))
         b = Variable("b", ("0", "1"))
         dag = DirectedGraph(["a", "b"], [("a", "b")])
@@ -166,7 +169,7 @@ class TestVariableElimination:
             },
         )
         with pytest.raises(ZeroEvidenceError):
-            variable_elimination(bn, ["a"], {"b": "1"})
+            engine(bn, {"b": "1"})
 
     def test_max_product_value(self, rng):
         for _ in range(10):

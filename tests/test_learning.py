@@ -239,6 +239,16 @@ class TestScores:
                 target_hits += 1
         assert target_hits >= 18
 
+    def test_bd_cache_keeps_prior_counts_apart(self):
+        data, _ = coin_dataset(6, 4)
+        g = DirectedGraph(["coin"])
+        cache = {}
+        strong = score(g, data, "bd", bd_prior_count=2.0, _cache=cache)
+        default = score(g, data, "bd", _cache=cache)
+        assert strong == score(g, data, "bd", bd_prior_count=2.0)
+        assert default == score(g, data, "bd")
+        assert default != strong
+
 
 def all_dags(names):
     names = list(names)

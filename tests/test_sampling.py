@@ -378,6 +378,17 @@ class TestMetropolisHastings:
                 for j in range(len(pi)):
                     assert pi[j] * T[i, j] == pytest.approx(pi[i] * T[j, i], abs=1e-10)
 
+    def test_log_domain_factors_give_the_same_kernel(self, rng):
+        mrf = self.three_var_mrf(rng)
+        logged = MarkovRandomField(
+            list(mrf.variables.values()),
+            [Factor(f.scope, np.log(f.table), domain="log") for f in mrf.factors],
+        )
+        kernel = SingleSiteUniformKernel(list(mrf.variables.values()))
+        T, _ = mh_transition_matrix(mrf, kernel)
+        T_log, _ = mh_transition_matrix(logged, kernel)
+        assert np.allclose(T_log, T, rtol=0, atol=1e-12)
+
     def test_determinism(self, rng):
         mrf = self.three_var_mrf(rng)
         kernel = SingleSiteUniformKernel(list(mrf.variables.values()))
