@@ -148,6 +148,8 @@ def _cmd_query(args, out) -> int:
     evidence = _parse_evidence(args.evidence)
     target = args.target
     var = model.variable(target)
+    if target in check_evidence(model, evidence):
+        raise EvidenceError(f"query variable {target!r} is also evidence")
     engine = args.engine
     if engine == "enum":
         marg = enumerate_inference(model, [target], evidence)

@@ -24,12 +24,13 @@ from .errors import (
     TooLargeError,
     ZeroEvidenceError,
 )
-from .factors import Factor, Semiring, MAX_PRODUCT, SUM_PRODUCT
+from .factors import Factor, Semiring, Variable, MAX_PRODUCT, SUM_PRODUCT
 from .graphs import UndirectedGraph, max_cliques, max_weight_spanning_tree, moralize, triangulate
 from .models import (
     BayesianNetwork,
     Model,
     check_evidence,
+    linear_factors,
     model_factors,
     reduce_to_evidence,
 )
@@ -193,7 +194,8 @@ def variable_elimination(model: Model, query: Iterable[str],
         )
 
     rescale = semiring.kind == "sum_product"
-    factors = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
+    factors = linear_factors(model_factors(model))
+    factors = [fa.reduce_factor(f, evidence) for f in factors]
     factors = [f for f in factors if f.scope or float(f.table) != 1.0]
     log_norm = 0.0
     max_scope = max((len(f.scope) for f in factors), default=0)
@@ -207,7 +209,8 @@ def variable_elimination(model: Model, query: Iterable[str],
         max_scope = max(max_scope, len(combined.scope))
         tau = fa.eliminate(combined, [var], semiring)
         if rescale:
-            tau, log_total = _rescaled(tau)
+            table, log_total = _rescaled(tau.table)
+            tau = Factor(tau.scope, table, _trusted=True)
             log_norm += log_total
         pool.add(tau)
 
@@ -223,7 +226,8 @@ def variable_elimination(model: Model, query: Iterable[str],
             sorted(query),
         )
     if rescale:
-        result, log_total = _rescaled(result)
+        table, log_total = _rescaled(result.table)
+        result = Factor(result.scope, table, _trusted=True)
         log_norm += log_total
     return VeResult(result, log_norm, max_scope)
 
@@ -261,12 +265,12 @@ class _FactorPool:
         return list(self._factors.values())
 
 
-def _rescaled(f: Factor) -> tuple[Factor, float]:
-    """f scaled to sum to 1, and the log of the total pulled out."""
-    total = float(np.sum(f.table))
+def _rescaled(table: np.ndarray) -> tuple[np.ndarray, float]:
+    """The table scaled to sum to 1, and the log of the total pulled out."""
+    total = float(np.sum(table))
     if total <= 0.0:
         raise ZeroEvidenceError("the evidence has probability zero")
-    return Factor(f.scope, f.table / total, _trusted=True), math.log(total)
+    return table / total, math.log(total)
 
 
 def posterior(model: Model, target: str,
@@ -314,6 +318,59 @@ class _Calibration:
     root: dict               # node -> the root of its tree
 
 
+class _MessageGraph:
+    """Nodes holding base tables, joined by edges that each keep some of
+    the sender's variables; the one send step of tree BP, the junction tree
+    and loopy BP.
+
+    A message is a plain array over its edge's kept variables, in the
+    sender's order. Every edge's broadcast plan is worked out once, here:
+    the axes the sender sums out, and the transpose order (None when the
+    kept variables already appear in the receiver's order) and shape that
+    take the message into the receiver's scope (a receiver's scope holds
+    every variable an incoming edge keeps).
+    """
+
+    def __init__(self, nodes: Sequence, neighbors: Mapping[object, Sequence],
+                 base: Mapping[object, Factor],
+                 keep: Mapping[tuple, Iterable[str]]):
+        self.nodes = list(nodes)
+        self.neighbors = neighbors
+        self.scope = {node: f.scope for node, f in base.items()}
+        self.base = {node: f.table for node, f in base.items()}
+        self.kept, self.summed, self.into = {}, {}, {}
+        for edge, names in keep.items():
+            names = set(names)
+            sender, receiver = self.scope[edge[0]], self.scope[edge[1]]
+            self.kept[edge] = tuple(v for v in sender if v.name in names)
+            self.summed[edge] = tuple(ax for ax, v in enumerate(sender) if v.name not in names)
+            kept_names = [v.name for v in self.kept[edge]]
+            order = [kept_names.index(v.name) for v in receiver if v.name in names]
+            self.into[edge] = (
+                None if order == sorted(order) else tuple(order),
+                tuple(v.cardinality if v.name in names else 1 for v in receiver),
+            )
+
+    def send(self, messages: Mapping[tuple, np.ndarray], node,
+             target=None) -> np.ndarray:
+        """The base of ``node`` times every message into it except the one
+        from ``target``, summed down to what the edge to ``target`` keeps;
+        with no target, the whole product (the node's belief). The table
+        is returned unnormalized."""
+        out = self.base[node]
+        for nb in self.neighbors[node]:
+            if nb != target:
+                order, shape = self.into[(nb, node)]
+                message = messages[(nb, node)]
+                if order is not None:
+                    message = message.transpose(order)
+                out = out * message.reshape(shape)
+        # C order fixes the summation order of the reductions that follow
+        out = np.ascontiguousarray(out)
+        axes = self.summed[(node, target)] if target is not None else ()
+        return np.sum(out, axis=axes) if axes else out
+
+
 def _tree_schedule(nodes: Iterable, neighbors: Mapping[object, Iterable]):
     """Depth-first order, parent and root of every node; each component is
     rooted at its first node in ``nodes`` order, and a parent precedes its
@@ -337,21 +394,17 @@ def _tree_schedule(nodes: Iterable, neighbors: Mapping[object, Iterable]):
     return order, parent, root
 
 
-def _calibrate(nodes: Sequence, neighbors: Mapping[object, Sequence],
-               base: Mapping[object, Factor],
-               keep: Mapping[tuple, Iterable[str]]) -> _Calibration:
+def _calibrate(graph: _MessageGraph) -> _Calibration:
     """Two-pass sum-product calibration of a forest (Shafer-Shenoy).
 
-    Each node holds a base potential. The message from ``s`` to ``t`` is
-    the base of ``s`` times every message into ``s`` except the one from
-    ``t``, summed down to ``keep[(s, t)]``; a node's belief is its base
-    times all its incoming messages. Messages and beliefs are normalized,
-    and the log of every pulled-out total is carried along, so a belief's
-    log scale is the log-partition of its tree. Messages flow from the
-    leaves to the roots of :func:`_tree_schedule`, then back out. A graph
-    with a cycle raises NotATreeError before any message is sent (a clique
-    tree from build_junction_tree never has one).
+    Every message and belief comes from :meth:`_MessageGraph.send` and is
+    normalized, and the log of every pulled-out total is carried along, so
+    a belief's log scale is the log-partition of its tree. Messages flow
+    from the leaves to the roots of :func:`_tree_schedule`, then back out.
+    A graph with a cycle raises NotATreeError before any message is sent
+    (a clique tree from build_junction_tree never has one).
     """
+    nodes, neighbors = graph.nodes, graph.neighbors
     order, parent, root = _tree_schedule(nodes, neighbors)
     n_edges = sum(len(nbrs) for nbrs in neighbors.values()) // 2
     if n_edges != len(nodes) - sum(p is None for p in parent.values()):
@@ -362,34 +415,52 @@ def _calibrate(nodes: Sequence, neighbors: Mapping[object, Sequence],
     messages: dict = {}
     scales: dict = {}
 
-    def combine(node, skip=None, kept=None) -> tuple[Factor, float]:
-        out, scale = base[node], 0.0
+    def combine(node, target=None) -> tuple[np.ndarray, float]:
+        scale = 0.0
         for nb in neighbors[node]:
-            if nb != skip:
-                out = fa.product(out, messages[(nb, node)])
+            if nb != target:
                 scale += scales[(nb, node)]
-        if kept is not None:
-            out = fa.eliminate(out, [n for n in out.names if n not in kept])
-        out, log_total = _rescaled(out)
-        return out, scale + log_total
+        table, log_total = _rescaled(graph.send(messages, node, target))
+        return table, scale + log_total
 
-    def send(source, target) -> None:
-        edge = (source, target)
-        messages[edge], scales[edge] = combine(source, target, keep[edge])
-
-    for node in reversed(order):      # leaves toward the roots
-        if parent[node] is not None:
-            send(node, parent[node])
-    for node in order:                # roots back out
-        for nb in neighbors[node]:
-            if nb != parent[node]:
-                send(node, nb)
+    edges = [(node, parent[node]) for node in reversed(order) if parent[node] is not None]
+    edges += [(node, nb) for node in order for nb in neighbors[node] if nb != parent[node]]
+    for edge in edges:                # leaves toward the roots, then back out
+        messages[edge], scales[edge] = combine(*edge)
 
     beliefs: dict = {}
     belief_scales: dict = {}
     for node in nodes:
-        beliefs[node], belief_scales[node] = combine(node)
+        table, belief_scales[node] = combine(node)
+        beliefs[node] = Factor(graph.scope[node], table, _trusted=True)
+    messages = {edge: Factor(graph.kept[edge], t, _trusted=True) for edge, t in messages.items()}
     return _Calibration(messages, scales, beliefs, belief_scales, root)
+
+
+def _factor_graph(model: Model, evidence: Mapping[str, str]
+                  ) -> tuple[_MessageGraph, list[Variable], float]:
+    """The factor graph of the model reduced to the (checked) evidence.
+
+    Variable nodes ``("v", name)`` come first, in name order, each with a
+    base of ones; factor nodes ``("f", i)`` follow, each with its reduced
+    factor (linear domain) as base. A factor's neighbours are in its scope
+    order, a variable's in factor order, and every edge keeps the
+    variable. Returns the graph, the free variables and the log of the
+    factors the evidence fixes completely.
+    """
+    reduced, scalar_log = reduce_to_evidence(model, evidence)
+    variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
+    nodes = [("v", v.name) for v in variables] + [("f", i) for i in range(len(reduced))]
+    neighbors: dict[tuple, list[tuple]] = {node: [] for node in nodes}
+    base: dict[tuple, Factor] = {("v", v.name): fa.ones_like([v]) for v in variables}
+    keep: dict[tuple, tuple[str]] = {}
+    for i, f in enumerate(linear_factors(reduced)):
+        base[("f", i)] = f
+        for name in f.names:
+            neighbors[("f", i)].append(("v", name))
+            neighbors[("v", name)].append(("f", i))
+            keep[(("f", i), ("v", name))] = keep[(("v", name), ("f", i))] = (name,)
+    return _MessageGraph(nodes, neighbors, base, keep), variables, scalar_log
 
 
 def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpResult:
@@ -401,31 +472,20 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
     same two phases and the component log-partitions add up.
     """
     evidence = check_evidence(model, evidence or {})
-    reduced, scalar_log = reduce_to_evidence(model, evidence)
+    graph, variables, scalar_log = _factor_graph(model, evidence)
     if scalar_log == -math.inf:
         raise ZeroEvidenceError("the evidence has probability zero")
-    variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
-    nodes = [("v", v.name) for v in variables] + [("f", i) for i in range(len(reduced))]
-    neighbors: dict[tuple, list[tuple]] = {node: [] for node in nodes}
-    base: dict[tuple, Factor] = {("v", v.name): fa.ones_like([v]) for v in variables}
-    keep: dict[tuple, tuple[str]] = {}
-    for i, f in enumerate(reduced):
-        base[("f", i)] = f
-        for name in f.names:
-            neighbors[("f", i)].append(("v", name))
-            neighbors[("v", name)].append(("f", i))
-            keep[(("f", i), ("v", name))] = keep[(("v", name), ("f", i))] = (name,)
-    cal = _calibrate(nodes, neighbors, base, keep)
+    cal = _calibrate(graph)
 
     # all beliefs of a tree agree on its log Z up to rounding; each tree
     # reports the one at its last node
     component_log_z: dict[tuple, float] = {}
-    for node in nodes:
+    for node in graph.nodes:
         component_log_z[cal.root[node]] = cal.belief_log_scale[node]
     log_z = scalar_log + sum(component_log_z.values())
     return TreeBpResult(
         {v.name: cal.beliefs[("v", v.name)] for v in variables},
-        [cal.beliefs[("f", i)] for i in range(len(reduced))],
+        [cal.beliefs[node] for node in graph.nodes if node[0] == "f"],
         MessageStore(cal.messages, len(cal.messages)),
         float(log_z),
     )
@@ -472,7 +532,7 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
                 f"eliminates {var!r}, over the cap of {DECODE_CAP}"
             )
 
-    pool = _FactorPool(reduce_to_evidence(model, evidence)[0])
+    pool = _FactorPool(linear_factors(reduce_to_evidence(model, evidence)[0]))
     assignment = dict(evidence)
     pointers: list[tuple[str, tuple[str, ...], np.ndarray | None]] = []
     for var in reversed(names):
@@ -648,7 +708,7 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
         sepsets[(a, b)] = cliques[a] & cliques[b]
         sepsets[(b, a)] = cliques[a] & cliques[b]
 
-    factors = model_factors(model)
+    factors = linear_factors(model_factors(model))
     ranked = sorted(range(len(cliques)), key=lambda k: tuple(sorted(cliques[k])))
     rank = {k: r for r, k in enumerate(ranked)}
     assignment = []
@@ -687,12 +747,12 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
     evidence = check_evidence(jt.model, evidence or {})
     jt.evidence = dict(evidence)
     nodes = range(len(jt.cliques))
-    cal = _calibrate(
+    cal = _calibrate(_MessageGraph(
         nodes,
         {i: jt.neighbors(i) for i in nodes},
         {i: fa.reduce_factor(p, evidence) for i, p in enumerate(jt.potentials)},
         {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()},
-    )
+    ))
     jt.messages = cal.messages
     jt.message_log_scale = cal.message_log_scale
     jt.beliefs = [cal.beliefs[i] for i in nodes]

@@ -28,6 +28,7 @@ from .graphs import (
     mec_signature,
 )
 from .models import BayesianNetwork, ChainCRF, MarkovRandomField
+from .sampling import batch_log_unnormalized
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +745,8 @@ def fit_mrf(structure: MarkovRandomField, dataset: Dataset,
             variables, [Factor(s, np.exp(t)) for s, t in zip(scopes, theta)]
         )
         model_moments, jt_logz = _model_factor_moments(mrf)
-        avg_ll = float(np.mean(_dataset_log_score(mrf, dataset))) - jt_logz
+        log_scores = batch_log_unnormalized(mrf.factors, dataset.names, dataset.rows)
+        avg_ll = float(np.mean(log_scores)) - jt_logz
         trace.append(avg_ll)
         mismatch = max(
             float(np.max(np.abs(e - m))) for e, m in zip(empirical, model_moments)
@@ -758,16 +760,6 @@ def fit_mrf(structure: MarkovRandomField, dataset: Dataset,
         step = float(lr(k))
         theta = [t + step * g for t, g in zip(theta, grads)]
     return MrfFitResult(mrf, theta, mismatch, trace, len(trace))
-
-
-def _dataset_log_score(mrf: MarkovRandomField, dataset: Dataset) -> np.ndarray:
-    """Unnormalized log score of each dataset row under the MRF."""
-    out = np.zeros(dataset.n)
-    with np.errstate(divide="ignore"):
-        for f in mrf.factors:
-            cols = np.column_stack([dataset.column(n) for n in f.names])
-            out += np.log(f.values)[cols @ fa.strides(f.table.shape)]
-    return out
 
 
 def pseudo_likelihood(mrf: MarkovRandomField, dataset: Dataset,

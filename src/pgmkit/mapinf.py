@@ -15,7 +15,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ScopeError
-from .models import MarkovRandomField, log_joint, model_factors
+from .models import MarkovRandomField, linear_factors, log_joint, model_factors
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def mrf_to_energy_model(mrf: MarkovRandomField) -> PairwiseEnergyModel:
             raise ValueError(f"graph cuts need binary variables; {name!r} is not")
     unary = {v: [0.0, 0.0] for v in variables}
     lam: dict[tuple[str, str], float] = {}
-    for f in mrf.factors:
+    for f in linear_factors(mrf.factors):
         if np.any(f.table <= 0.0):
             raise ValueError("zero potential entries have infinite energy")
         if len(f.scope) == 1:
@@ -245,16 +245,16 @@ def _pairwise_parts(mrf: MarkovRandomField):
     edges: dict[tuple[str, str], np.ndarray] = {}
     with np.errstate(divide="ignore"):
         for f in mrf.factors:
+            log_table = f.table if f.domain == fa.LOG else np.log(f.table)
             if len(f.scope) == 1:
-                unary[f.names[0]] = unary[f.names[0]] + np.log(f.table)
+                unary[f.names[0]] = unary[f.names[0]] + log_table
             elif len(f.scope) == 2:
                 a, b = f.names
                 if a > b:
-                    f = fa.align_to(f, (b, a))
+                    log_table = log_table.T
                     a, b = b, a
                 key = (a, b)
-                table = np.log(f.table)
-                edges[key] = edges.get(key, 0.0) + table
+                edges[key] = edges.get(key, 0.0) + log_table
             else:
                 raise ValueError(
                     f"factor over {list(f.names)} is not pairwise; "
@@ -492,9 +492,12 @@ def _local_log_score(touching, assignment, name, state) -> float:
     total = 0.0
     for f in touching[name]:
         value = f(trial)
-        if value <= 0.0:
+        if f.domain == fa.LOG:
+            total += value
+        elif value <= 0.0:
             return -math.inf
-        total += math.log(value)
+        else:
+            total += math.log(value)
     return total
 
 

@@ -27,6 +27,7 @@ from .models import (
     BayesianNetwork,
     Model,
     check_evidence,
+    linear_factors,
     model_factors,
 )
 
@@ -352,8 +353,7 @@ def importance_estimate(bn: BayesianNetwork, evidence: Mapping[str, str],
 class _ConditionalSampler:
     """Per-variable full conditionals with cached blanket-indexed tables."""
 
-    def __init__(self, model: Model, evidence: Mapping[str, str],
-                 cache_cap: int = CONDITIONAL_CACHE_CAP):
+    def __init__(self, model: Model, evidence: Mapping[str, str]):
         self.model = model
         self.evidence = dict(evidence)
         self.free = [n for n in sorted(model.variables) if n not in evidence]
@@ -361,14 +361,16 @@ class _ConditionalSampler:
         self.cards = np.array(
             [model.variable(n).cardinality for n in self.free], dtype=np.int64
         )
-        reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
+        reduced = [
+            fa.reduce_factor(f, evidence) for f in linear_factors(model_factors(model))
+        ]
         self.plans = {}
         for name in self.free:
             touching = [f for f in reduced if name in f.names]
             blanket = sorted({v for f in touching for v in f.names if v != name})
             size = math.prod(model.variable(b).cardinality for b in blanket)
             card = model.variable(name).cardinality
-            if touching and size * card <= cache_cap:
+            if touching and size * card <= CONDITIONAL_CACHE_CAP:
                 aligned = fa.align_to(fa.product_all(touching), blanket + [name])
                 table = aligned.table.reshape(size, card)
                 strides = np.zeros(len(self.free), dtype=np.int64)
@@ -479,21 +481,12 @@ def gibbs_transition_matrix(model: Model, evidence: Mapping[str, str] | None = N
     evidence = check_evidence(model, evidence or {})
     sampler = _ConditionalSampler(model, evidence)
     free = sampler.free
-    cards = [model.variable(nm).cardinality for nm in free]
-    size = math.prod(cards)
-    strides = fa.strides(cards)
-
-    def vec_of(flat):
-        return np.array(
-            [(flat // int(strides[i])) % cards[i] for i in range(len(free))],
-            dtype=np.int64,
-        )
-
+    strides, vecs, labels = _free_states(model, evidence, free)
+    size = len(vecs)
     total = np.eye(size)
     for i, name in enumerate(free):
         step = np.zeros((size, size))
-        for flat in range(size):
-            vec = vec_of(flat)
+        for flat, vec in enumerate(vecs):
             probs = sampler.conditional(name, vec)
             s = probs.sum()
             if s <= 0.0:
@@ -503,15 +496,24 @@ def gibbs_transition_matrix(model: Model, evidence: Mapping[str, str] | None = N
                 target = flat + (s_i - vec[i]) * int(strides[i])
                 step[target, flat] += p
         total = step @ total
-    labels = []
-    for flat in range(size):
-        vec = vec_of(flat)
-        label = dict(evidence)
-        label.update(
-            {nm: model.variable(nm).states[vec[i]] for i, nm in enumerate(free)}
-        )
-        labels.append(label)
     return total, labels
+
+
+def _free_states(model: Model, evidence: Mapping[str, str], free: Sequence[str]):
+    """Every joint state of the free variables, in flat-index order: the
+    strides, the state vectors and their labels with the evidence added."""
+    cards = [model.variable(nm).cardinality for nm in free]
+    strides = fa.strides(cards)
+    vecs = [
+        np.array([(flat // int(strides[i])) % cards[i] for i in range(len(free))],
+                 dtype=np.int64)
+        for flat in range(math.prod(cards))
+    ]
+    labels = [
+        {**evidence, **{nm: model.variable(nm).states[vec[i]] for i, nm in enumerate(free)}}
+        for vec in vecs
+    ]
+    return strides, vecs, labels
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +676,9 @@ def mh_transition_matrix(model: Model, kernel,
     """Explicit MH kernel (proposal times acceptance), column-stochastic."""
     evidence = check_evidence(model, evidence or {})
     free = [nm for nm in sorted(model.variables) if nm not in evidence]
-    cards = [model.variable(nm).cardinality for nm in free]
-    size = math.prod(cards)
-    strides = fa.strides(cards)
     reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
-
-    def vec_of(flat):
-        return np.array(
-            [(flat // int(strides[i])) % cards[i] for i in range(len(free))],
-            dtype=np.int64,
-        )
-
-    vecs = [vec_of(flat) for flat in range(size)]
+    _, vecs, labels = _free_states(model, evidence, free)
+    size = len(vecs)
     log_p = batch_log_unnormalized(reduced, free, np.array(vecs).reshape(size, len(free)))
     T = np.zeros((size, size))
     for x in range(size):
@@ -701,14 +694,6 @@ def mh_transition_matrix(model: Model, kernel,
             ) if log_p[x] > -np.inf else 0.0
             T[y, x] = math.exp(log_q_fwd) * math.exp(log_alpha)
         T[x, x] = max(0.0, 1.0 - T[:, x].sum() + T[x, x])
-    labels = []
-    for flat in range(size):
-        vec = vecs[flat]
-        label = dict(evidence)
-        label.update(
-            {nm: model.variable(nm).states[vec[i]] for i, nm in enumerate(free)}
-        )
-        labels.append(label)
     return T, labels
 
 
@@ -761,8 +746,9 @@ def chain_analysis(T: np.ndarray, p0: np.ndarray | None = None,
     pi = p / p.sum()
 
     adj = T.T > 0.0  # adj[i, j]: state i can move to state j
-    irreducible = _strongly_connected(adj)
-    aperiodic = _all_cycle_periods_one(adj)
+    components = _strongly_connected_components(adj)
+    irreducible = len(components) == 1
+    aperiodic = all(_period_is_one(adj, comp) for comp in components)
     residual = 0.0
     for i in range(d):
         for j in range(d):
@@ -770,26 +756,10 @@ def chain_analysis(T: np.ndarray, p0: np.ndarray | None = None,
     return ChainDiagnostics(pi, converged, iterations, irreducible, aperiodic, residual)
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
+def _strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
+    """Strongly connected components by double DFS (small matrices only),
+    each a sorted list of states."""
     d = adj.shape[0]
-
-    def reach(start, matrix):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(matrix[u])[0]:
-                if v not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        return seen
-
-    return len(reach(0, adj)) == d and len(reach(0, adj.T)) == d
-
-
-def _all_cycle_periods_one(adj: np.ndarray) -> bool:
-    d = adj.shape[0]
-    # strongly connected components by double DFS (small matrices only)
     unassigned = set(range(d))
     components = []
     while unassigned:
@@ -815,29 +785,28 @@ def _all_cycle_periods_one(adj: np.ndarray) -> bool:
         comp = fwd & bwd
         components.append(sorted(comp))
         unassigned -= comp
-    for comp in components:
-        members = set(comp)
-        if len(comp) == 1:
-            u = comp[0]
-            if not adj[u, u]:
-                continue  # no cycle through this state
-            # self-loop: period 1
-            continue
-        level = {comp[0]: 0}
-        queue = [comp[0]]
-        while queue:
-            u = queue.pop(0)
-            for v in np.nonzero(adj[u])[0]:
-                v = int(v)
-                if v in members and v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        g = 0
-        for u in comp:
-            for v in np.nonzero(adj[u])[0]:
-                v = int(v)
-                if v in members:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        if g != 1:
-            return False
-    return True
+    return components
+
+
+def _period_is_one(adj: np.ndarray, comp: list[int]) -> bool:
+    """Whether the cycles within one strongly connected component have
+    period 1; a single state with or without a self-loop passes."""
+    if len(comp) == 1:
+        return True
+    members = set(comp)
+    level = {comp[0]: 0}
+    queue = [comp[0]]
+    while queue:
+        u = queue.pop(0)
+        for v in np.nonzero(adj[u])[0]:
+            v = int(v)
+            if v in members and v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    g = 0
+    for u in comp:
+        for v in np.nonzero(adj[u])[0]:
+            v = int(v)
+            if v in members:
+                g = math.gcd(g, level[u] + 1 - level[v])
+    return g == 1

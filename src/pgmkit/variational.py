@@ -12,6 +12,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import DegenerateUpdateError
+from .exact import _factor_graph
 from .factors import Factor, Variable
 from .models import (
     Model,
@@ -96,7 +97,7 @@ def _expected_log_factor(f: Factor, q: FactoredDistribution,
     -inf there.
     """
     with np.errstate(divide="ignore"):
-        logf = np.log(f.table)
+        logf = f.table if f.domain == fa.LOG else np.log(f.table)
     # outer product of q tables, with the fixed axis (if any) left as ones
     weight = np.ones(f.table.shape)
     for ax, v in enumerate(f.scope):
@@ -237,87 +238,49 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     new. Convergence means the largest single message change fell below
     tol; on loopy graphs this may never happen, which is reported rather
     than raised. Beliefs are exact on trees.
+
+    Messages and beliefs come from the send step of tree BP and the
+    junction tree; where those refuse an all-zero table, loopy BP takes
+    the uniform one instead.
     """
     if schedule not in ("synchronous", "sequential"):
         raise ValueError("schedule must be 'synchronous' or 'sequential'")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     evidence = check_evidence(model, evidence or {})
-    reduced, _ = reduce_to_evidence(model, evidence)
-    variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
-    var_of = {v.name: v for v in variables}
-    touching = {
-        v.name: [i for i, f in enumerate(reduced) if v.name in f.names]
-        for v in variables
-    }
-
-    v2f: dict[tuple[str, int], np.ndarray] = {}
-    f2v: dict[tuple[int, str], np.ndarray] = {}
-    for i, f in enumerate(reduced):
-        for name in f.names:
-            card = var_of[name].cardinality
-            v2f[(name, i)] = np.full(card, 1.0 / card)
-            f2v[(i, name)] = np.full(card, 1.0 / card)
-
-    def new_factor_to_var(i: int, name: str) -> np.ndarray:
-        f = reduced[i]
-        msg = f
-        for other in f.names:
-            if other != name:
-                msg = fa.product(msg, Factor([var_of[other]], v2f[(other, i)]))
-        out = fa.eliminate(msg, [n for n in msg.names if n != name])
-        values = fa.align_to(out, [name]).values
-        total = values.sum()
-        return values / total if total > 0 else np.full(len(values), 1.0 / len(values))
-
-    def new_var_to_factor(name: str, i: int) -> np.ndarray:
-        out = np.ones(var_of[name].cardinality)
-        for j in touching[name]:
-            if j != i:
-                out = out * f2v[(j, name)]
-        total = out.sum()
-        return out / total if total > 0 else np.full(len(out), 1.0 / len(out))
+    graph, variables, _ = _factor_graph(model, evidence)
+    messages = {edge: np.full(v.cardinality, 1.0 / v.cardinality)
+                for edge, (v,) in graph.kept.items()}
+    f2v = [edge for edge in messages if edge[0][0] == "f"]
+    v2f = [edge for edge in messages if edge[0][0] == "v"]
+    if schedule == "synchronous":
+        groups = [f2v + v2f]      # every proposal reads the old messages
+    else:
+        groups = [[edge] for edge in sorted(f2v) + sorted(v2f)]
 
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
         residual = 0.0
-        if schedule == "synchronous":
-            staged_f2v = {
-                key: new_factor_to_var(*key) for key in f2v
-            }
-            staged_v2f = {
-                key: new_var_to_factor(*key) for key in v2f
-            }
-            for key, proposed in staged_f2v.items():
-                blended = (1 - damping) * f2v[key] + damping * proposed
-                residual = max(residual, float(np.max(np.abs(blended - f2v[key]))))
-                f2v[key] = blended
-            for key, proposed in staged_v2f.items():
-                blended = (1 - damping) * v2f[key] + damping * proposed
-                residual = max(residual, float(np.max(np.abs(blended - v2f[key]))))
-                v2f[key] = blended
-        else:
-            for key in sorted(f2v):
-                proposed = new_factor_to_var(*key)
-                blended = (1 - damping) * f2v[key] + damping * proposed
-                residual = max(residual, float(np.max(np.abs(blended - f2v[key]))))
-                f2v[key] = blended
-            for key in sorted(v2f):
-                proposed = new_var_to_factor(*key)
-                blended = (1 - damping) * v2f[key] + damping * proposed
-                residual = max(residual, float(np.max(np.abs(blended - v2f[key]))))
-                v2f[key] = blended
+        for group in groups:
+            proposed = [_normalized(graph.send(messages, *edge)) for edge in group]
+            for edge, new in zip(group, proposed):
+                old = messages[edge]
+                blended = (1 - damping) * old + damping * new
+                residual = max(residual, float(np.max(np.abs(blended - old))))
+                messages[edge] = blended
         if residual < tol:
             break
     converged = residual < tol
 
-    marginals = {}
-    for v in variables:
-        belief = np.ones(v.cardinality)
-        for j in touching[v.name]:
-            belief = belief * f2v[(j, v.name)]
-        total = belief.sum()
-        belief = belief / total if total > 0 else np.full(v.cardinality, 1.0 / v.cardinality)
-        marginals[v.name] = Factor([v], belief)
+    marginals = {
+        v.name: Factor([v], _normalized(graph.send(messages, ("v", v.name))))
+        for v in variables
+    }
     return LoopyBpResult(marginals, converged, iterations, residual)
+
+
+def _normalized(table: np.ndarray) -> np.ndarray:
+    """A one-variable table scaled to sum to 1; uniform when all zero."""
+    total = table.sum()
+    return table / total if total > 0 else np.full(len(table), 1.0 / len(table))

@@ -123,6 +123,38 @@ class TestQuery:
                        "--evidence", "LETTER=zzz"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "engine", ["enum", "ve", "bp", "jtree", "loopy", "meanfield", "gibbs", "mh"]
+    )
+    def test_target_that_is_evidence_exits_2(self, student_path, capsys, engine):
+        code, out = run(["query", "--model", student_path, "--target", "SAT",
+                         "--evidence", "SAT=s1", "--engine", engine])
+        assert code == 2
+        assert "p[" not in out
+        assert "error=query variable 'SAT' is also evidence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["enum", "ve", "bp", "jtree", "loopy", "meanfield"])
+    def test_log_domain_model_answers_as_its_linear_twin(self, tmp_path, engine):
+        from pgmkit.factors import Factor, Variable
+        from pgmkit.models import MarkovRandomField
+
+        a, b = Variable("a", ("s0", "s1")), Variable("b", ("s0", "s1"))
+        tables = [np.array([1.0, 4.0]), np.array([[3.0, 1.0], [1.0, 5.0]])]
+        lines = {}
+        for domain in ("linear", "log"):
+            factors = [
+                Factor(scope, t if domain == "linear" else np.log(t), domain=domain)
+                for scope, t in zip([[a], [a, b]], tables)
+            ]
+            path = tmp_path / f"{domain}.json"
+            path.write_text(serialize_model(MarkovRandomField([a, b], factors)))
+            code, out = run(["query", "--model", str(path), "--target", "a",
+                             "--evidence", "b=s0", "--engine", engine])
+            assert code == 0, domain
+            lines[domain] = [l for l in out.splitlines() if l.startswith("p[")]
+        assert lines["log"] == lines["linear"]
+        assert lines["log"] == ["p[s0]=0.428571 p[s1]=0.571429"]
+
     def test_zero_evidence_exits_3(self, tmp_path):
         from pgmkit.factors import Factor, Variable
         from pgmkit.graphs import DirectedGraph

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bn, random_mrf
+from conftest import random_bn, random_mrf, random_tree_mrf
 from pgmkit import factors as fa
 from pgmkit.errors import EvidenceError, TooLargeError
+from pgmkit.exact import (
+    build_junction_tree,
+    jt_calibrate,
+    jt_query,
+    max_product_decode,
+    tree_bp,
+    variable_elimination,
+)
 from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph, moralize
 from pgmkit.models import (
@@ -17,6 +25,13 @@ from pgmkit.models import (
     to_factor_graph,
     validate,
 )
+from pgmkit.mapinf import dual_decomposition
+from pgmkit.sampling import (
+    SingleSiteUniformKernel,
+    gibbs_transition_matrix,
+    mh_transition_matrix,
+)
+from pgmkit.variational import loopy_bp, mean_field
 from pgmkit.zoo import student_network, voting_mrf
 
 
@@ -225,3 +240,69 @@ class TestEnumerate:
         for x in fa.assignments(sorted(bn.variables.values(), key=lambda v: v.name)):
             total += math.exp(log_joint(bn, x))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLogDomainTwins:
+    """A model whose factors hold log values answers as its linear twin
+    does: engines that multiply tables exponentiate them, engines that take
+    logs read them as logs."""
+
+    EVIDENCE = {"v0": "s1"}
+
+    @staticmethod
+    def twins(rng):
+        linear = random_tree_mrf(rng, n=4, max_states=3)
+        logged = MarkovRandomField(
+            list(linear.variables.values()),
+            [Factor(f.scope, np.log(f.table), domain="log") for f in linear.factors],
+        )
+        return linear, logged
+
+    @staticmethod
+    def answer(engine, model, ev):
+        if engine == "enum":
+            return enumerate_inference(model, ["v1"], ev).values
+        if engine == "ve":
+            result = variable_elimination(model, ["v1"], ev)
+            return np.append(result.normalized().values, result.log_normalizer)
+        if engine == "bp":
+            result = tree_bp(model, ev)
+            return np.append(result.marginal("v1").values, result.log_partition)
+        if engine == "jtree":
+            jt = jt_calibrate(build_junction_tree(model), ev)
+            return np.append(jt_query(jt, "v1").values, jt.log_partition)
+        if engine == "loopy":
+            # tol=0 runs every iteration on both twins
+            return loopy_bp(model, ev, max_iters=20, tol=0.0).marginals["v1"].values
+        if engine == "meanfield":
+            # a negative tol runs every sweep on both twins
+            q, trace = mean_field(model, ev, max_sweeps=10, tol=-1.0)
+            return np.append(q.prob("v1"), trace.values)
+        if engine == "gibbs":
+            return gibbs_transition_matrix(model, ev)[0]
+        if engine == "mh":
+            free = [v for n, v in sorted(model.variables.items()) if n not in ev]
+            return mh_transition_matrix(model, SingleSiteUniformKernel(free), ev)[0]
+        raise AssertionError(engine)
+
+    @pytest.mark.parametrize(
+        "engine", ["enum", "ve", "bp", "jtree", "loopy", "meanfield", "gibbs", "mh"]
+    )
+    def test_query_engines(self, rng, engine):
+        linear, logged = self.twins(rng)
+        for ev in ({}, self.EVIDENCE):
+            expected = self.answer(engine, linear, ev)
+            got = self.answer(engine, logged, ev)
+            assert got.shape == expected.shape
+            assert np.allclose(got, expected, rtol=0, atol=1e-12), (engine, ev)
+
+    def test_map_engines(self, rng):
+        linear, logged = self.twins(rng)
+        assignment, score = max_product_decode(linear)
+        assert max_product_decode(logged) == (assignment, pytest.approx(score, abs=1e-12))
+        expected = dual_decomposition(linear, max_iters=30)
+        got = dual_decomposition(logged, max_iters=30)
+        assert got.assignment == expected.assignment
+        assert got.objective == pytest.approx(expected.objective, abs=1e-12)
+        assert np.allclose(got.bounds, expected.bounds, rtol=0, atol=1e-12)
+        assert got.best_bound >= got.objective - 1e-12

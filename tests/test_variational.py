@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mrf, random_tree_mrf
-from pgmkit.errors import DegenerateUpdateError
+from pgmkit.errors import DegenerateUpdateError, ZeroEvidenceError
 from pgmkit.exact import tree_bp
 from pgmkit.factors import Factor, Variable
 from pgmkit.models import MarkovRandomField, enumerate_inference
@@ -241,3 +241,19 @@ class TestLoopyBp:
             assert np.allclose(
                 r1.marginals[name].values, exact.marginal(name).values, atol=1e-9
             )
+
+    def test_all_zero_message_falls_back_to_uniform(self):
+        # b=1 zeroes f(a, b): calibration refuses, loopy BP sends a uniform
+        # message from f and answers from g alone
+        a, b, c = (Variable(n, ("0", "1")) for n in "abc")
+        mrf = MarkovRandomField(
+            [a, b, c],
+            [Factor([a, b], [[1.0, 0.0], [0.0, 0.0]]),
+             Factor([a, c], [[1.0, 2.0], [3.0, 4.0]])],
+        )
+        result = loopy_bp(mrf, {"b": "1"}, damping=1.0, max_iters=5)
+        assert result.converged
+        assert np.allclose(result.marginals["a"].values, [0.3, 0.7], rtol=0, atol=1e-15)
+        assert np.allclose(result.marginals["c"].values, [0.4, 0.6], rtol=0, atol=1e-15)
+        with pytest.raises(ZeroEvidenceError):
+            tree_bp(mrf, {"b": "1"})
