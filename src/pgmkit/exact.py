@@ -36,10 +36,11 @@ from .models import (
 )
 
 HEURISTICS = ("min_neighbors", "min_weight", "min_fill")
-# Entries in the largest table max_product_decode will build: a 1 GiB
-# budget of float64. A step's peak is under three times that (the
-# product, its reordered copy, the back-pointers and the max-marginal).
-DECODE_CAP = 2**27
+# Entries in the largest table variable elimination, max-product decoding
+# or a junction tree will build: a 1 GiB budget of float64. An elimination
+# step's peak is under three times that (the product, the back-pointers
+# and the eliminated result).
+TABLE_CAP = 2**27
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,6 @@ def _eliminate_node(adj: dict[str, set[str]], node: str) -> set[str]:
     return nbrs
 
 
-def _elimination_scopes(adj: dict[str, set[str]], order: Sequence[str]):
-    """Yield (node, neighbours at its elimination) along a fixed ordering."""
-    adj = {n: set(nbrs) for n, nbrs in adj.items()}
-    for node in order:
-        yield node, _eliminate_node(adj, node)
-
-
 def choose_ordering(model: Model, heuristic: str = "min_fill",
                     query: Iterable[str] = (),
                     evidence: Iterable[str] = ()) -> EliminationOrdering:
@@ -193,30 +187,14 @@ def variable_elimination(model: Model, query: Iterable[str],
             f"ordering must be a permutation of {to_eliminate}"
         )
 
-    rescale = semiring.kind == "sum_product"
     factors = linear_factors(model_factors(model))
     factors = [fa.reduce_factor(f, evidence) for f in factors]
     factors = [f for f in factors if f.scope or float(f.table) != 1.0]
-    log_norm = 0.0
-    max_scope = max((len(f.scope) for f in factors), default=0)
+    rest, log_norm, widest, _ = _bucket_eliminate(factors, ordering, semiring)
+    max_scope = max([widest, *(len(f.scope) for f in factors)])
 
-    pool = _FactorPool(factors)
-    for var in ordering:
-        bucket = pool.take(var)
-        if not bucket:
-            continue
-        combined = fa.product_all(bucket)
-        max_scope = max(max_scope, len(combined.scope))
-        tau = fa.eliminate(combined, [var], semiring)
-        if rescale:
-            table, log_total = _rescaled(tau.table)
-            tau = Factor(tau.scope, table, _trusted=True)
-            log_norm += log_total
-        pool.add(tau)
-
-    factors = pool.factors()
-    if factors:
-        result = fa.product_all(factors)
+    if rest:
+        result = fa.product_all(rest)
     else:
         result = fa.ones_like([model.variable(q) for q in query])
     max_scope = max(max_scope, len(result.scope))
@@ -225,44 +203,79 @@ def variable_elimination(model: Model, query: Iterable[str],
             fa.product(result, fa.ones_like([model.variable(q) for q in query])),
             sorted(query),
         )
-    if rescale:
+    if semiring.kind == "sum_product":
         table, log_total = _rescaled(result.table)
         result = Factor(result.scope, table, _trusted=True)
         log_norm += log_total
     return VeResult(result, log_norm, max_scope)
 
 
-class _FactorPool:
-    """Factors in the order they joined, indexed by the variables they
-    mention, so an elimination step finds its bucket without a scan."""
+def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
+                      semiring: Semiring):
+    """Eliminate the variables of ``ordering``, in that order, from the
+    product of ``factors`` under ``semiring``.
 
-    def __init__(self, factors: Iterable[Factor]):
-        self._factors: dict[int, Factor] = {}
-        self._holding: dict[str, set[int]] = {}
-        self._next = 0
-        for f in factors:
-            self.add(f)
+    Every factor, given or produced, waits in the bucket of its first
+    variable in the ordering, behind those that joined before it. A step
+    multiplies its bucket and aggregates the variable out; sum-product
+    results are rescaled. The steps are first walked on scopes alone, so
+    TooLargeError is raised before any table is built when a product
+    would hold more than ``TABLE_CAP`` entries.
 
-    def add(self, f: Factor) -> None:
-        key = self._next
-        self._next += 1
-        self._factors[key] = f
-        for name in f.names:
-            self._holding.setdefault(name, set()).add(key)
+    Returns the factors over no eliminated variable, the log of the mass
+    pulled out, the scope size of the largest product, and, under
+    max-product, each variable's back-pointers: None for an empty bucket,
+    else the product's other names and its argmax along the variable's
+    axis (the lowest state index on ties).
+    """
+    position = {var: i for i, var in enumerate(ordering)}
+    last = len(ordering)
+    buckets: list[list[int]] = [[] for _ in ordering]
+    rest: list[int] = []
+    scopes = [f.scope for f in factors]
 
-    def take(self, var: str) -> list[Factor]:
-        """Remove and return the factors over ``var``, in pool order."""
-        bucket = []
-        for key in sorted(self._holding.pop(var, ())):
-            f = self._factors.pop(key)
-            for name in f.names:
-                if name != var:
-                    self._holding[name].discard(key)
-            bucket.append(f)
-        return bucket
+    def place(k: int) -> None:
+        first = min([position.get(v.name, last) for v in scopes[k]], default=last)
+        (rest if first == last else buckets[first]).append(k)
 
-    def factors(self) -> list[Factor]:
-        return list(self._factors.values())
+    for k in range(len(scopes)):
+        place(k)
+    widest = 0
+    for var, bucket in zip(ordering, buckets):
+        if bucket:
+            union = {v.name: v for k in bucket for v in scopes[k]}
+            entries = math.prod(v.cardinality for v in union.values())
+            if entries > TABLE_CAP:
+                raise TooLargeError(
+                    f"variable elimination needs a table of {entries} entries when it "
+                    f"eliminates {var!r}, over the cap of {TABLE_CAP}"
+                )
+            widest = max(widest, len(union))
+            del union[var]
+            scopes.append(tuple(union.values()))
+            place(len(scopes) - 1)
+
+    tables = dict(enumerate(factors))
+    key = len(factors)
+    log_norm = 0.0
+    pointers: dict[str, tuple | None] = {}
+    for var, bucket in zip(ordering, buckets):
+        if not bucket:
+            pointers[var] = None
+            continue
+        combined = fa.product_all([tables.pop(k) for k in bucket])
+        if semiring.kind == "max_product":
+            axis = combined.axis(var)
+            rest_names = combined.names[:axis] + combined.names[axis + 1:]
+            pointers[var] = (rest_names, np.argmax(combined.table, axis=axis))
+        tau = fa.eliminate(combined, [var], semiring)
+        if semiring.kind == "sum_product":
+            table, log_total = _rescaled(tau.table)
+            tau = Factor(tau.scope, table, _trusted=True)
+            log_norm += log_total
+        tables[key] = tau  # the key its scope took in the walk above
+        key += 1
+    return [tables[k] for k in rest], log_norm, widest, pointers
 
 
 def _rescaled(table: np.ndarray) -> tuple[np.ndarray, float]:
@@ -505,9 +518,8 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
     index. The result is exactly the lexicographically-first argmax, which
     matches the enumeration oracle's tie-breaking.
 
-    Before allocating anything, the elimination is simulated on the
-    interaction graph; if its largest table would hold more than
-    ``DECODE_CAP`` entries, TooLargeError is raised.
+    The elimination runs on the same bucket pass as variable elimination,
+    under the same ``TABLE_CAP`` budget.
     """
     if isinstance(model_or_jt, JunctionTree):
         jt = model_or_jt
@@ -520,45 +532,18 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
     from .models import log_joint
 
     names = sorted(n for n in model.variables if n not in evidence)
-    graph = interaction_graph(model)
-    adj = {n: {m for m in graph.neighbors(n) if m not in evidence} for n in names}
-    for var, nbrs in _elimination_scopes(adj, names[::-1]):
-        entries = model.variable(var).cardinality * math.prod(
-            model.variable(m).cardinality for m in nbrs
-        )
-        if entries > DECODE_CAP:
-            raise TooLargeError(
-                f"max-product decoding needs a table of {entries} entries when it "
-                f"eliminates {var!r}, over the cap of {DECODE_CAP}"
-            )
-
-    pool = _FactorPool(linear_factors(reduce_to_evidence(model, evidence)[0]))
-    assignment = dict(evidence)
-    pointers: list[tuple[str, tuple[str, ...], np.ndarray | None]] = []
-    for var in reversed(names):
-        bucket = pool.take(var)
-        if not bucket:
-            pointers.append((var, (), None))
-            continue
-        combined = fa.product_all(bucket)
-        # put var first so argmax along axis 0 indexes by the remaining scope
-        combined = fa.align_to(
-            combined, sorted(combined.names, key=lambda n: (n != var, n))
-        )
-        argmax = np.argmax(combined.table, axis=0)  # lowest state index on ties
-        pool.add(fa.eliminate(combined, [var], MAX_PRODUCT))
-        pointers.append((var, combined.names[1:], argmax))
-
+    factors = linear_factors(reduce_to_evidence(model, evidence)[0])
+    *_, pointers = _bucket_eliminate(factors, names[::-1], MAX_PRODUCT)
     # traceback in name order (reverse of elimination)
-    for var, rest, argmax in reversed(pointers):
-        v = model.variable(var)
-        if argmax is None:
-            assignment[var] = v.states[0]
+    assignment = dict(evidence)
+    for var in names:
+        states = model.variable(var).states
+        if pointers[var] is None:
+            assignment[var] = states[0]
             continue
-        idx = tuple(
-            model.variable(n).index_of(assignment[n]) for n in rest
-        )
-        assignment[var] = v.states[int(argmax[idx] if rest else argmax)]
+        rest, argmax = pointers[var]
+        idx = tuple(model.variable(n).index_of(assignment[n]) for n in rest)
+        assignment[var] = states[int(argmax[idx])]
     score = log_joint(model, assignment)
     return assignment, score
 
@@ -667,7 +652,8 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     the cliques disconnected, zero-weight edges (empty sepsets) join the
     pieces, in label order, so a spanning tree exists even for
     disconnected models. Each factor is assigned to the lexicographically
-    smallest containing clique.
+    smallest containing clique. A clique of more than ``TABLE_CAP``
+    entries raises TooLargeError before any potential is built.
     """
     graph = interaction_graph(model)
     ordering = choose_ordering(model, heuristic).order
@@ -676,6 +662,13 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     cliques = max_cliques(chordal, elim_cliques)
     if not cliques:
         cliques = [frozenset()]
+    for c in cliques:
+        entries = math.prod(model.variable(n).cardinality for n in c)
+        if entries > TABLE_CAP:
+            raise TooLargeError(
+                f"the junction tree needs a table of {entries} entries for the clique "
+                f"{sorted(c)}, over the cap of {TABLE_CAP}"
+            )
     holding: dict[str, list[int]] = {}
     for k, c in enumerate(cliques):
         for name in c:

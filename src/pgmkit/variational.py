@@ -106,7 +106,8 @@ def _expected_log_factor(f: Factor, q: FactoredDistribution,
         expand = [1] * len(f.scope)
         expand[ax] = v.cardinality
         weight = weight * q.prob(v.name).reshape(expand)
-    terms = np.where(weight == 0.0, 0.0, weight * logf)
+    # multiply only where q has mass, so 0 * -inf is never formed
+    terms = np.multiply(weight, logf, out=np.zeros(weight.shape), where=weight != 0.0)
     if fix is None:
         return float(np.sum(terms))
     axis = tuple(ax for ax, v in enumerate(f.scope) if v.name != fix)

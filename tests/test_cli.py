@@ -242,6 +242,23 @@ class TestMap:
         assert code == 0
         assert grep(out, "map[A00]") == "1"
 
+    @pytest.mark.parametrize("command, refusal", [
+        (["query", "--target", "LETTER", "--engine", "ve"], "eliminates 'DIFFICULTY'"),
+        (["query", "--target", "LETTER", "--engine", "jtree"],
+         "for the clique ['DIFFICULTY', 'GRADE', 'INVESTMENT']"),
+        (["map", "--engine", "maxprod"], "eliminates 'INVESTMENT'"),
+    ], ids=["ve", "jtree", "maxprod"])
+    def test_table_cap_exits_3(self, student_path, monkeypatch, capsys, command, refusal):
+        # every engine's largest table on the student network holds 12 entries
+        from pgmkit import exact
+
+        monkeypatch.setattr(exact, "TABLE_CAP", 11)
+        code, _ = run([command[0], "--model", student_path, *command[1:]])
+        assert code == 3
+        assert f"{refusal}, over the cap of 11" in capsys.readouterr().err
+        monkeypatch.setattr(exact, "TABLE_CAP", 12)
+        assert run([command[0], "--model", student_path, *command[1:]])[0] == 0
+
     def test_every_engine_honours_evidence(self, student_path, ising_path):
         from pgmkit.io import parse_model
         from pgmkit.models import log_joint

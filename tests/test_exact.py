@@ -34,6 +34,10 @@ from pgmkit.models import (
 from pgmkit.zoo import asia_dag, student_network
 
 
+def no_tables(factors):
+    raise AssertionError("a table was built")
+
+
 def chain_bn(n, rng):
     variables = [Variable(f"x{i}", ("0", "1")) for i in range(n)]
     dag = DirectedGraph(
@@ -178,6 +182,22 @@ class TestVariableElimination:
             best = enumerate_inference(mrf, mode="map")[1]
             assert float(result.factor.table) == pytest.approx(math.exp(best), rel=1e-12)
 
+    def test_table_cap_is_checked_before_allocating(self, monkeypatch):
+        # min_fill eliminates DIFFICULTY first, over {DIFFICULTY, INVESTMENT,
+        # GRADE}: 2 * 2 * 3 entries
+        bn = student_network()
+        want = variable_elimination(bn, ["LETTER"])
+        monkeypatch.setattr(exact, "TABLE_CAP", 11)
+        with monkeypatch.context() as m:
+            m.setattr(fa, "product_all", no_tables)
+            with pytest.raises(TooLargeError, match="needs a table of 12 entries when it "
+                               "eliminates 'DIFFICULTY', over the cap of 11"):
+                variable_elimination(bn, ["LETTER"])
+        monkeypatch.setattr(exact, "TABLE_CAP", 12)
+        got = variable_elimination(bn, ["LETTER"])
+        assert np.array_equal(got.factor.table, want.factor.table)
+        assert got.max_intermediate_scope == 3
+
 
 class TestTreeBp:
     def test_chain_marginals_match_ve(self, rng):
@@ -303,13 +323,13 @@ class TestMaxProductDecode:
         # goes, over {INVESTMENT, DIFFICULTY, GRADE}: 2 * 2 * 3 entries
         bn = student_network()
         want, _ = max_product_decode(bn)
-        monkeypatch.setattr(exact, "DECODE_CAP", 11)
+        monkeypatch.setattr(exact, "TABLE_CAP", 11)
         with pytest.raises(TooLargeError, match="12 entries .* 'INVESTMENT'"):
             max_product_decode(bn)
-        monkeypatch.setattr(exact, "DECODE_CAP", 12)
+        monkeypatch.setattr(exact, "TABLE_CAP", 12)
         assert max_product_decode(bn)[0] == want
         # evidence on GRADE removes it from the simulated elimination
-        monkeypatch.setattr(exact, "DECODE_CAP", 4)
+        monkeypatch.setattr(exact, "TABLE_CAP", 4)
         got, _ = max_product_decode(bn, {"GRADE": "g1"})
         want, _ = enumerate_inference(bn, mode="map", evidence={"GRADE": "g1"})
         assert got == want
@@ -391,6 +411,20 @@ class TestJunctionTree:
         model = random_mrf(rng, n=6)
         jt = jt_calibrate(build_junction_tree(model))
         assert len(jt.messages) == 2 * len(jt.tree_edges)
+
+    def test_clique_cap_is_checked_before_building_potentials(self, monkeypatch):
+        # the largest clique is {DIFFICULTY, GRADE, INVESTMENT}: 2 * 3 * 2 entries
+        bn = student_network()
+        monkeypatch.setattr(exact, "TABLE_CAP", 11)
+        with monkeypatch.context() as m:
+            m.setattr(fa, "product_all", no_tables)
+            with pytest.raises(TooLargeError, match=r"12 entries for the clique "
+                               r"\['DIFFICULTY', 'GRADE', 'INVESTMENT'\], over the cap of 11"):
+                build_junction_tree(bn)
+        monkeypatch.setattr(exact, "TABLE_CAP", 12)
+        jt = jt_calibrate(build_junction_tree(bn))
+        want = variable_elimination(bn, ["LETTER"]).normalized()
+        assert np.allclose(jt_query(jt, "LETTER").table, want.table, atol=1e-12)
 
     def test_dot_export(self, rng):
         jt = build_junction_tree(student_network())

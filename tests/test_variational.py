@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ class TestMeanField:
         # a uniform q over the XOR support sends every expected log to -inf
         with pytest.raises(DegenerateUpdateError):
             mean_field(mrf, max_sweeps=3)
+
+    def test_zero_entries_raise_no_warning(self):
+        # the first update sets q(a=0) to 0, where log f(0, 1) is -inf
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        mrf = MarkovRandomField([a, b], [Factor([a, b], [[1.0, 0.0], [2.0, 3.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q, trace = mean_field(mrf, max_sweeps=5)
+            value = elbo(mrf, q)
+        assert np.array_equal(q.prob("a"), [0.0, 1.0])
+        assert value == trace.values[-1]
+        assert value == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_evidence_handled(self, rng):
         mrf = random_tree_mrf(rng, n=4, max_states=2)
