@@ -45,6 +45,7 @@ from .exact import (
     build_junction_tree,
     choose_ordering,
     jt_calibrate,
+    jt_marginal,
     jt_query,
     max_product_decode,
     tree_bp,

@@ -28,7 +28,7 @@ from .errors import (
 from .exact import (
     build_junction_tree,
     jt_calibrate,
-    jt_query,
+    jt_marginal,
     max_product_decode,
     tree_bp,
     variable_elimination,
@@ -159,8 +159,7 @@ def _cmd_query(args, out) -> int:
     elif engine == "bp":
         values = tree_bp(model, evidence).marginal(target).values
     elif engine == "jtree":
-        jt = jt_calibrate(build_junction_tree(model), evidence)
-        values = jt_query(jt, target).values
+        values = jt_marginal(build_junction_tree(model), target, evidence).values
     elif engine == "loopy":
         result = loopy_bp(model, evidence, max_iters=args.max_iters,
                           damping=args.damping, tol=args.tol)

@@ -407,18 +407,20 @@ def _tree_schedule(nodes: Iterable, neighbors: Mapping[object, Iterable]):
     return order, parent, root
 
 
-def _calibrate(graph: _MessageGraph) -> _Calibration:
+def _calibrate(graph: _MessageGraph, root=None) -> _Calibration:
     """Two-pass sum-product calibration of a forest (Shafer-Shenoy).
 
     Every message and belief comes from :meth:`_MessageGraph.send` and is
     normalized, and the log of every pulled-out total is carried along, so
     a belief's log scale is the log-partition of its tree. Messages flow
     from the leaves to the roots of :func:`_tree_schedule`, then back out.
-    A graph with a cycle raises NotATreeError before any message is sent
-    (a clique tree from build_junction_tree never has one).
+    Given a ``root`` node, only the collect pass toward it runs: its tree
+    is rooted there, and the root's belief is the only one built. A graph
+    with a cycle raises NotATreeError before any message is sent (a clique
+    tree from build_junction_tree never has one).
     """
     nodes, neighbors = graph.nodes, graph.neighbors
-    order, parent, root = _tree_schedule(nodes, neighbors)
+    order, parent, roots = _tree_schedule(nodes if root is None else [root, *nodes], neighbors)
     n_edges = sum(len(nbrs) for nbrs in neighbors.values()) // 2
     if n_edges != len(nodes) - sum(p is None for p in parent.values()):
         raise NotATreeError(
@@ -436,18 +438,20 @@ def _calibrate(graph: _MessageGraph) -> _Calibration:
         table, log_total = _rescaled(graph.send(messages, node, target))
         return table, scale + log_total
 
-    edges = [(node, parent[node]) for node in reversed(order) if parent[node] is not None]
-    edges += [(node, nb) for node in order for nb in neighbors[node] if nb != parent[node]]
+    edges = [(node, parent[node]) for node in reversed(order)
+             if parent[node] is not None and (root is None or roots[node] == root)]
+    if root is None:
+        edges += [(node, nb) for node in order for nb in neighbors[node] if nb != parent[node]]
     for edge in edges:                # leaves toward the roots, then back out
         messages[edge], scales[edge] = combine(*edge)
 
     beliefs: dict = {}
     belief_scales: dict = {}
-    for node in nodes:
+    for node in nodes if root is None else [root]:
         table, belief_scales[node] = combine(node)
         beliefs[node] = Factor(graph.scope[node], table, _trusted=True)
     messages = {edge: Factor(graph.kept[edge], t, _trusted=True) for edge, t in messages.items()}
-    return _Calibration(messages, scales, beliefs, belief_scales, root)
+    return _Calibration(messages, scales, beliefs, belief_scales, roots)
 
 
 def _factor_graph(model: Model, evidence: Mapping[str, str]
@@ -545,6 +549,11 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
         idx = tuple(model.variable(n).index_of(assignment[n]) for n in rest)
         assignment[var] = states[int(argmax[idx])]
     score = log_joint(model, assignment)
+    if score == -math.inf:
+        # the evidence has probability zero, so every assignment ties at
+        # -inf; the lexicographically-first one has every state index 0
+        for var in names:
+            assignment[var] = model.variable(var).states[0]
     return assignment, score
 
 
@@ -718,11 +727,12 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     homed: list[list[Factor]] = [[] for _ in cliques]
     for f, home in zip(factors, assignment):
         homed[home].append(f)
-    potentials = []
-    for c, assigned in zip(cliques, homed):
-        scope = [model.variable(n) for n in sorted(c)]
-        pot = fa.product_all([fa.ones_like(scope), *assigned])
-        potentials.append(fa.align_to(pot, sorted(c)) if c else pot)
+    # every assigned scope lies in the clique, so each product keeps the
+    # sorted clique order of its ones table
+    potentials = [
+        fa.product_all([fa.ones_like([model.variable(n) for n in sorted(c)]), *assigned])
+        for c, assigned in zip(cliques, homed)
+    ]
 
     jt = JunctionTree(model, list(cliques), tree_edges, sepsets, potentials, assignment)
     if not family_preservation_holds(jt) or not running_intersection_holds(jt):
@@ -740,12 +750,7 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
     evidence = check_evidence(jt.model, evidence or {})
     jt.evidence = dict(evidence)
     nodes = range(len(jt.cliques))
-    cal = _calibrate(_MessageGraph(
-        nodes,
-        {i: jt.neighbors(i) for i in nodes},
-        {i: fa.reduce_factor(p, evidence) for i, p in enumerate(jt.potentials)},
-        {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()},
-    ))
+    cal = _calibrate(_clique_graph(jt, evidence))
     jt.messages = cal.messages
     jt.message_log_scale = cal.message_log_scale
     jt.beliefs = [cal.beliefs[i] for i in nodes]
@@ -756,18 +761,50 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
     return jt
 
 
+def _clique_graph(jt: JunctionTree, evidence: Mapping[str, str]) -> _MessageGraph:
+    """The clique tree with its potentials reduced to the (checked) evidence."""
+    nodes = range(len(jt.cliques))
+    return _MessageGraph(
+        nodes,
+        {i: jt.neighbors(i) for i in nodes},
+        {i: fa.reduce_factor(p, evidence) for i, p in enumerate(jt.potentials)},
+        {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()},
+    )
+
+
 def jt_query(jt: JunctionTree, variable: str) -> Factor:
     """Normalized marginal of one variable from a calibrated tree."""
     if not jt.calibrated:
         raise RuntimeError("calibrate the junction tree before querying")
     var = jt.model.variable(variable)
-    if variable in jt.evidence:
-        table = np.zeros(var.cardinality)
-        table[var.index_of(jt.evidence[variable])] = 1.0
-        return Factor([var], table)
+    return _marginal(jt.beliefs[jt.clique_for(variable)], var, jt.evidence)
+
+
+def jt_marginal(jt: JunctionTree, variable: str,
+                evidence: Mapping[str, str] | None = None) -> Factor:
+    """Normalized p(variable | evidence) from the collect pass alone.
+
+    Messages flow from the leaves toward the smallest clique holding the
+    variable, one per tree edge, and only that clique's belief is built;
+    the tree itself is left as it was. The answer is that of
+    :func:`jt_query` after :func:`jt_calibrate`, to rounding, and
+    zero-probability evidence raises ZeroEvidenceError as there.
+    """
+    evidence = check_evidence(jt.model, evidence or {})
+    var = jt.model.variable(variable)
     idx = jt.clique_for(variable)
-    belief = jt.beliefs[idx]
-    marg = fa.eliminate(belief, [n for n in belief.names if n != variable])
+    cal = _calibrate(_clique_graph(jt, evidence), root=idx)
+    return _marginal(cal.beliefs[idx], var, evidence)
+
+
+def _marginal(belief: Factor, var: Variable, evidence: Mapping[str, str]) -> Factor:
+    """The variable's normalized marginal from a clique belief; one-hot
+    when the variable is evidence."""
+    if var.name in evidence:
+        table = np.zeros(var.cardinality)
+        table[var.index_of(evidence[var.name])] = 1.0
+        return Factor([var], table)
+    marg = fa.eliminate(belief, [n for n in belief.names if n != var.name])
     out, _ = fa.normalize(marg)
     return out
 

@@ -184,14 +184,14 @@ class Factor:
             return -np.log(self.table)
 
 
-def _check_shared_variables(f: Factor, g: Factor) -> None:
-    g_vars = {v.name: v for v in g.scope}
-    for v in f.scope:
-        other = g_vars.get(v.name)
-        if other is not None and other.states != v.states:
+def _check_shared_variables(scope: Sequence[Variable], other: Sequence[Variable]) -> None:
+    other_vars = {v.name: v for v in other}
+    for v in scope:
+        match = other_vars.get(v.name)
+        if match is not None and match.states != v.states:
             raise IncompatibleVariableError(
                 f"variable {v.name!r} has states {list(v.states)} in one factor "
-                f"and {list(other.states)} in the other"
+                f"and {list(match.states)} in the other"
             )
 
 
@@ -200,24 +200,41 @@ def product(f: Factor, g: Factor) -> Factor:
 
     In the linear domain entries multiply; in the log domain they add.
     """
-    if f.domain != g.domain:
-        raise ValueError("cannot multiply factors with different domain tags")
-    _check_shared_variables(f, g)
-    scope = list(f.scope) + [v for v in g.scope if v.name not in f.names]
-    a = _broadcast_to_scope(f, scope)
-    b = _broadcast_to_scope(g, scope)
-    op = np.add if f.domain == LOG else np.multiply
-    return Factor(scope, op(a, b), domain=f.domain, _trusted=True)
+    return product_all((f, g))
 
 
 def product_all(factors: Iterable[Factor]) -> Factor:
+    """Left-fold product ``product(product(f0, f1), f2)...``, built in one
+    output table.
+
+    The scope is the first factor's order followed by every unseen
+    variable in order of appearance, and each step of the fold is checked
+    as :func:`product` checks it. Each factor is then multiplied (added,
+    in the log domain) into the table in turn, so every entry is that of
+    the pairwise fold.
+    """
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor product")
-    out = factors[0]
-    for f in factors[1:]:
-        out = product(out, f)
-    return out
+    first = factors[0]
+    if len(factors) == 1:
+        return first
+    scope = list(first.scope)
+    seen = set(first.names)
+    for g in factors[1:]:
+        if g.domain != first.domain:
+            raise ValueError("cannot multiply factors with different domain tags")
+        _check_shared_variables(scope, g.scope)
+        for v in g.scope:
+            if v.name not in seen:
+                seen.add(v.name)
+                scope.append(v)
+    op = np.add if first.domain == LOG else np.multiply
+    out = np.empty(tuple(v.cardinality for v in scope))
+    op(_broadcast_to_scope(first, scope), _broadcast_to_scope(factors[1], scope), out=out)
+    for g in factors[2:]:
+        op(out, _broadcast_to_scope(g, scope), out=out)
+    return Factor(scope, out, domain=first.domain, _trusted=True)
 
 
 def _broadcast_to_scope(f: Factor, scope: Sequence[Variable]) -> np.ndarray:
@@ -291,7 +308,7 @@ def divide(f: Factor, g: Factor) -> Factor:
         raise ScopeError(
             f"divisor scope {list(g.names)} not contained in {list(f.names)}"
         )
-    _check_shared_variables(f, g)
+    _check_shared_variables(f.scope, g.scope)
     denom = _broadcast_to_scope(g, f.scope)
     denom = np.broadcast_to(denom, f.table.shape)
     zero_denom = denom == 0.0

@@ -85,13 +85,14 @@ class TestQuery:
         assert "config.seed=0" in out
 
     def test_every_exact_engine_agrees(self, student_path):
-        lines = {}
-        for engine in ("enum", "ve", "jtree", "bp"):
-            code, out = run(["query", "--model", student_path, "--target", "LETTER",
-                             "--engine", engine])
-            assert code == 0
-            lines[engine] = [l for l in out.splitlines() if l.startswith("p[")][0]
-        assert len(set(lines.values())) == 1
+        for evidence in ([], ["--evidence", "INVESTMENT=i1", "--evidence", "DIFFICULTY=d0"]):
+            lines = {}
+            for engine in ("enum", "ve", "jtree", "bp"):
+                code, out = run(["query", "--model", student_path, "--target", "LETTER",
+                                 "--engine", engine, *evidence])
+                assert code == 0
+                lines[engine] = [l for l in out.splitlines() if l.startswith("p[")][0]
+            assert len(set(lines.values())) == 1, evidence
 
     def test_exact_engines_agree_on_mrf_fixture(self, voting_path):
         lines = {}
@@ -155,7 +156,7 @@ class TestQuery:
         assert lines["log"] == lines["linear"]
         assert lines["log"] == ["p[s0]=0.428571 p[s1]=0.571429"]
 
-    def test_zero_evidence_exits_3(self, tmp_path):
+    def test_zero_evidence_exits_3(self, tmp_path, capsys):
         from pgmkit.factors import Factor, Variable
         from pgmkit.graphs import DirectedGraph
         from pgmkit.models import BayesianNetwork
@@ -175,6 +176,7 @@ class TestQuery:
             code, _ = run(["query", "--model", str(path), "--target", "a",
                            "--evidence", "b=1", "--engine", engine])
             assert code == 3, engine
+            assert capsys.readouterr().err == "error=the evidence has probability zero\n", engine
 
     def test_meanfield_on_a_grid_beyond_int64(self, grid_path):
         code, out = run(["query", "--model", grid_path, "--target", "G34",

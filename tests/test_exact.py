@@ -16,6 +16,7 @@ from pgmkit.exact import (
     interaction_graph,
     jt_calibrate,
     jt_clique_log_partitions,
+    jt_marginal,
     jt_query,
     max_product_decode,
     running_intersection_holds,
@@ -411,6 +412,44 @@ class TestJunctionTree:
         model = random_mrf(rng, n=6)
         jt = jt_calibrate(build_junction_tree(model))
         assert len(jt.messages) == 2 * len(jt.tree_edges)
+
+    def test_single_marginal_matches_calibration(self, rng):
+        for _ in range(10):
+            model = random_mrf(rng, n=7, max_states=3)
+            names = sorted(model.variables)
+            evidence = {names[0]: model.variable(names[0]).states[-1]}
+            jt = build_junction_tree(model)
+            calibrated = jt_calibrate(build_junction_tree(model), evidence)
+            for name in names:
+                got = jt_marginal(jt, name, evidence)
+                want = jt_query(calibrated, name)
+                assert got.names == want.names
+                np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
+            assert not jt.calibrated and jt.beliefs is None  # the tree is left as it was
+
+    def test_single_marginal_under_zero_evidence(self):
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        mrf = MarkovRandomField([a, b], [Factor([a, b], [[1.0, 0.0], [2.0, 3.0]])])
+        jt = build_junction_tree(mrf)
+        np.testing.assert_allclose(jt_marginal(jt, "a", {"b": "1"}).table, [0.0, 1.0])
+        with pytest.raises(ZeroEvidenceError):
+            jt_marginal(jt, "b", {"a": "0", "b": "1"})
+
+    def test_single_marginal_sends_one_message_per_edge(self, rng, monkeypatch):
+        sends = []
+        send = exact._MessageGraph.send
+        monkeypatch.setattr(exact._MessageGraph, "send",
+                            lambda self, *args: sends.append(args) or send(self, *args))
+        for model in (student_network(), random_mrf(rng, n=9, max_states=2)):
+            jt = build_junction_tree(model)
+            assert len(jt.cliques) >= 3
+            for name in sorted(model.variables):
+                sends.clear()
+                jt_marginal(jt, name)
+                assert len(sends) == len(jt.cliques)  # one per tree edge, then the belief
+            sends.clear()
+            jt_calibrate(jt)
+            assert len(sends) == 3 * len(jt.cliques) - 2
 
     def test_clique_cap_is_checked_before_building_potentials(self, monkeypatch):
         # the largest clique is {DIFFICULTY, GRADE, INVESTMENT}: 2 * 3 * 2 entries

@@ -100,6 +100,36 @@ class TestProduct:
         right = fa.align_to(product(f, product(g, h)), left.names)
         assert np.allclose(left.table, right.table, atol=1e-12)
 
+    def test_product_all_checks_every_step_of_the_fold(self):
+        B2 = Variable("b", ("lo", "hi"))
+        f = Factor([A], [1.0, 2.0])
+        g = Factor([A, B], np.ones((2, 2)))
+        h = Factor([C, B2], np.ones((2, 2)))
+        with pytest.raises(IncompatibleVariableError) as pairwise:
+            product(product(f, g), h)
+        with pytest.raises(IncompatibleVariableError) as folded:
+            fa.product_all([f, g, h])
+        assert str(folded.value) == str(pairwise.value) == (
+            "variable 'b' has states ['0', '1'] in one factor and ['lo', 'hi'] in the other"
+        )
+        with pytest.raises(ValueError, match="different domain tags"):
+            fa.product_all([f, g, Factor([C], [0.0, 0.0], domain="log")])
+
+    def test_product_all_matches_the_pairwise_fold(self):
+        rng = np.random.default_rng(4)
+        fs = [random_factor(rng, scope) for scope in ([A, B], [G, B], [C, A], [G])]
+        for domain in ("linear", "log"):
+            if domain == "log":
+                fs = [f.to_log() for f in fs]
+            got = fa.product_all(fs)
+            want = product(product(product(fs[0], fs[1]), fs[2]), fs[3])
+            assert got.domain == domain
+            assert got.names == want.names == ("a", "b", "g", "c")
+            assert np.array_equal(got.table, want.table)
+        # log-domain entries are the left-to-right sums of the logs
+        for x in fa.assignments(got.scope):
+            assert got(x) == ((fs[0](x) + fs[1](x)) + fs[2](x)) + fs[3](x)
+
 
 class TestEliminate:
     def test_uniform_doubling(self):

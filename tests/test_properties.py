@@ -1,5 +1,5 @@
-"""Property tests: variable elimination and max-product decoding against
-the enumeration oracle on random small models.
+"""Property tests: variable elimination, the junction tree and max-product
+decoding against the enumeration oracle on random small models.
 
 Tables are built from exactly representable values (MRF entries in
 {0, 1, 2}, Bayesian-network CPT columns of dyadic probabilities), so
@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgmkit.errors import ZeroEvidenceError
-from pgmkit.exact import MAX_PRODUCT, max_product_decode, variable_elimination
+from pgmkit.exact import (
+    MAX_PRODUCT,
+    build_junction_tree,
+    jt_calibrate,
+    jt_marginal,
+    jt_query,
+    max_product_decode,
+    variable_elimination,
+)
 from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph
 from pgmkit.models import BayesianNetwork, MarkovRandomField, enumerate_inference
@@ -88,15 +96,23 @@ def evidence_for(draw, model):
 def check_against_oracle(model, evidence):
     free = [n for n in sorted(model.variables) if n not in evidence]
     z = enumerate_inference(model, mode="partition", evidence=evidence)
+    jt = build_junction_tree(model)
     if z == 0.0:
         with pytest.raises(ZeroEvidenceError):
             variable_elimination(model, free[:1], evidence)
+        with pytest.raises(ZeroEvidenceError):
+            jt_marginal(jt, free[0], evidence)
+        with pytest.raises(ZeroEvidenceError):
+            jt_calibrate(jt, evidence)
     else:
+        calibrated = jt_calibrate(jt, evidence)
         for name in free:
-            got = variable_elimination(model, [name], evidence).normalized()
             want = enumerate_inference(model, [name], evidence)
-            assert got.names == want.names
-            np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
+            for got in (variable_elimination(model, [name], evidence).normalized(),
+                        jt_marginal(jt, name, evidence),
+                        jt_query(calibrated, name)):
+                assert got.names == want.names
+                np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
         log_norm = variable_elimination(model, [], evidence).log_normalizer
         assert log_norm == pytest.approx(math.log(z), abs=1e-12)
 
@@ -104,13 +120,10 @@ def check_against_oracle(model, evidence):
     best = variable_elimination(model, [], evidence, semiring=MAX_PRODUCT)
     assert float(best.factor.table) == pytest.approx(math.exp(want_logp), rel=1e-12, abs=0)
     got, logp = max_product_decode(model, evidence)
-    if z == 0.0:
-        # every assignment scores -inf, a tie the oracle breaks toward the
-        # first assignment; the decode still follows the remaining factors
-        assert logp == want_logp == -math.inf
-    else:
-        assert got == want  # the lexicographically-first argmax, ties included
-        assert logp == want_logp
+    # the lexicographically-first argmax, ties included; under zero
+    # evidence every assignment ties at -inf and the first one wins
+    assert got == want
+    assert logp == want_logp
 
 
 @SETTINGS
