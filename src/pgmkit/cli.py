@@ -294,10 +294,7 @@ def _cmd_learn_params(args, out) -> int:
 
 def _cmd_learn_structure(args, out) -> int:
     text = _read_text(args.data)
-    if args.model:
-        dataset = load_dataset(text, _read_model(args.model))
-    else:
-        dataset = _dataset_from_bare_csv(text)
+    dataset = load_dataset(text, _read_model(args.model) if args.model else None)
     if args.method == "chowliu":
         learned = chow_liu(dataset, root=args.root)
         graph = learned.dag
@@ -328,24 +325,6 @@ def _cmd_learn_structure(args, out) -> int:
     else:
         raise ValueError(f"unknown method {args.method!r}")
     return 0
-
-
-def _dataset_from_bare_csv(text: str):
-    """Infer binary/labelled variables from the CSV itself."""
-    from .factors import Variable
-    from .learning import Dataset
-
-    lines = [line for line in text.strip().splitlines() if line]
-    if len(lines) < 2:
-        raise SchemaError("dataset needs a header and at least one row")
-    header = [h.strip() for h in lines[0].split(",")]
-    cells = [[c.strip() for c in line.split(",")] for line in lines[1:]]
-    variables = []
-    for k, name in enumerate(header):
-        states = tuple(sorted({row[k] for row in cells}))
-        variables.append(Variable(name, states))
-    assignments = [dict(zip(header, row)) for row in cells]
-    return Dataset.from_assignments(variables, assignments)
 
 
 def _cmd_jtree(args, out) -> int:

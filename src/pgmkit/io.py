@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from operator import getitem
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -210,40 +211,78 @@ def parse_model(text: str) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def load_dataset(text: str, variables: Sequence[Variable] | Model) -> Dataset:
-    """Parse a CSV of state labels, validating header and every cell."""
-    if hasattr(variables, "variables"):
-        variables = list(variables.variables.values())
-    by_name = {v.name: v for v in variables}
+def load_dataset(text: str,
+                 variables: Sequence[Variable] | Model | None = None) -> Dataset:
+    """Parse a CSV of state labels, validating header and every cell.
+
+    Without ``variables``, every column is a variable whose states are the
+    sorted distinct labels found in it. Per-row weights are not supported:
+    a ``weight`` column that is not a declared variable is refused.
+    """
     lines = [line for line in text.strip().splitlines() if line]
+    if variables is None and len(lines) < 2:
+        raise SchemaError("dataset needs a header and at least one row")
     if not lines:
         raise SchemaError("empty dataset")
     header = [h.strip() for h in lines[0].split(",")]
     if len(set(header)) != len(header):
         raise SchemaError("duplicate columns in header")
-    unknown = [h for h in header if h not in by_name and h != "weight"]
+    body = lines[1:]
+    if hasattr(variables, "variables"):
+        variables = list(variables.variables.values())
+    by_name = {v.name: v for v in variables or ()}
+    if "weight" in header and "weight" not in by_name:
+        raise SchemaError("column 'weight': per-row weights are not supported")
+    if variables is None:
+        by_name = {v.name: v for v in _inferred_variables(header, body)}
+    unknown = [h for h in header if h not in by_name]
     if unknown:
         raise SchemaError(f"unknown columns {unknown}")
-    columns = [h for h in header if h != "weight"]
-    missing = sorted(set(by_name) - set(columns))
+    missing = sorted(set(by_name) - set(header))
     if missing:
         raise SchemaError(f"missing columns {missing}")
+    # One {label: index} dict per column and one lookup per cell; a row that
+    # fails goes to _reject_row, which raises the error the row deserves.
+    index_of = [{s: i for i, s in enumerate(by_name[h].states)} for h in header]
+    width = len(header)
+    flat: list[int] = []
+    for r, line in enumerate(body, start=1):
+        cells = line.split(",")
+        if len(cells) != width:
+            _reject_row(r, line, header, by_name)
+        try:
+            flat.extend(map(getitem, index_of, map(str.strip, cells)))
+        except KeyError:
+            _reject_row(r, line, header, by_name)
+    rows = np.array(flat, dtype=np.int64).reshape(len(body), width)
     ordered = sorted(by_name)
-    rows = np.zeros((len(lines) - 1, len(ordered)), dtype=np.int64)
-    for r, line in enumerate(lines[1:], start=1):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise SchemaError(f"row {r} has {len(cells)} cells, expected {len(header)}")
-        for name, cell in zip(header, cells):
-            if name == "weight":
-                continue
-            var = by_name[name]
-            if cell not in var.states:
-                raise SchemaError(
-                    f"row {r}, column {name!r}: invalid state {cell!r}"
-                )
-            rows[r - 1, ordered.index(name)] = var.index_of(cell)
+    rows = rows[:, [header.index(n) for n in ordered]]
     return Dataset(tuple(by_name[n] for n in ordered), rows)
+
+
+def _cells(r: int, line: str, width: int) -> list[str]:
+    """The stripped cells of data row r, which must number ``width``."""
+    cells = [c.strip() for c in line.split(",")]
+    if len(cells) != width:
+        raise SchemaError(f"row {r} has {len(cells)} cells, expected {width}")
+    return cells
+
+
+def _reject_row(r: int, line: str, header: list[str],
+                by_name: dict[str, Variable]) -> NoReturn:
+    """Raise the error for data row r: its length, else its first bad cell."""
+    for name, cell in zip(header, _cells(r, line, len(header))):
+        if cell not in by_name[name].states:
+            raise SchemaError(f"row {r}, column {name!r}: invalid state {cell!r}")
+    raise AssertionError(f"row {r} is valid")
+
+
+def _inferred_variables(header: list[str], body: list[str]) -> list[Variable]:
+    seen: list[set[str]] = [set() for _ in header]
+    for r, line in enumerate(body, start=1):
+        for states, cell in zip(seen, _cells(r, line, len(header))):
+            states.add(cell)
+    return [Variable(name, tuple(sorted(s))) for name, s in zip(header, seen)]
 
 
 def dataset_to_csv(dataset: Dataset) -> str:

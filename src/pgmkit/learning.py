@@ -9,21 +9,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import chdtrc, gammaln, logsumexp
 
 from . import factors as fa
 from .errors import InsufficientDataError, ScopeError
-from .exact import build_junction_tree, jt_calibrate, tree_bp
+from .exact import build_junction_tree, jt_calibrate
 from .factors import Factor, Variable
 from .graphs import (
     DirectedGraph,
     UndirectedGraph,
     MecSignature,
     d_separated,
-    is_dag,
     max_weight_spanning_tree,
     mec_signature,
 )
@@ -70,15 +69,6 @@ class Dataset:
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.names.index(name)]
-
-    @staticmethod
-    def from_assignments(variables: Sequence[Variable],
-                         assignments: Iterable[Mapping[str, str]]) -> "Dataset":
-        variables = sorted(variables, key=lambda v: v.name)
-        rows = [
-            [v.index_of(a[v.name]) for v in variables] for a in assignments
-        ]
-        return Dataset(tuple(variables), np.array(rows, dtype=np.int64).reshape(-1, len(variables)))
 
     @staticmethod
     def from_batch(batch) -> "Dataset":
@@ -359,11 +349,12 @@ def hill_climb(dataset: Dataset, score_kind: str = "bic", restarts: int = 1,
         current = score(g, dataset, score_kind, _cache=cache)
         for _ in range(max_moves):
             best_move, best_gain = None, 1e-12
+            parents = {n: g.parents(n) for n in g.nodes}
+            reach = {n: g.descendants(n) for n in g.nodes}
             for move in _legal_moves(g, max_indegree):
-                candidate = _apply_move(g, move)
-                if not is_dag(candidate):
+                if _makes_cycle(g, move, reach):
                     continue
-                gain = _move_gain(g, candidate, move, dataset, score_kind, cache)
+                gain = _move_gain(parents, move, dataset, score_kind, cache)
                 if gain > best_gain or (
                     best_move is not None and gain == best_gain and move < best_move
                 ):
@@ -378,14 +369,36 @@ def hill_climb(dataset: Dataset, score_kind: str = "bic", restarts: int = 1,
     return HillClimbResult(best_graph, best_score, max(1, restarts), total_moves)
 
 
-def _move_gain(g, candidate, move, dataset, kind, cache) -> float:
-    _, u, v = move
-    touched = {v} if move[0] in ("add", "delete") else {u, v}
+def _makes_cycle(g: DirectedGraph, move, reach: dict[str, set[str]]) -> bool:
+    """Whether a move on the DAG g closes a cycle; ``reach`` maps each node
+    to its descendants in g. A delete never does; adding u->v does iff v
+    reaches u; reversing u->v does iff u reaches v without that edge."""
+    kind, u, v = move
+    if kind == "add":
+        return u in reach[v]
+    if kind == "reverse":
+        return any(v in reach[c] for c in g.children(u) if c != v)
+    return False
+
+
+def _move_gain(parents, move, dataset, kind, cache) -> float:
+    """The score change of a move, from the current parent tuples alone."""
+    move_kind, u, v = move
+    touched = {v} if move_kind in ("add", "delete") else {u, v}
     gain = 0.0
     for node in touched:
-        gain += _family_score(dataset, kind, node, tuple(candidate.parents(node)), 1.0, cache)
-        gain -= _family_score(dataset, kind, node, tuple(g.parents(node)), 1.0, cache)
+        gain += _family_score(dataset, kind, node, _moved_parents(parents, move, node),
+                              1.0, cache)
+        gain -= _family_score(dataset, kind, node, parents[node], 1.0, cache)
     return gain
+
+
+def _moved_parents(parents, move, node) -> tuple[str, ...]:
+    """node's parents after the move, sorted as DirectedGraph.parents sorts."""
+    kind, u, v = move
+    if node == v and kind != "add":
+        return tuple(p for p in parents[v] if p != u)
+    return tuple(sorted(parents[node] + ((u,) if kind == "add" else (v,))))
 
 
 def _family_score(dataset, kind, child, parents, prior_count, cache) -> float:
@@ -863,46 +876,51 @@ def crf_log_likelihood(crf: ChainCRF, data: Sequence[tuple[Sequence, Sequence[st
                        l2: float = 0.0) -> tuple[float, np.ndarray]:
     """Conditional log-likelihood and gradient over labeled sequences.
 
-    Per-example expectations come from sum-product on the label chain (one
-    inference per training sequence, since the normalizer depends on the
+    Per-example expectations come from forward-backward on the label chain
+    (one pass per training sequence, since the normalizer depends on the
     input); features are the observation vector per (position, label) and
-    label-pair indicators.
+    label-pair indicators. The recursions run on max-shifted exponentials
+    with a normalizer per step, so large scores cannot overflow.
     """
-    k, nf = crf.n_labels, crf.n_obs_features
-    grad_node = np.zeros((k, nf))
+    k = crf.n_labels
+    trans = crf.trans_weights
+    trans_shift = float(trans.max())
+    psi = np.exp(trans - trans_shift)
+    grad_node = np.zeros((k, crf.n_obs_features))
     grad_trans = np.zeros((k, k))
     total = 0.0
     for x, y in data:
         length = len(x)
-        labels = [crf.labels.index(lab) for lab in y]
+        labels = np.array([crf.labels.index(lab) for lab in y], dtype=np.int64)
         if len(labels) != length:
             raise ValueError("label sequence length must match the input")
-        scores = crf.node_scores(x)
-        feats = np.stack(
-            [np.asarray(crf.obs_features(x, t), dtype=float) for t in range(length)]
-        )
-        chain = crf.to_mrf(x)
-        result = tree_bp(chain)
-        ys = crf.label_variables(length)
-        total += sum(scores[t, labels[t]] for t in range(length))
-        total += sum(
-            crf.trans_weights[labels[t - 1], labels[t]] for t in range(1, length)
-        )
-        total -= result.log_partition
-        for t in range(length):
-            marg = result.marginal(ys[t].name).values
-            grad_node[labels[t]] += feats[t]
-            grad_node -= marg[:, None] * feats[t][None, :]
-        pair_beliefs = {
-            frozenset(f.names): belief
-            for f, belief in zip(chain.factors, result.factor_beliefs)
-            if len(f.scope) == 2
-        }
+        feats = crf.features(x)
+        scores = feats @ crf.node_weights.T
+        shift = scores.max(axis=1)
+        phi = np.exp(scores - shift[:, None])
+        # Scaled forward-backward: alpha[t] is the forward message divided by
+        # its sum z[t], beta[t] the backward message divided by z[t+1:], so
+        # alpha[t] * beta[t] is the label marginal at t.
+        alpha = np.empty((length, k))
+        z = np.empty(length)
+        alpha[0] = phi[0]
         for t in range(1, length):
-            key = frozenset((ys[t - 1].name, ys[t].name))
-            belief = fa.align_to(pair_beliefs[key], (ys[t - 1].name, ys[t].name))
-            grad_trans[labels[t - 1], labels[t]] += 1.0
-            grad_trans -= belief.table
+            z[t - 1] = alpha[t - 1].sum()
+            alpha[t] = (alpha[t - 1] / z[t - 1]) @ psi * phi[t]
+        z[-1] = alpha[-1].sum()
+        alpha /= z[:, None]
+        beta = np.empty((length, k))
+        beta[-1] = 1.0
+        for t in range(length - 1, 0, -1):
+            beta[t - 1] = psi @ (phi[t] * beta[t]) / z[t]
+        log_z = float(np.log(z).sum() + shift.sum()) + (length - 1) * trans_shift
+        total += float(scores[np.arange(length), labels].sum())
+        total += float(trans[labels[:-1], labels[1:]].sum()) - log_z
+        grad_node += (np.eye(k)[labels] - alpha * beta).T @ feats
+        ahead = phi[1:] * beta[1:] / z[1:, None]
+        pairs = alpha[:-1, :, None] * psi * ahead[:, None, :]
+        grad_trans -= pairs.sum(axis=0)
+        np.add.at(grad_trans, (labels[:-1], labels[1:]), 1.0)
     theta = crf.theta
     total -= l2 * float(theta @ theta)
     grad = np.concatenate([grad_node.ravel(), grad_trans.ravel()]) - 2 * l2 * theta

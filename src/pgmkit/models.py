@@ -249,13 +249,17 @@ class ChainCRF:
         trans = theta[k * f:].reshape(k, k)
         return ChainCRF(self.labels, f, self.obs_features, node, trans)
 
-    def node_scores(self, x: Sequence) -> np.ndarray:
-        """Log node potentials, shape (len(x), K)."""
+    def features(self, x: Sequence) -> np.ndarray:
+        """Observation feature vectors, shape (len(x), F)."""
         feats = np.stack([np.asarray(self.obs_features(x, t), dtype=float)
                           for t in range(len(x))])
         if not np.all(np.isfinite(feats)):
             raise ValueError("observation features must be finite")
-        return feats @ self.node_weights.T
+        return feats
+
+    def node_scores(self, x: Sequence) -> np.ndarray:
+        """Log node potentials, shape (len(x), K)."""
+        return self.features(x) @ self.node_weights.T
 
     def label_variables(self, length: int) -> list[Variable]:
         width = len(str(max(length - 1, 0)))

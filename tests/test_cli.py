@@ -409,6 +409,26 @@ class TestLearning:
         edges = {l.split("=", 1)[1] for l in out.splitlines() if l.startswith("edge=")}
         assert edges == {"A->C", "B->C", "C->D"}
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n0,1\n1\n", "row 2 has 1 cells, expected 2"),
+        ("a,b\n0,1\n1,0,1\n", "row 2 has 3 cells, expected 2"),
+        ("a,a\n0,1\n", "duplicate columns in header"),
+        ("a,weight\n0,0.5\n", "column 'weight': per-row weights are not supported"),
+    ])
+    def test_bare_csv_rows_are_checked(self, tmp_path, capsys, text, message):
+        from pgmkit.errors import SchemaError
+        from pgmkit.factors import Variable
+        from pgmkit.io import load_dataset
+
+        with pytest.raises(SchemaError, match=message):
+            load_dataset(text, [Variable(n, ("0", "1")) for n in "ab"])
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text(text)
+        for method in ("hillclimb", "pc", "chowliu"):
+            code, _ = run(["learn-structure", "--data", str(data_path), "--method", method])
+            assert code == 2, method
+            assert capsys.readouterr().err == f"error={message}\n", method
+
     def test_score_command(self, student_path, tmp_path):
         batch = forward_sample(student_network(), 2000, make_rng(5))
         data_path = tmp_path / "d.csv"

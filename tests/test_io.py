@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_bn, random_mrf
 from pgmkit.errors import SchemaError
@@ -116,6 +117,69 @@ class TestDatasetCsv:
         a = Variable("a", ("no", "yes"))
         with pytest.raises(SchemaError):
             load_dataset("a,zzz\nno,1\n", [a])
+
+    def test_weight_column_is_refused(self):
+        a = Variable("a", ("no", "yes"))
+        with pytest.raises(SchemaError, match="column 'weight': per-row weights are not supported"):
+            load_dataset("a,weight\nno,0.5\nyes,2\n", [a])
+        with pytest.raises(SchemaError, match="column 'weight'"):
+            load_dataset("a,weight\nno,0.5\nyes,2\n")
+        # a declared variable of that name is an ordinary column
+        w = Variable("weight", ("0.5", "2"))
+        data = load_dataset("a,weight\nno,0.5\nyes,2\n", [a, w])
+        assert np.array_equal(data.rows, [[0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("text, message", [
+        # a bad cell in row 1 comes before a short row 2
+        ("a,b\nno,maybe\nyes\n", "row 1, column 'b': invalid state 'maybe'"),
+        # a short row 1 comes before a bad cell in row 2
+        ("a,b\nno\nyes,maybe\n", "row 1 has 1 cells, expected 2"),
+        # within a row the length is checked before the cells
+        ("a,b\nmaybe,no,yes\n", "row 1 has 3 cells, expected 2"),
+        # the first bad cell of a row, in header order
+        ("b,a\nno,maybe\nyes,no,no\n", "row 1, column 'a': invalid state 'maybe'"),
+        # rows count lines that are not blank
+        ("a,b\n\nno,yes\n\nyes,\n", "row 2, column 'b': invalid state ''"),
+    ])
+    def test_first_bad_row_is_reported(self, text, message):
+        variables = [Variable("a", ("no", "yes")), Variable("b", ("no", "yes"))]
+        with pytest.raises(SchemaError) as err:
+            load_dataset(text, variables)
+        assert str(err.value) == message
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_round_trip_through_a_reformatted_csv(self, data):
+        labels = st.text(alphabet="abxyz01_-", min_size=1, max_size=3)
+        variables = [
+            Variable(f"v{i}", tuple(data.draw(st.lists(labels, min_size=1, max_size=4,
+                                                       unique=True))))
+            for i in range(data.draw(st.integers(1, 4)))
+        ]
+        n = data.draw(st.integers(0, 8))
+        rows = np.array([[data.draw(st.integers(0, v.cardinality - 1)) for v in variables]
+                         for _ in range(n)], dtype=np.int64).reshape(n, len(variables))
+        dataset = Dataset(tuple(variables), rows)
+        table = [line.split(",") for line in dataset_to_csv(dataset).splitlines()]
+        order = data.draw(st.permutations(range(len(variables))))
+        pad = st.sampled_from(["", " ", "  ", "\t"])
+        lines = []
+        for cells in table:
+            lines.append(",".join(data.draw(pad) + cells[k] + data.draw(pad) for k in order))
+            lines.extend([""] * data.draw(st.integers(0, 2)))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join(lines) + newline
+        shuffled = [variables[k] for k in data.draw(st.permutations(range(len(variables))))]
+        again = load_dataset(text, shuffled)
+        assert again.variables == dataset.variables
+        assert np.array_equal(again.rows, dataset.rows)
+        if n:
+            inferred = load_dataset(text)
+            assert inferred.names == dataset.names
+            for v, column in zip(inferred.variables, inferred.rows.T):
+                original = dataset.variable(v.name)
+                assert [v.states[s] for s in column] == [
+                    original.states[s] for s in dataset.column(v.name)]
 
     def test_vector_csv(self):
         data = load_vector_csv("x,y\n1.5,2\n3,4\n")

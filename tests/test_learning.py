@@ -1,13 +1,16 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_variables, random_bn, random_dag
 from pgmkit.errors import InsufficientDataError
+from pgmkit.exact import tree_bp
 from pgmkit.factors import Factor, Variable
-from pgmkit.graphs import DirectedGraph, mec_equivalent, mec_signature
+from pgmkit.graphs import DirectedGraph, is_dag, mec_equivalent, mec_signature
 from pgmkit.learning import (
     CountTable,
     Cpdag,
@@ -29,6 +32,10 @@ from pgmkit.learning import (
     pc,
     pseudo_likelihood,
     score,
+    _apply_move,
+    _family_score,
+    _legal_moves,
+    _makes_cycle,
 )
 from pgmkit.models import BayesianNetwork, ChainCRF, MarkovRandomField, enumerate_inference
 from pgmkit.sampling import forward_sample, make_rng
@@ -396,6 +403,83 @@ class TestHillClimb:
         assert all(len(result.graph.parents(v)) <= 1 for v in result.graph.nodes)
 
 
+def graph_per_move_hill_climb(dataset, kind, restarts=1, max_indegree=None, rng=None):
+    """hill_climb as a graph-per-move search: every legal move builds its
+    graph, a topological sort rejects cycles, and the touched families are
+    scored from the candidate graph's parents."""
+    names = list(dataset.names)
+    cache = {}
+    best_graph, best_score, total_moves = None, -math.inf, 0
+    for restart in range(max(1, restarts)):
+        if restart == 0:
+            g = DirectedGraph(names)
+        else:
+            if rng is None:
+                rng = np.random.default_rng(restart)
+            perm = list(rng.permutation(names))
+            edges = [(perm[i], perm[j]) for i in range(len(names))
+                     for j in range(i + 1, len(names)) if rng.random() < 0.3]
+            g = DirectedGraph(names, edges)
+            if max_indegree is not None:
+                for v in g.nodes:
+                    ps = list(g.parents(v))
+                    while len(ps) > max_indegree:
+                        g = g.without_edge(ps.pop(), v)
+        current = score(g, dataset, kind, _cache=cache)
+        for _ in range(1000):
+            best_move, best_gain = None, 1e-12
+            for move in _legal_moves(g, max_indegree):
+                candidate = _apply_move(g, move)
+                if not is_dag(candidate):
+                    continue
+                _, u, v = move
+                touched = {v} if move[0] in ("add", "delete") else {u, v}
+                gain = 0.0
+                for node in touched:
+                    gain += _family_score(dataset, kind, node, candidate.parents(node), 1.0, cache)
+                    gain -= _family_score(dataset, kind, node, g.parents(node), 1.0, cache)
+                if gain > best_gain or (
+                    best_move is not None and gain == best_gain and move < best_move
+                ):
+                    best_move, best_gain = move, gain
+            if best_move is None:
+                break
+            g = _apply_move(g, best_move)
+            current += best_gain
+            total_moves += 1
+        if current > best_score:
+            best_graph, best_score = g, current
+    return best_graph, best_score, total_moves
+
+
+class TestHillClimbMoves:
+    def test_cycle_check_matches_a_topological_sort(self, rng):
+        for _ in range(60):
+            names = [f"n{i}" for i in range(int(rng.integers(2, 9)))]
+            g = random_dag(rng, names, p=float(rng.uniform(0.1, 0.7)))
+            reach = {n: g.descendants(n) for n in g.nodes}
+            for max_indegree in (None, 1, 2):
+                for move in _legal_moves(g, max_indegree):
+                    want = not is_dag(_apply_move(g, move))
+                    assert _makes_cycle(g, move, reach) == want, move
+
+    @pytest.mark.parametrize("kind", ["bic", "aic", "loglik", "bd"])
+    def test_matches_a_graph_per_move_search(self, rng, kind):
+        for trial in range(6):
+            bn = random_bn(rng, n=int(rng.integers(2, 7)), max_states=3, p=0.5)
+            data = Dataset.from_batch(forward_sample(bn, int(rng.integers(30, 400)),
+                                                     make_rng(trial)))
+            for restarts, max_indegree in ((1, None), (3, None), (2, 1)):
+                result = hill_climb(data, kind, restarts=restarts,
+                                    max_indegree=max_indegree, rng=make_rng(trial + 100))
+                graph, value, moves = graph_per_move_hill_climb(
+                    data, kind, restarts=restarts, max_indegree=max_indegree,
+                    rng=make_rng(trial + 100))
+                assert result.graph.edges == graph.edges
+                assert result.score.hex() == value.hex()
+                assert result.moves == moves
+
+
 class TestCiTest:
     def test_oracle_earthquake(self):
         g = DirectedGraph(
@@ -622,7 +706,93 @@ def make_toy_crf(n_labels=3, n_feats=4):
     return ChainCRF([f"L{i}" for i in range(n_labels)], n_feats, obs_features)
 
 
+def load_bench_references():
+    """bench/references.py, loaded from its file: an independent numpy
+    forward-backward that pgmkit itself never imports."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "references.py"
+    spec = importlib.util.spec_from_file_location("bench_references", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def references():
+    return load_bench_references()
+
+
+def reference_crf(references, crf, data, l2):
+    cases = [(crf.features(x), np.array([crf.labels.index(lab) for lab in y]))
+             for x, y in data]
+    return references.crf_loglik_grad(crf.node_weights, crf.trans_weights, cases, l2)
+
+
+def tree_bp_crf(crf, data):
+    """Log-likelihood and gradient from sum-product on each chain MRF."""
+    k = crf.n_labels
+    grad_node, grad_trans, total = np.zeros(crf.node_weights.shape), np.zeros((k, k)), 0.0
+    for x, y in data:
+        labels = [crf.labels.index(lab) for lab in y]
+        feats, scores = crf.features(x), crf.node_scores(x)
+        result = tree_bp(crf.to_mrf(x))
+        names = [v.name for v in crf.label_variables(len(x))]
+        total += sum(scores[t, lab] for t, lab in enumerate(labels))
+        total += sum(crf.trans_weights[a, b] for a, b in zip(labels, labels[1:]))
+        total -= result.log_partition
+        for t, lab in enumerate(labels):
+            grad_node[lab] += feats[t]
+            grad_node -= np.outer(result.marginal(names[t]).values, feats[t])
+        for t in range(1, len(x)):
+            pair = next(b for b in result.factor_beliefs if b.names == (names[t - 1], names[t]))
+            grad_trans[labels[t - 1], labels[t]] += 1.0
+            grad_trans -= pair.table
+    return total, np.concatenate([grad_node.ravel(), grad_trans.ravel()])
+
+
+def random_crf_data(gen, crf, lengths):
+    nf = crf.n_obs_features
+    return [([gen.normal(size=nf) for _ in range(t)],
+             [crf.labels[i] for i in gen.integers(0, crf.n_labels, size=t)]) for t in lengths]
+
+
 class TestChainCrf:
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    def test_matches_the_forward_backward_reference(self, references, l2):
+        gen = make_rng(70)
+        for _ in range(25):
+            crf = make_toy_crf(int(gen.integers(1, 5)), int(gen.integers(1, 4)))
+            crf = crf.with_theta(gen.normal(scale=1.5, size=crf.theta.size))
+            lengths = gen.integers(1, 7, size=int(gen.integers(1, 4)))
+            data = random_crf_data(gen, crf, [1, *lengths])
+            value, grad = crf_log_likelihood(crf, data, l2)
+            want, want_grad = reference_crf(references, crf, data, l2)
+            assert value == pytest.approx(want, rel=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+    def test_scores_beyond_the_exp_range_stay_finite(self, references):
+        # node scores of 800 and 790 overflow a plain exp(score)
+        crf = ChainCRF(["a", "b"], 2, lambda x, t: np.eye(2)[x[t]],
+                       node_weights=[[800.0, 0.0], [0.0, 790.0]],
+                       trans_weights=[[0.5, -1.0], [2.0, 0.0]])
+        data = [([0], ["b"]), ([0, 1, 1, 0], ["a", "b", "a", "a"]), ([1, 1], ["b", "b"])]
+        for l2 in (0.0, 1e-3):
+            value, grad = crf_log_likelihood(crf, data, l2)
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+            want, want_grad = reference_crf(references, crf, data, l2)
+            assert value == pytest.approx(want, rel=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+    def test_matches_tree_bp_on_the_chain_mrf(self):
+        gen = make_rng(71)
+        for _ in range(10):
+            crf = make_toy_crf(int(gen.integers(2, 5)), 3)
+            crf = crf.with_theta(gen.normal(scale=0.7, size=crf.theta.size))
+            data = random_crf_data(gen, crf, gen.integers(1, 8, size=3))
+            value, grad = crf_log_likelihood(crf, data)
+            want, want_grad = tree_bp_crf(crf, data)
+            assert value == pytest.approx(want, rel=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
+
     def test_zero_weights_uniform_gradient(self):
         gen = make_rng(61)
         crf = make_toy_crf()
