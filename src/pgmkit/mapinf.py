@@ -15,7 +15,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ScopeError
-from .models import MarkovRandomField, linear_factors, log_joint, model_factors
+from .models import CompiledModel, MarkovRandomField, linear_factors
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +410,16 @@ def dual_decomposition(
         for endpoint in key
     }
 
+    # each node's multipliers, in edges order so the sums keep their bits
+    incident = {n: [] for n in names}
+    for key in edges:
+        for endpoint in key:
+            incident[endpoint].append(delta[(key, endpoint)])
+    compiled = CompiledModel(mrf)
+
     def evaluate():
         node_scores = {
-            n: unary[n] + sum(
-                (delta[(key, n)] for key in edges if n in key), np.zeros(cards[n])
-            )
-            for n in names
+            n: unary[n] + sum(incident[n], np.zeros(cards[n])) for n in names
         }
         node_argmax = {n: int(np.argmax(node_scores[n])) for n in names}
         bound = sum(float(np.max(node_scores[n])) for n in names)
@@ -439,11 +443,11 @@ def dual_decomposition(
         bound, node_argmax, edge_argmax = evaluate()
         bounds.append(bound)
         best_bound = min(best_bound, bound)
-        decoded = {n: mrf.variable(n).states[node_argmax[n]] for n in names}
-        objective = log_joint(mrf, decoded)
+        compiled.state[:] = [node_argmax[n] for n in names]
+        objective = compiled.log_score()
         if objective > best_objective:
             best_objective = objective
-            best_assignment = decoded
+            best_assignment = compiled.assignment()
         agreement = all(
             edge_argmax[key][i] == node_argmax[key[i]]
             for key in edges
@@ -477,30 +481,6 @@ def dual_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def _local_tables(mrf: MarkovRandomField):
-    """Per-variable list of (factor, scope names) touching it."""
-    touching = {n: [] for n in mrf.variables}
-    for f in model_factors(mrf):
-        for n in f.names:
-            touching[n].append(f)
-    return touching
-
-
-def _local_log_score(touching, assignment, name, state) -> float:
-    trial = dict(assignment)
-    trial[name] = state
-    total = 0.0
-    for f in touching[name]:
-        value = f(trial)
-        if f.domain == fa.LOG:
-            total += value
-        elif value <= 0.0:
-            return -math.inf
-        else:
-            total += math.log(value)
-    return total
-
-
 def local_search_map(
     mrf: MarkovRandomField,
     seed: int = 0,
@@ -513,32 +493,34 @@ def local_search_map(
     returned assignment is a local optimum under single-variable flips.
     """
     rng = np.random.default_rng(seed)
-    names = sorted(mrf.variables)
+    compiled = CompiledModel(mrf)
+    state = compiled.state
+    cards = [v.cardinality for v in compiled.variables]
     if init is None:
-        assignment = {
-            n: mrf.variable(n).states[int(rng.integers(mrf.variable(n).cardinality))]
-            for n in names
-        }
+        assignment = {}
+        state[:] = [int(rng.integers(card)) for card in cards]
     else:
         assignment = dict(init)
-    touching = _local_tables(mrf)
+        state[:] = [v.index_of(init[v.name]) for v in compiled.variables]
     for _ in range(max_sweeps):
         changed = False
-        for n in names:
-            current = _local_log_score(touching, assignment, n, assignment[n])
-            best_state, best_score = assignment[n], current
-            for s in mrf.variable(n).states:
-                if s == assignment[n]:
+        for i, card in enumerate(cards):
+            current = state[i]
+            best_state = current
+            best_score = compiled.local_log_score(i, current)
+            for s in range(card):
+                if s == current:
                     continue
-                score = _local_log_score(touching, assignment, n, s)
+                score = compiled.local_log_score(i, s)
                 if score > best_score:
                     best_state, best_score = s, score
-            if best_state != assignment[n]:
-                assignment[n] = best_state
+            if best_state != current:
+                state[i] = best_state
                 changed = True
         if not changed:
             break
-    return assignment, log_joint(mrf, assignment)
+    assignment.update(compiled.assignment())
+    return assignment, compiled.log_score()
 
 
 @dataclass(frozen=True)
@@ -559,29 +541,25 @@ def simulated_annealing_map(
     """
     schedule = schedule or AnnealSchedule()
     rng = np.random.default_rng(seed)
-    names = sorted(mrf.variables)
-    assignment = {
-        n: mrf.variable(n).states[int(rng.integers(mrf.variable(n).cardinality))]
-        for n in names
-    }
-    touching = _local_tables(mrf)
-    best = dict(assignment)
-    best_score = log_joint(mrf, assignment)
+    compiled = CompiledModel(mrf)
+    state = compiled.state
+    cards = [v.cardinality for v in compiled.variables]
+    state[:] = [int(rng.integers(card)) for card in cards]
+    best = list(state)
+    best_score = compiled.log_score()
     t = schedule.t_start
     while t >= schedule.t_end:
         for _ in range(schedule.sweeps_per_stage):
-            for n in names:
-                var = mrf.variable(n)
-                proposal = var.states[int(rng.integers(var.cardinality))]
-                if proposal == assignment[n]:
+            for i, card in enumerate(cards):
+                proposal = int(rng.integers(card))
+                if proposal == state[i]:
                     continue
-                current = _local_log_score(touching, assignment, n, assignment[n])
-                candidate = _local_log_score(touching, assignment, n, proposal)
-                delta = candidate - current
+                delta = (compiled.local_log_score(i, proposal)
+                         - compiled.local_log_score(i, state[i]))
                 if delta >= 0 or rng.random() < math.exp(delta / t):
-                    assignment[n] = proposal
-            score = log_joint(mrf, assignment)
+                    state[i] = proposal
+            score = compiled.log_score()
             if score > best_score:
-                best, best_score = dict(assignment), score
+                best, best_score = list(state), score
         t *= schedule.cooling
-    return best, best_score
+    return compiled.assignment(best), best_score

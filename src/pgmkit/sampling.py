@@ -9,6 +9,7 @@ T[i, j] = P(next = i | prev = j); most texts transpose this.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -19,8 +20,9 @@ from .errors import (
     InfiniteWeightError,
     InvalidKernelError,
     TrappedStateError,
+    ZeroEvidenceError,
 )
-from .exact import JunctionTree, _tree_schedule
+from .exact import JunctionTree, _tree_schedule, max_product_decode
 from .factors import Factor, Variable
 from .graphs import topological_sort
 from .models import (
@@ -364,7 +366,11 @@ class _ConditionalSampler:
         reduced = [
             fa.reduce_factor(f, evidence) for f in linear_factors(model_factors(model))
         ]
-        self.plans = {}
+        # per free variable: the blanket table, its cumulative rows as
+        # lists, the blanket columns and their strides; None past the cache
+        # cap, where the conditional comes from the factors
+        self.sites = []
+        self.factor_plans = {}
         for name in self.free:
             touching = [f for f in reduced if name in f.names]
             blanket = sorted({v for f in touching for v in f.names if v != name})
@@ -373,25 +379,22 @@ class _ConditionalSampler:
             if touching and size * card <= CONDITIONAL_CACHE_CAP:
                 aligned = fa.align_to(fa.product_all(touching), blanket + [name])
                 table = aligned.table.reshape(size, card)
-                strides = np.zeros(len(self.free), dtype=np.int64)
-                strides[[self.col_of[b] for b in blanket]] = fa.strides(
-                    aligned.table.shape[:-1]
-                )
-                self.plans[name] = ("table", table, strides)
+                self.sites.append((
+                    table,
+                    np.cumsum(table, axis=1).tolist(),
+                    [self.col_of[b] for b in blanket],
+                    fa.strides(aligned.table.shape[:-1]).tolist(),
+                ))
             else:
-                self.plans[name] = ("factors", touching, blanket)
-        self.cums = {
-            name: (np.cumsum(plan[1], axis=1), plan[2])
-            for name, plan in self.plans.items()
-            if plan[0] == "table"
-        }
+                self.sites.append(None)
+                self.factor_plans[name] = (touching, blanket)
 
     def conditional(self, name: str, state_vec: np.ndarray) -> np.ndarray:
-        kind, a, b = self.plans[name]
-        if kind == "table":
-            row = a[int(state_vec @ b)]
-            return row
-        touching, blanket = a, b
+        site = self.sites[self.col_of[name]]
+        if site is not None:
+            table, _, cols, strides = site
+            return table[sum(int(state_vec[c]) * s for c, s in zip(cols, strides))]
+        touching, blanket = self.factor_plans[name]
         card = self.model.variable(name).cardinality
         out = np.ones(card)
         assignment = {
@@ -424,48 +427,57 @@ def gibbs(model: Model, evidence: Mapping[str, str] | None,
     Variables update in name order per sweep (or uniformly at random with
     scan="random"); each new value is used immediately. The first
     ``burn_in`` sweeps are discarded; one retained sample per sweep.
+
+    Draw order: the initial state first (a forward sample for a Bayesian
+    network, else one uniform integer per free variable), then per sweep
+    ``rng.integers(k, size=k)`` for the random scan's sites, then
+    ``rng.random(k)`` for the k site updates; update j takes the first
+    state whose cumulative conditional reaches draw j times the total.
     """
     evidence = check_evidence(model, evidence or {})
     if scan not in ("systematic", "random"):
         raise ValueError("scan must be 'systematic' or 'random'")
     sampler = _ConditionalSampler(model, evidence)
     free = sampler.free
-    state = _initial_state(model, evidence, rng, free)
+    state = _initial_state(model, evidence, rng, free).tolist()
     names = sorted(model.variables)
-    out = np.zeros((n, len(names)), dtype=np.int64)
-    ev_cols = {
-        names.index(name): model.variable(name).index_of(state_label)
-        for name, state_label in evidence.items()
-    }
-    free_cols = [names.index(nm) for nm in free]
     k_free = len(free)
-    cums = sampler.cums
+    sites = sampler.sites
+    kept = array("q")
     for sweep in range(burn_in + n):
         if k_free:
-            sites = (
+            order = (
                 range(k_free)
                 if scan == "systematic"
-                else rng.integers(k_free, size=k_free)
+                else rng.integers(k_free, size=k_free).tolist()
             )
-            for i in sites:
-                name = free[i]
-                cached = cums.get(name)
-                if cached is not None:
-                    cum_table, strides = cached
-                    cum = cum_table[int(state @ strides)]
+            for i, u in zip(order, rng.random(k_free).tolist()):
+                site = sites[i]
+                if site is None:
+                    cum = np.cumsum(sampler.conditional(free[i], state)).tolist()
                 else:
-                    cum = np.cumsum(sampler.conditional(name, state))
+                    _, rows, cols, strides = site
+                    row = 0
+                    for c, stride in zip(cols, strides):
+                        row += state[c] * stride
+                    cum = rows[row]
                 total = cum[-1]
                 if total <= 0.0:
                     raise TrappedStateError(
-                        f"all states of {name!r} have zero conditional probability"
+                        f"all states of {free[i]!r} have zero conditional probability"
                     )
-                state[i] = int(np.searchsorted(cum, rng.random() * total))
+                u *= total
+                j = 0
+                while cum[j] < u:
+                    j += 1
+                state[i] = j
         if sweep >= burn_in:
-            row = out[sweep - burn_in]
-            row[free_cols] = state
-            for col, val in ev_cols.items():
-                row[col] = val
+            kept.extend(state)
+    out = np.zeros((n, len(names)), dtype=np.int64)
+    out[:, [names.index(nm) for nm in free]] = np.frombuffer(
+        kept, dtype=np.int64).reshape(n, k_free)
+    for name, state_label in evidence.items():
+        out[:, names.index(name)] = model.variable(name).index_of(state_label)
     variables = tuple(model.variables[nm] for nm in names)
     return SampleBatch(
         variables,
@@ -601,6 +613,11 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     Q(x'|x))); the unnormalized joint suffices. Rejected steps repeat the
     current state. A proposed move whose reverse density is zero makes the
     kernel unusable and raises.
+
+    The chain starts from the state ``gibbs`` would start from; if that
+    state has zero mass, from the MAP state instead (lowest state indices
+    on ties), and if that has zero mass too, it raises
+    ``ZeroEvidenceError``.
     """
     evidence = check_evidence(model, evidence or {})
     free = [nm for nm in sorted(model.variables) if nm not in evidence]
@@ -622,13 +639,31 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
         def log_ptilde(state_vec: np.ndarray) -> float:
             return float(lp_table[int(state_vec @ strides)])
 
+        def map_state() -> np.ndarray:
+            return np.array(np.unravel_index(int(np.argmax(lp_table)), cards),
+                            dtype=np.int64)
+
     else:
 
         def log_ptilde(state_vec: np.ndarray) -> float:
             return float(batch_log_unnormalized(reduced, free, state_vec[None, :])[0])
 
+        def map_state() -> np.ndarray:
+            assignment, _ = max_product_decode(model, evidence)
+            return np.array([model.variable(nm).index_of(assignment[nm]) for nm in free],
+                            dtype=np.int64)
+
     state = _initial_state(model, evidence, rng, free)
     current_lp = log_ptilde(state)
+    if current_lp == -math.inf:
+        # a chain must start where the target has mass; the MAP state has
+        # mass whenever any state does
+        state = map_state()
+        current_lp = log_ptilde(state)
+        if current_lp == -math.inf:
+            raise ZeroEvidenceError(
+                "every state of the free variables has zero probability"
+            )
     out = np.zeros((n, len(names)), dtype=np.int64)
     ev_cols = {
         names.index(nm): model.variable(nm).index_of(st)

@@ -136,6 +136,15 @@ def elbo(model: Model, q: FactoredDistribution,
 
 @dataclass
 class ElboTrace:
+    """The bound along a mean-field run.
+
+    ``values`` holds the initial ELBO and one per sweep, each a full
+    ``elbo`` evaluation. ``update_values`` holds one per coordinate step:
+    the previous value plus the change in the updated variable's own
+    terms, so it can differ from a full evaluation in the last bits; the
+    last step of each sweep holds that sweep's full value.
+    """
+
     values: list[float] = field(default_factory=list)        # per sweep
     update_values: list[float] = field(default_factory=list)  # per coordinate step
     converged: bool = False
@@ -159,6 +168,11 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
     Each coordinate update sets log q_j from the expected log factors in
     j's Markov blanket and renormalizes; the bound never decreases. Sweeps
     run in variable-name order until the per-sweep gain drops below tol.
+
+    Each update's trace value adds the change in q_j's entropy plus
+    E_q[log f] over j's factors to the previous value (a full ``elbo`` when
+    either is not finite); each sweep ends with one full ``elbo``, which
+    the sweep's last update value and the convergence test use.
     """
     evidence = check_evidence(model, evidence or {})
     free_names = [n for n in sorted(model.variables) if n not in evidence]
@@ -199,10 +213,18 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
                 raise DegenerateUpdateError(
                     f"every state of {name!r} has zero expected mass"
                 )
+            before = _site_terms(q.tables[name], log_q)
             table = np.exp(log_q - peak)
             q.tables[name] = table / table.sum()
-            current = elbo(model, q, evidence)
+            after = _site_terms(q.tables[name], log_q)
+            if math.isfinite(current) and math.isfinite(before) and math.isfinite(after):
+                current += after - before
+            else:
+                current = elbo(model, q, evidence)
             trace.update_values.append(current)
+        current = elbo(model, q, evidence)
+        if free_names:
+            trace.update_values[-1] = current
         trace.values.append(current)
         trace.sweeps = sweep
         if current - before_sweep < tol:
@@ -214,6 +236,16 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
         )
         trace.final_gap = log_z - current
     return q, trace
+
+
+def _site_terms(table: np.ndarray, log_q: np.ndarray) -> float:
+    """The terms of the ELBO that depend on one variable's table: its
+    entropy plus E_q[log f] summed over the factors on it, where log_q
+    holds that sum as a function of the variable's state. States without
+    mass contribute nothing."""
+    mass = table > 0.0
+    p = table[mass]
+    return float(np.sum(p * (log_q[mass] - np.log(p))))
 
 
 def _enumerable(model: Model) -> bool:

@@ -18,6 +18,7 @@ from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph, moralize
 from pgmkit.models import (
     BayesianNetwork,
+    CompiledModel,
     MarkovRandomField,
     bn_to_mrf,
     enumerate_inference,
@@ -186,6 +187,46 @@ class TestLogJoint:
     def test_missing_variable(self):
         with pytest.raises(EvidenceError):
             log_joint(voting_mrf(), {"A": "1"})
+
+
+class TestCompiledModel:
+    def models(self, rng):
+        for _ in range(10):
+            mrf = random_mrf(rng, n=5, max_states=3, n_factors=8)
+            # a zero entry in a linear factor, and a log-domain twin of it
+            f = mrf.factors[-1]
+            holed = Factor(f.scope, f.values * (np.arange(f.table.size) != 1))
+            with np.errstate(divide="ignore"):
+                logged = Factor(f.scope, np.log(holed.table), domain="log")
+            factors = mrf.factors[:-1] + [holed, logged]
+            yield MarkovRandomField(list(mrf.variables.values()), factors)
+        yield random_bn(rng, n=5)
+
+    def test_scores_match_log_joint(self, rng):
+        for model in self.models(rng):
+            names = sorted(model.variables)
+            evidence = {names[1]: model.variable(names[1]).states[0]}
+            compiled = CompiledModel(model, evidence)
+            assert compiled.names == [n for n in names if n not in evidence]
+            for _ in range(20):
+                compiled.state[:] = [int(rng.integers(v.cardinality)) for v in compiled.variables]
+                full = {**evidence, **compiled.assignment()}
+                assert compiled.log_score() == log_joint(model, full)
+                for i, name in enumerate(compiled.names):
+                    for value in range(compiled.variables[i].cardinality):
+                        trial = {**full, name: compiled.variables[i].states[value]}
+                        total = 0.0
+                        for f in model.factors:
+                            if name not in f.names:
+                                continue
+                            term = f(trial)
+                            if f.domain == fa.LINEAR:
+                                if term <= 0.0:
+                                    total = -math.inf
+                                    break
+                                term = math.log(term)
+                            total += term
+                        assert compiled.local_log_score(i, value) == total
 
 
 class TestEnumerate:

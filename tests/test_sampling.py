@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tree_mrf
-from pgmkit.errors import InfiniteWeightError, TrappedStateError
+from conftest import random_mrf, random_tree_mrf
+from pgmkit import sampling
+from pgmkit.errors import InfiniteWeightError, TrappedStateError, ZeroEvidenceError
 from pgmkit.exact import build_junction_tree, jt_calibrate
 from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph
@@ -295,6 +296,27 @@ class TestGibbs:
         with pytest.raises(ValueError):
             gibbs(mrf, None, 10, 0, make_rng(0), scan="zigzag")
 
+    def test_factor_fallback_matches_table_path(self, rng, monkeypatch):
+        mrf = random_mrf(rng, n=5, max_states=3, n_factors=8)
+        tables = sampling._ConditionalSampler(mrf, {})
+        assert all(site is not None for site in tables.sites)
+        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", 1)
+        slices = sampling._ConditionalSampler(mrf, {})
+        assert all(site is None for site in slices.sites)
+        cards = [mrf.variable(n).cardinality for n in tables.free]
+        for _ in range(20):
+            state = np.array([rng.integers(c) for c in cards], dtype=np.int64)
+            for name in tables.free:
+                assert np.allclose(
+                    slices.conditional(name, state), tables.conditional(name, state),
+                    rtol=0, atol=1e-12,
+                )
+        batch = gibbs(mrf, None, 5000, 100, make_rng(31))
+        for name in sorted(mrf.variables):
+            exact = enumerate_inference(mrf, [name]).values
+            for k, state in enumerate(mrf.variable(name).states):
+                assert batch.frequency(name, state) == pytest.approx(exact[k], abs=0.04)
+
 
 class TestGibbsKernel:
     def test_sweep_kernel_stationary(self, rng):
@@ -395,6 +417,54 @@ class TestMetropolisHastings:
         b1 = metropolis_hastings(mrf, kernel, 500, 20, make_rng(19))
         b2 = metropolis_hastings(mrf, kernel, 500, 20, make_rng(19))
         assert np.array_equal(b1.states, b2.states)
+
+    # a, b with table [[1, 0], [2, 3]]: a uniform first draw of (0, 1) has
+    # zero mass, and a Gibbs proposal cannot return to it
+    HOLE = [[1.0, 0.0], [2.0, 3.0]]
+    # rows of the chains whose first draw has mass, as recorded before the
+    # zero-mass start was handled
+    HOLE_CHAINS = {
+        0: "00 00 00 00 10 11 11 11 11 11 11 11 11 10 10 10 10 10 10 11",
+        1: "10 10 11 10 11 11 11 10 10 10 11 11 11 10 10 00 00 00 00 00",
+        2: "11 11 11 10 11 10 00 00 00 00 00 00 00 00 10 10 10 11 11 11",
+        3: "11 11 11 11 10 00 00 00 00 10 10 11 11 11 11 11 11 11 10 10",
+        4: "11 11 11 11 11 11 11 11 10 11 11 11 11 10 10 11 11 11 11 11",
+        5: "00 00 00 00 00 00 10 00 00 10 10 11 11 11 11 11 11 11 11 11",
+        7: "10 10 11 11 10 00 10 10 10 11 11 11 11 11 11 11 11 11 11 11",
+        8: "11 11 11 11 11 11 11 11 11 11 11 11 11 10 11 11 11 11 11 11",
+        9: "00 00 00 00 00 00 00 00 00 00 00 00 00 10 10 11 10 10 10 10",
+        10: "10 10 10 10 11 10 10 10 00 00 00 10 00 00 10 00 00 00 10 11",
+        12: "10 10 10 10 11 11 11 11 11 11 10 11 11 11 11 11 11 11 11 11",
+        13: "10 00 00 00 10 10 10 10 11 11 10 10 00 10 10 10 11 10 11 11",
+        14: "00 00 00 10 10 11 11 11 11 11 11 11 11 11 11 10 11 11 11 11",
+        15: "10 10 10 10 10 11 11 11 11 10 10 00 00 00 00 10 10 00 00 10",
+        16: "11 11 11 11 11 10 11 11 10 10 10 10 11 10 10 10 10 11 11 11",
+        17: "10 10 11 11 10 10 10 11 10 10 10 00 00 10 10 00 00 00 00 00",
+        18: "11 11 11 11 11 10 10 10 00 10 10 11 11 11 11 11 11 10 10 10",
+    }
+
+    def hole_mrf(self, table):
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        return MarkovRandomField([a, b], [Factor([a, b], table)])
+
+    @pytest.mark.parametrize("cap", [sampling.CONDITIONAL_CACHE_CAP, 1])
+    def test_zero_mass_first_draw_starts_from_support(self, cap, monkeypatch):
+        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
+        mrf = self.hole_mrf(self.HOLE)
+        for seed in range(20):
+            batch = metropolis_hastings(mrf, GibbsSiteKernel(mrf), 20, 2, make_rng(seed))
+            rows = " ".join(f"{a}{b}" for a, b in batch.states)
+            assert "01" not in rows.split()
+            if seed in self.HOLE_CHAINS:
+                assert rows == self.HOLE_CHAINS[seed]
+
+    @pytest.mark.parametrize("cap", [sampling.CONDITIONAL_CACHE_CAP, 1])
+    def test_no_supported_state_raises(self, cap, monkeypatch):
+        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
+        mrf = self.hole_mrf(np.zeros((2, 2)))
+        kernel = SingleSiteUniformKernel(list(mrf.variables.values()))
+        with pytest.raises(ZeroEvidenceError):
+            metropolis_hastings(mrf, kernel, 10, 0, make_rng(0))
 
 
 class TestChainAnalysis:

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_mrf, random_tree_mrf
 from pgmkit.errors import DegenerateUpdateError, ZeroEvidenceError
 from pgmkit.exact import tree_bp
-from pgmkit.factors import Factor, Variable
+from pgmkit.factors import Factor, Variable, align_to
 from pgmkit.models import MarkovRandomField, enumerate_inference
 from pgmkit.variational import (
     ElboTrace,
@@ -140,6 +140,39 @@ class TestMeanField:
             _, trace = mean_field(mrf, max_sweeps=30)
             diffs = np.diff(trace.update_values)
             assert np.all(diffs >= -1e-10)
+
+    def test_trace_matches_full_elbo(self, rng):
+        for _ in range(5):
+            mrf = random_mrf(rng, n=5, max_states=3, n_factors=8)
+            q, trace = mean_field(mrf, max_sweeps=4, tol=-math.inf)
+            # each sweep value is a full evaluation at that sweep's q
+            for k, value in enumerate(trace.values):
+                q_k, _ = mean_field(mrf, max_sweeps=k, tol=-math.inf)
+                assert value == elbo(mrf, q_k)
+            # each update value is within 1e-9 of a full evaluation at the q
+            # of an independent coordinate ascent on the enumerated joint
+            names = sorted(mrf.variables)
+            log_p = np.log(align_to(enumerate_inference(mrf, query=names), names).table)
+            ref = FactoredDistribution.uniform([mrf.variable(n) for n in names])
+            expected = []
+            for _ in range(4):
+                for j, name in enumerate(names):
+                    weight = np.ones(log_p.shape)
+                    for ax, other in enumerate(names):
+                        if other != name:
+                            shape = [1] * len(names)
+                            shape[ax] = -1
+                            weight = weight * ref.prob(other).reshape(shape)
+                    axes = tuple(ax for ax in range(len(names)) if ax != j)
+                    log_q = np.sum(weight * log_p, axis=axes)
+                    table = np.exp(log_q - log_q.max())
+                    ref.tables[name] = table / table.sum()
+                    expected.append(elbo(mrf, ref))
+            assert len(trace.update_values) == len(expected)
+            assert np.allclose(trace.update_values, expected, rtol=0, atol=1e-9)
+            assert np.all(np.diff(trace.update_values) >= -1e-10)
+            for name in names:
+                assert np.allclose(q.prob(name), ref.prob(name), rtol=0, atol=1e-9)
 
     def test_degenerate_update_raises(self):
         a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
