@@ -369,34 +369,30 @@ def log_joint(model: Model, assignment: Mapping[str, str]) -> float:
 
 
 class CompiledModel:
-    """A model's factors, reduced to the evidence, as flat Python log
-    tables over an integer state of the free variables.
+    """A model's factors as flat Python log tables over an integer state.
 
-    Built once per (model, evidence) for the engines that score one site
-    at a time. ``state`` holds one state index per free variable, in name
-    order. Linear entries become ``math.log(v)`` (``-inf`` for zero) entry
-    by entry, the convention of ``log_joint``; log-domain entries stay as
-    they are. ``blankets[i]`` lists the factors over free variable ``i``,
-    in model order, each with that variable's stride split from the other
-    columns.
+    Built once per model for the engines that score one site at a time.
+    ``state`` holds one state index per variable, in name order. Linear
+    entries become ``math.log(v)`` (``-inf`` for zero) entry by entry, the
+    convention of ``log_joint``; log-domain entries stay as they are.
+    ``blankets[i]`` lists the factors over variable ``i``, in model order,
+    each with that variable's stride split from the other columns.
     """
 
-    def __init__(self, model: Model, evidence: Mapping[str, str] | None = None):
-        evidence = check_evidence(model, evidence or {})
-        self.names = [n for n in sorted(model.variables) if n not in evidence]
+    def __init__(self, model: Model):
+        self.names = sorted(model.variables)
         self.variables = [model.variables[n] for n in self.names]
         self.state = [0] * len(self.names)
         col = {n: k for k, n in enumerate(self.names)}
         self.factors = []  # (log table, columns, strides, linear)
         self.blankets = [[] for _ in self.names]  # (log table, other columns, stride, linear)
         for f in model_factors(model):
-            g = fa.reduce_factor(f, evidence)
-            table = g.values.tolist()
-            linear = g.domain == fa.LINEAR
+            table = f.values.tolist()
+            linear = f.domain == fa.LINEAR
             if linear:
                 table = [math.log(v) if v > 0.0 else -math.inf for v in table]
-            cols = [col[n] for n in g.names]
-            strides = fa.strides(g.table.shape).tolist()
+            cols = [col[n] for n in f.names]
+            strides = fa.strides(f.table.shape).tolist()
             self.factors.append((table, cols, strides, linear))
             for site, stride in zip(cols, strides):
                 others = [(c, s) for c, s in zip(cols, strides) if c != site]
@@ -418,9 +414,9 @@ class CompiledModel:
         return total
 
     def local_log_score(self, site: int, value: int) -> float:
-        """The sum of the log terms of the factors over free variable
-        ``site``, with that variable set to ``value``. A zero entry of a
-        linear factor gives -inf at once; a log-domain -inf is summed."""
+        """The sum of the log terms of the factors over variable ``site``,
+        with that variable set to ``value``. A zero entry of a linear
+        factor gives -inf at once; a log-domain -inf is summed."""
         state = self.state
         total = 0.0
         for table, others, stride, linear in self.blankets[site]:
@@ -434,8 +430,8 @@ class CompiledModel:
         return total
 
     def assignment(self, state: Sequence[int] | None = None) -> dict[str, str]:
-        """State labels of the free variables at ``state`` (default: the
-        compiled state)."""
+        """State labels of the variables at ``state`` (default: the compiled
+        state)."""
         state = self.state if state is None else state
         return {n: v.states[s] for n, v, s in zip(self.names, self.variables, state)}
 

@@ -22,7 +22,7 @@ from .errors import (
     TrappedStateError,
     ZeroEvidenceError,
 )
-from .exact import JunctionTree, _tree_schedule, max_product_decode
+from .exact import JunctionTree, _tree_schedule
 from .factors import Factor, Variable
 from .graphs import topological_sort
 from .models import (
@@ -612,12 +612,15 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     Accepts a proposed move with min(1, ptilde(x') Q(x|x') / (ptilde(x)
     Q(x'|x))); the unnormalized joint suffices. Rejected steps repeat the
     current state. A proposed move whose reverse density is zero makes the
-    kernel unusable and raises.
+    kernel unusable and raises, unless it leaves a zero-mass state.
 
-    The chain starts from the state ``gibbs`` would start from; if that
-    state has zero mass, from the MAP state instead (lowest state indices
-    on ties), and if that has zero mass too, it raises
-    ``ZeroEvidenceError``.
+    The chain starts from the state ``gibbs`` would start from. If that
+    state has zero mass and the joint fits the conditional cache cap, it
+    starts from the MAP state instead (lowest state indices on ties), and
+    raises ``ZeroEvidenceError`` when no state has mass. Past the cap it
+    keeps the drawn state, with no exact search for a supported one; every
+    move out of a zero-mass state is accepted, so the chain walks into the
+    support (or, when no state has mass, wanders over zero-mass states).
     """
     evidence = check_evidence(model, evidence or {})
     free = [nm for nm in sorted(model.variables) if nm not in evidence]
@@ -639,31 +642,23 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
         def log_ptilde(state_vec: np.ndarray) -> float:
             return float(lp_table[int(state_vec @ strides)])
 
-        def map_state() -> np.ndarray:
-            return np.array(np.unravel_index(int(np.argmax(lp_table)), cards),
-                            dtype=np.int64)
-
     else:
+        lp_table = None
 
         def log_ptilde(state_vec: np.ndarray) -> float:
             return float(batch_log_unnormalized(reduced, free, state_vec[None, :])[0])
 
-        def map_state() -> np.ndarray:
-            assignment, _ = max_product_decode(model, evidence)
-            return np.array([model.variable(nm).index_of(assignment[nm]) for nm in free],
-                            dtype=np.int64)
-
     state = _initial_state(model, evidence, rng, free)
     current_lp = log_ptilde(state)
-    if current_lp == -math.inf:
-        # a chain must start where the target has mass; the MAP state has
-        # mass whenever any state does
-        state = map_state()
-        current_lp = log_ptilde(state)
-        if current_lp == -math.inf:
+    if current_lp == -math.inf and lp_table is not None:
+        # start where the target has mass: at the MAP state of the table
+        top = int(np.argmax(lp_table))
+        if lp_table[top] == -math.inf:
             raise ZeroEvidenceError(
                 "every state of the free variables has zero probability"
             )
+        state = np.array(np.unravel_index(top, cards), dtype=np.int64)
+        current_lp = float(lp_table[top])
     out = np.zeros((n, len(names)), dtype=np.int64)
     ev_cols = {
         names.index(nm): model.variable(nm).index_of(st)
@@ -679,11 +674,16 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
             log_fwd = kernel.log_density(state, proposal_vec)
             log_rev = kernel.log_density(proposal_vec, state)
             prop_lp = log_ptilde(proposal_vec)
-            if log_rev == -math.inf and prop_lp > -math.inf:
-                raise InvalidKernelError(
-                    "proposal cannot return from a proposed state"
-                )
-            log_alpha = min(0.0, prop_lp + log_rev - current_lp - log_fwd)
+            if current_lp == -math.inf:
+                # a zero-mass start (past the cap): any move out is taken,
+                # whether or not the kernel can return
+                log_alpha = 0.0
+            else:
+                if log_rev == -math.inf and prop_lp > -math.inf:
+                    raise InvalidKernelError(
+                        "proposal cannot return from a proposed state"
+                    )
+                log_alpha = min(0.0, prop_lp + log_rev - current_lp - log_fwd)
             if math.log(max(rng.random(), 1e-300)) < log_alpha:
                 state = proposal_vec
                 current_lp = prop_lp

@@ -23,6 +23,7 @@ from pgmkit.models import (
     bn_to_mrf,
     enumerate_inference,
     log_joint,
+    reduce_to_evidence,
     to_factor_graph,
     validate,
 )
@@ -203,30 +204,38 @@ class TestCompiledModel:
         yield random_bn(rng, n=5)
 
     def test_scores_match_log_joint(self, rng):
-        for model in self.models(rng):
-            names = sorted(model.variables)
-            evidence = {names[1]: model.variable(names[1]).states[0]}
-            compiled = CompiledModel(model, evidence)
-            assert compiled.names == [n for n in names if n not in evidence]
-            for _ in range(20):
-                compiled.state[:] = [int(rng.integers(v.cardinality)) for v in compiled.variables]
-                full = {**evidence, **compiled.assignment()}
-                assert compiled.log_score() == log_joint(model, full)
-                for i, name in enumerate(compiled.names):
-                    for value in range(compiled.variables[i].cardinality):
-                        trial = {**full, name: compiled.variables[i].states[value]}
-                        total = 0.0
-                        for f in model.factors:
-                            if name not in f.names:
-                                continue
-                            term = f(trial)
-                            if f.domain == fa.LINEAR:
-                                if term <= 0.0:
-                                    total = -math.inf
-                                    break
-                                term = math.log(term)
-                            total += term
-                        assert compiled.local_log_score(i, value) == total
+        for original in self.models(rng):
+            # compiled as given, and reduced to evidence as the MAP engines
+            # receive it
+            names = sorted(original.variables)
+            evidence = {names[1]: original.variable(names[1]).states[0]}
+            kept, _ = reduce_to_evidence(original, evidence)
+            free = [original.variables[n] for n in names if n not in evidence]
+            for model in (original, MarkovRandomField(free, kept)):
+                self.check_scores(model, rng)
+
+    def check_scores(self, model, rng):
+        compiled = CompiledModel(model)
+        assert compiled.names == sorted(model.variables)
+        for _ in range(20):
+            compiled.state[:] = [int(rng.integers(v.cardinality)) for v in compiled.variables]
+            full = compiled.assignment()
+            assert compiled.log_score() == log_joint(model, full)
+            for i, name in enumerate(compiled.names):
+                for value in range(compiled.variables[i].cardinality):
+                    trial = {**full, name: compiled.variables[i].states[value]}
+                    total = 0.0
+                    for f in model.factors:
+                        if name not in f.names:
+                            continue
+                        term = f(trial)
+                        if f.domain == fa.LINEAR:
+                            if term <= 0.0:
+                                total = -math.inf
+                                break
+                            term = math.log(term)
+                        total += term
+                    assert compiled.local_log_score(i, value) == total
 
 
 class TestEnumerate:

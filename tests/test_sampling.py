@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import random_mrf, random_tree_mrf
-from pgmkit import sampling
-from pgmkit.errors import InfiniteWeightError, TrappedStateError, ZeroEvidenceError
-from pgmkit.exact import build_junction_tree, jt_calibrate
+from pgmkit import exact, sampling
+from pgmkit.errors import (
+    InfiniteWeightError,
+    TooLargeError,
+    TrappedStateError,
+    ZeroEvidenceError,
+)
+from pgmkit.exact import build_junction_tree, jt_calibrate, max_product_decode
 from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph
 from pgmkit.models import (
     BayesianNetwork,
     MarkovRandomField,
     enumerate_inference,
+    log_joint,
 )
 from pgmkit.sampling import (
     FactoredProposal,
@@ -448,7 +454,9 @@ class TestMetropolisHastings:
         return MarkovRandomField([a, b], [Factor([a, b], table)])
 
     @pytest.mark.parametrize("cap", [sampling.CONDITIONAL_CACHE_CAP, 1])
-    def test_zero_mass_first_draw_starts_from_support(self, cap, monkeypatch):
+    def test_zero_mass_first_draw(self, cap, monkeypatch):
+        # under the cap the chain starts from the MAP state; past it, the
+        # drawn state is kept and the first move leaves it
         monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
         mrf = self.hole_mrf(self.HOLE)
         for seed in range(20):
@@ -458,9 +466,33 @@ class TestMetropolisHastings:
             if seed in self.HOLE_CHAINS:
                 assert rows == self.HOLE_CHAINS[seed]
 
-    @pytest.mark.parametrize("cap", [sampling.CONDITIONAL_CACHE_CAP, 1])
-    def test_no_supported_state_raises(self, cap, monkeypatch):
-        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
+    def test_zero_mass_first_draw_past_cap_needs_no_decode(self, monkeypatch):
+        # 17 binary variables (2^17 joint states, over the cache cap) on a
+        # chain whose first factor is the hole table; with the elimination
+        # budget cut, no exact decode of the model can run
+        vs = [Variable(f"x{i:02d}", ("0", "1")) for i in range(17)]
+        factors = [Factor(vs[:2], self.HOLE)] + [
+            Factor([u, v], [[2.0, 1.0], [1.0, 2.0]]) for u, v in zip(vs[1:], vs[2:])
+        ]
+        mrf = MarkovRandomField(vs, factors)
+        monkeypatch.setattr(exact, "TABLE_CAP", 2)
+        with pytest.raises(TooLargeError):
+            max_product_decode(mrf)
+        zero_starts = 0
+        for seed in range(20):
+            draw = make_rng(seed)
+            if [int(draw.integers(2)) for _ in vs][:2] != [0, 1]:
+                continue
+            zero_starts += 1
+            for kernel in (GibbsSiteKernel(mrf), SingleSiteUniformKernel(vs)):
+                batch = metropolis_hastings(mrf, kernel, 30, 30, make_rng(seed))
+                assert batch.states.shape == (30, 17)
+                for row in batch.states:
+                    assignment = {v.name: v.states[s] for v, s in zip(vs, row)}
+                    assert log_joint(mrf, assignment) > -math.inf
+        assert zero_starts > 0
+
+    def test_no_supported_state_raises(self):
         mrf = self.hole_mrf(np.zeros((2, 2)))
         kernel = SingleSiteUniformKernel(list(mrf.variables.values()))
         with pytest.raises(ZeroEvidenceError):
