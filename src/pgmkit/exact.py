@@ -460,10 +460,12 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
 
     Variable nodes ``("v", name)`` come first, in name order, each with a
     base of ones; factor nodes ``("f", i)`` follow, each with its reduced
-    factor (linear domain) as base. A factor's neighbours are in its scope
-    order, a variable's in factor order, and every edge keeps the
-    variable. Returns the graph, the free variables and the log of the
-    factors the evidence fixes completely.
+    factor (linear domain) as base. A log-domain factor is exponentiated
+    after subtracting its largest finite entry, so scores past exp's range
+    stay finite. A factor's neighbours are in its scope order, a
+    variable's in factor order, and every edge keeps the variable. Returns
+    the graph, the free variables and the log of the factors the evidence
+    fixes completely plus the subtracted entries.
     """
     reduced, scalar_log = reduce_to_evidence(model, evidence)
     variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
@@ -471,7 +473,12 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
     neighbors: dict[tuple, list[tuple]] = {node: [] for node in nodes}
     base: dict[tuple, Factor] = {("v", v.name): fa.ones_like([v]) for v in variables}
     keep: dict[tuple, tuple[str]] = {}
-    for i, f in enumerate(linear_factors(reduced)):
+    for i, f in enumerate(reduced):
+        if f.domain == fa.LOG:
+            finite = f.table[np.isfinite(f.table)]
+            shift = float(finite.max()) if finite.size else 0.0
+            f = Factor(f.scope, np.exp(f.table - shift), _trusted=True)
+            scalar_log += shift
         base[("f", i)] = f
         for name in f.names:
             neighbors[("f", i)].append(("v", name))

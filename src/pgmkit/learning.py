@@ -6,6 +6,7 @@ gradient training for MRFs and chain CRFs, and EM for Gaussian mixtures.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,23 +36,47 @@ from .sampling import batch_log_unnormalized
 # ---------------------------------------------------------------------------
 
 
+COUNT_CACHE_ENTRIES = 1 << 22
+"""Table entries a dataset keeps cached (32 MiB of float64); tables past
+this total are still counted, just not kept."""
+
+
 @dataclass
 class Dataset:
-    """Complete discrete observations: one state index per variable per row."""
+    """Complete discrete observations: one state index per variable per row.
+
+    ``rows`` has one column per variable, in the order the variables are
+    given; the dataset keeps both sorted by name. The rows are copied into
+    a read-only, column-contiguous int64 block, so neither the caller's
+    array nor a later write can change what the dataset counts. The
+    dataset also caches the count tables it has been asked for (see
+    ``counts``).
+    """
 
     variables: tuple[Variable, ...]
     rows: np.ndarray
 
     def __post_init__(self):
-        self.variables = tuple(sorted(self.variables, key=lambda v: v.name))
-        rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != len(self.variables):
+        variables = tuple(self.variables)
+        rows = np.array(self.rows, dtype=np.int64, order="F")
+        if rows.ndim != 2 or rows.shape[1] != len(variables):
             raise ValueError("rows must be (N, #variables)")
-        for k, v in enumerate(self.variables):
-            col = rows[:, k]
-            if col.size and (col.min() < 0 or col.max() >= v.cardinality):
-                raise ValueError(f"state index out of range for {v.name!r}")
+        order = sorted(range(len(variables)), key=lambda k: variables[k].name)
+        if order != list(range(len(order))):
+            rows = np.asfortranarray(rows[:, order])
+        self.variables = tuple(variables[k] for k in order)
+        self._names = tuple(v.name for v in self.variables)
+        self._index = {name: k for k, name in enumerate(self._names)}
+        self._cards = tuple(v.cardinality for v in self.variables)
+        if rows.size:
+            bad = (rows.min(axis=0) < 0) | (rows.max(axis=0) >= self._cards)
+            if bad.any():
+                name = self._names[int(np.argmax(bad))]
+                raise ValueError(f"state index out of range for {name!r}")
+        rows.flags.writeable = False
         self.rows = rows
+        self._tables: dict[tuple[int, ...], np.ndarray] = {}
+        self._cached_entries = 0
 
     @property
     def n(self) -> int:
@@ -59,20 +84,24 @@ class Dataset:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return self._names
+
+    def index(self, name: str) -> int:
+        """The column of a variable."""
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ScopeError(f"unknown variable {name!r}") from None
 
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ScopeError(f"unknown variable {name!r}")
+        return self.variables[self.index(name)]
 
     def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.names.index(name)]
+        return self.rows[:, self.index(name)]
 
     @staticmethod
     def from_batch(batch) -> "Dataset":
-        return Dataset(tuple(batch.variables), batch.states.copy())
+        return Dataset(tuple(batch.variables), batch.states)
 
 
 @dataclass
@@ -86,15 +115,44 @@ class CountTable:
 
 
 def counts(dataset: Dataset, scope: Sequence[str]) -> CountTable:
-    """Exact joint counts over the given variables, in the given order."""
-    variables = [dataset.variable(n) for n in scope]
-    cards = [v.cardinality for v in variables]
-    if not variables:
+    """Exact joint counts over the given variables, in the given order.
+
+    Each row's cell is coded as ``code * card + state`` over the dataset's
+    columns and counted with one ``bincount`` per scope *set*: the dataset
+    caches that table (up to ``COUNT_CACHE_ENTRIES`` entries in all), and
+    every order of the same set is answered from it. The returned table is
+    always a fresh copy, so writing into it never changes the cache.
+    """
+    idx = [dataset.index(name) for name in scope]
+    if not idx:
         return CountTable((), np.array(float(dataset.n)))
-    cols = np.column_stack([dataset.column(n) for n in scope])
-    flat = cols @ fa.strides(cards)
-    table = np.bincount(flat, minlength=math.prod(cards)).astype(float)
-    return CountTable(tuple(variables), table.reshape(cards))
+    key = tuple(sorted(idx))
+    table = dataset._tables.get(key)
+    if table is None:
+        table = _count_table(dataset, key)
+        if dataset._cached_entries + table.size <= COUNT_CACHE_ENTRIES:
+            dataset._tables[key] = table
+            dataset._cached_entries += table.size
+    # axis j of the answer is the sorted key's position of scope entry j
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    axes = [0] * len(idx)
+    for position, j in enumerate(order):
+        axes[j] = position
+    return CountTable(tuple(dataset.variables[k] for k in idx),
+                      np.transpose(table, axes).copy())
+
+
+def _count_table(dataset: Dataset, columns: tuple[int, ...]) -> np.ndarray:
+    """The read-only count table over the given columns, in that order."""
+    rows, cards = dataset.rows, dataset._cards
+    code = rows[:, columns[0]]
+    for k in columns[1:]:
+        code = code * cards[k] + rows[:, k]
+    shape = tuple(cards[k] for k in columns)
+    table = np.bincount(code, minlength=math.prod(shape)).astype(float)
+    table = table.reshape(shape)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +496,9 @@ def ci_test(source, x: str, y: str, z: Iterable[str] = (),
     under the Markov and faithfulness conditions). With a Dataset source
     it is the G-test: twice the observed-vs-expected log-likelihood ratio
     summed over the strata of z, against a chi-squared reference with
-    (|x|-1)(|y|-1) * prod |z| degrees of freedom.
+    (|x|-1)(|y|-1) * prod |z| degrees of freedom. Every stratum's margins,
+    expected counts and terms are computed at once from the (z, x, y)
+    count table; empty strata add nothing.
     """
     z = sorted(set(z))
     if x == y or x in z or y in z:
@@ -457,17 +517,17 @@ def ci_test(source, x: str, y: str, z: Iterable[str] = (),
                       stacklevel=2)
         return CiResult(True, 0.0, 1.0, 0)
     table = counts(dataset, z + [x, y]).counts.reshape(cz, cx, cy)
+    totals = table.sum(axis=(1, 2))
+    rows = table.sum(axis=2, keepdims=True)
+    cols = table.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = rows * cols / totals[:, None, None]
+        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
+    # Per-stratum sums, added one stratum at a time in stratum order: the
+    # same reductions and the same additions as a loop over the strata.
     g_stat = 0.0
-    for stratum in table:
-        total = stratum.sum()
-        if total == 0:
-            continue
-        rows = stratum.sum(axis=1, keepdims=True)
-        cols = stratum.sum(axis=0, keepdims=True)
-        expected = rows * cols / total
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(stratum > 0, stratum * np.log(stratum / expected), 0.0)
-        g_stat += 2.0 * float(np.sum(terms))
+    for part in terms.reshape(cz, -1).sum(axis=1)[totals > 0].tolist():
+        g_stat += 2.0 * part
     p_value = float(chdtrc(dof, g_stat))  # the chi-squared survival function
     return CiResult(p_value >= alpha, g_stat, p_value, dof)
 
@@ -631,8 +691,6 @@ def pc(source, variables: Sequence[str] | None = None, alpha: float = 0.05,
                 if len(candidates) < level:
                     continue
                 any_big_enough = True
-                import itertools
-
                 found = False
                 for subset in itertools.combinations(candidates, level):
                     if test(x, y, list(subset)):

@@ -266,13 +266,16 @@ class ChainCRF:
         return [Variable(f"y{t:0{width}d}", self.labels) for t in range(length)]
 
     def to_mrf(self, x: Sequence) -> MarkovRandomField:
-        """The chain MRF over labels induced by a fixed input sequence."""
+        """The chain MRF over labels induced by a fixed input sequence.
+
+        Its factors hold the scores themselves, in the log domain, so scores
+        past exp's range stay finite.
+        """
         ys = self.label_variables(len(x))
         scores = self.node_scores(x)
-        factor_list = [Factor([ys[t]], np.exp(scores[t])) for t in range(len(x))]
-        trans = np.exp(self.trans_weights)
+        factor_list = [Factor([ys[t]], scores[t], domain=fa.LOG) for t in range(len(x))]
         for t in range(1, len(x)):
-            factor_list.append(Factor([ys[t - 1], ys[t]], trans))
+            factor_list.append(Factor([ys[t - 1], ys[t]], self.trans_weights, domain=fa.LOG))
         return MarkovRandomField(ys, factor_list)
 
 

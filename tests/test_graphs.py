@@ -275,6 +275,20 @@ class TestDSeparation:
                 slow = d_separated_by_paths(g, {x}, {y}, z)
                 assert fast == slow
 
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            g = random_dag(rng, int(rng.integers(2, 10)), p=float(rng.uniform(0.1, 0.6)))
+            reference = nx.DiGraph(list(g.edges))
+            reference.add_nodes_from(g.nodes)
+            nodes = [str(n) for n in rng.permutation(g.nodes)]
+            for _ in range(5):
+                x, y = nodes[0], nodes[1]
+                z = set(nodes[2:2 + int(rng.integers(0, len(nodes) - 1))])
+                assert d_separated(g, {x}, {y}, z) == nx.is_d_separator(reference, {x}, {y}, z)
+                rng.shuffle(nodes)
+
     def test_symmetry(self):
         rng = np.random.default_rng(6)
         for _ in range(20):

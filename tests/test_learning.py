@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import chdtrc
 
 from conftest import make_variables, random_bn, random_dag
-from pgmkit.errors import InsufficientDataError
+from pgmkit import learning
+from pgmkit.errors import InsufficientDataError, ScopeError
 from pgmkit.exact import tree_bp
 from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph, is_dag, mec_equivalent, mec_signature
@@ -71,6 +74,180 @@ class TestCounts:
         )
         data = Dataset(tuple(variables), rows)
         assert counts(data, [variables[0].name]).total == 40
+
+    def test_rows_are_a_read_only_copy(self):
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1", "2"))
+        source = np.array([[0, 2], [1, 1], [1, 2]])
+        data = Dataset((a, b), source)
+        assert data.rows is not source
+        with pytest.raises(ValueError):
+            data.rows[0, 0] = 1
+
+    def test_columns_follow_the_variables_as_given(self):
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1", "2"))
+        data = Dataset((b, a), np.array([[2, 0], [2, 1], [0, 1]]))
+        assert data.names == ("a", "b")
+        np.testing.assert_array_equal(data.column("b"), [2, 2, 0])
+        np.testing.assert_array_equal(counts(data, ["a", "b"]).counts,
+                                      [[0, 0, 1], [1, 0, 1]])
+
+    def test_unknown_variable(self):
+        data, _ = coin_dataset(1, 1)
+        with pytest.raises(ScopeError):
+            counts(data, ["coin", "die"])
+
+    def test_tables_past_the_cache_cap_are_counted_but_not_kept(self, monkeypatch):
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1", "2"))
+        data = Dataset((a, b), np.array([[0, 2], [1, 1], [1, 2]]))
+        monkeypatch.setattr(learning, "COUNT_CACHE_ENTRIES", 4)
+        assert counts(data, ["a"]).total == 3      # 2 entries: kept
+        assert counts(data, ["a", "b"]).total == 3  # 6 more: past the cap
+        np.testing.assert_array_equal(counts(data, ["b", "a"]).counts,
+                                      [[0, 0], [0, 1], [1, 1]])
+        assert list(data._tables) == [(0,)]
+
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def small_datasets(draw, min_card=1, max_vars=4, max_rows=30):
+    """A Dataset of up to ``max_vars`` variables, its source rows (by sorted
+    name) and a copy of those rows kept as drawn."""
+    cards = draw(st.lists(st.integers(min_card, 4), min_size=1, max_size=max_vars))
+    variables = [Variable(f"v{k}", tuple(f"s{i}" for i in range(c)))
+                 for k, c in enumerate(cards)]
+    n = draw(st.integers(0, max_rows))
+    cells = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(cards),
+                                   max_size=len(cards)), min_size=n, max_size=n))
+    rows = np.array([[cell % c for cell, c in zip(row, cards)] for row in cells],
+                    dtype=np.int64).reshape(n, len(cards))
+    return Dataset(tuple(variables), rows), rows, rows.copy()
+
+
+def add_at_counts(rows, cards, idx):
+    """Reference joint counts over columns idx, one np.add.at per row set."""
+    table = np.zeros([cards[k] for k in idx])
+    np.add.at(table, tuple(rows[:, k] for k in idx), 1.0)
+    return table
+
+
+class TestCountProperties:
+    @SETTINGS
+    @given(st.data())
+    def test_every_order_matches_add_at(self, data):
+        dataset, rows, _ = data.draw(small_datasets())
+        cards = [v.cardinality for v in dataset.variables]
+        scope = data.draw(st.lists(st.sampled_from(range(len(cards))), min_size=1,
+                                   unique=True))
+        for order in itertools.permutations(scope):
+            table = counts(dataset, [dataset.names[k] for k in order])
+            assert [v.name for v in table.scope] == [dataset.names[k] for k in order]
+            assert table.counts.dtype == float
+            np.testing.assert_array_equal(table.counts, add_at_counts(rows, cards, order))
+
+    @SETTINGS
+    @given(st.data())
+    def test_writing_into_a_returned_table_changes_no_later_answer(self, data):
+        dataset, rows, _ = data.draw(small_datasets())
+        cards = [v.cardinality for v in dataset.variables]
+        scope = data.draw(st.lists(st.sampled_from(range(len(cards))), min_size=1,
+                                   unique=True))
+        names = [dataset.names[k] for k in scope]
+        for order in (names, names[::-1], names):
+            table = counts(dataset, order)
+            table.counts += 7.0
+            table.counts[...] = -1.0
+        np.testing.assert_array_equal(counts(dataset, names).counts,
+                                      add_at_counts(rows, cards, scope))
+
+    @SETTINGS
+    @given(st.data())
+    def test_writing_into_the_source_rows_changes_nothing(self, data):
+        dataset, rows, kept = data.draw(small_datasets())
+        cards = [v.cardinality for v in dataset.variables]
+        before = counts(dataset, list(dataset.names)).counts
+        rows[...] = 0
+        assert np.array_equal(dataset.rows, kept)
+        np.testing.assert_array_equal(counts(dataset, list(dataset.names)).counts, before)
+        last = len(cards) - 1
+        np.testing.assert_array_equal(counts(dataset, [dataset.names[last]]).counts,
+                                      add_at_counts(kept, cards, [last]))
+
+
+def stratum_loop_g_test(rows, cards, x, y, z):
+    """The G-test as one loop step per stratum of z: the reference the
+    all-strata form must match bit for bit."""
+    cz = math.prod(cards[k] for k in z)
+    table = add_at_counts(rows, cards, [*z, x, y]).reshape(cz, cards[x], cards[y])
+    g_stat = 0.0
+    for stratum in table:
+        total = stratum.sum()
+        if total == 0:
+            continue
+        row_sums = stratum.sum(axis=1, keepdims=True)
+        col_sums = stratum.sum(axis=0, keepdims=True)
+        expected = row_sums * col_sums / total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(stratum > 0, stratum * np.log(stratum / expected), 0.0)
+        g_stat += 2.0 * float(np.sum(terms))
+    dof = (cards[x] - 1) * (cards[y] - 1) * cz
+    return g_stat, float(chdtrc(dof, g_stat)), dof
+
+
+class TestCiTestProperties:
+    @SETTINGS
+    @given(st.data())
+    def test_all_strata_at_once_match_the_stratum_loop_bit_for_bit(self, data):
+        dataset, rows, _ = data.draw(small_datasets(min_card=2, max_vars=5, max_rows=60))
+        cards = [v.cardinality for v in dataset.variables]
+        if len(cards) < 2:
+            return
+        order = data.draw(st.permutations(range(len(cards))))
+        x, y = order[:2]
+        z = sorted(data.draw(st.sets(st.sampled_from(order[2:]))) if order[2:] else ())
+        result = ci_test(dataset, dataset.names[x], dataset.names[y],
+                         [dataset.names[k] for k in z])
+        g_stat, p_value, dof = stratum_loop_g_test(rows, cards, x, y, z)
+        assert (result.statistic, result.p_value, result.dof) == (g_stat, p_value, dof)
+
+    def test_empty_strata_and_empty_conditioning_set(self):
+        gen = make_rng(90)
+        variables = [Variable(f"v{k}", tuple(f"s{i}" for i in range(c)))
+                     for k, c in enumerate([3, 3, 4, 3])]
+        rows = gen.integers(0, 3, size=(400, 4))
+        rows[:, 2] = np.where(rows[:, 2] == 2, 3, rows[:, 2])  # v2 never takes s2
+        data = Dataset(tuple(variables), rows)
+        cards = [3, 3, 4, 3]
+        for z in ([], [2], [2, 3]):
+            result = ci_test(data, "v0", "v1", [f"v{k}" for k in z])
+            g_stat, p_value, dof = stratum_loop_g_test(rows, cards, 0, 1, z)
+            assert (result.statistic, result.p_value, result.dof) == (g_stat, p_value, dof)
+
+
+class TestCountComplexity:
+    def test_one_table_per_distinct_scope_set(self, monkeypatch):
+        """pc and hill_climb ask for the same scope sets many times over, in
+        many orders; each set is counted once per dataset."""
+        bn = random_bn(np.random.default_rng(12), n=12, max_states=3, p=0.25)
+        data = Dataset.from_batch(forward_sample(bn, 3000, make_rng(12)))
+        requested, tables = [], []
+        original_counts, original_bincount = learning.counts, np.bincount
+
+        def recording_counts(dataset, scope):
+            requested.append(frozenset(scope))
+            return original_counts(dataset, scope)
+
+        def recording_bincount(*args, **kwargs):
+            tables.append(args)
+            return original_bincount(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "counts", recording_counts)
+        monkeypatch.setattr(np, "bincount", recording_bincount)
+        pc(data)
+        hill_climb(data)
+        assert len(requested) > 2 * len(set(requested))
+        assert len(tables) == len(set(requested))
 
 
 class TestMle:
@@ -792,6 +969,17 @@ class TestChainCrf:
             want, want_grad = tree_bp_crf(crf, data)
             assert value == pytest.approx(want, rel=1e-12)
             np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
+
+    def test_chain_mrf_beyond_the_exp_range_has_a_finite_log_partition(self):
+        # exp(800) overflows, so linear-domain chain factors gave log Z = nan
+        crf = ChainCRF(["a", "b"], 2, lambda x, t: np.eye(2)[x[t]],
+                       node_weights=[[800.0, 0.0], [0.0, 790.0]])
+        x = [0, 1]
+        log_z = tree_bp(crf.to_mrf(x)).log_partition
+        # crf_log_likelihood is score(y) - log Z; score(a, b) = 800 + 790 + 0
+        value, _ = crf_log_likelihood(crf, [(x, ["a", "b"])])
+        assert np.isfinite(log_z)
+        assert log_z == pytest.approx(1590.0 - value, rel=1e-12)
 
     def test_zero_weights_uniform_gradient(self):
         gen = make_rng(61)
