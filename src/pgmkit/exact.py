@@ -30,7 +30,6 @@ from .models import (
     BayesianNetwork,
     Model,
     check_evidence,
-    linear_factors,
     model_factors,
     reduce_to_evidence,
 )
@@ -170,8 +169,10 @@ def variable_elimination(model: Model, query: Iterable[str],
     With the sum-product semiring the returned factor is proportional to
     p(query, evidence) and ``log_normalizer`` equals log p(evidence) for a
     Bayesian network (log of the evidence-reduced partition value for an
-    MRF). With max_product the factor holds unnormalized max-marginals and
-    no rescaling is performed.
+    MRF). With max_product the factor holds unnormalized max-marginals,
+    divided by exp(``log_normalizer``): no rescaling is performed, and
+    ``log_normalizer`` is 0 unless the model has log-domain factors (see
+    :func:`_exp_shifted`).
     """
     evidence = check_evidence(model, evidence or {})
     query = list(dict.fromkeys(query))
@@ -187,10 +188,10 @@ def variable_elimination(model: Model, query: Iterable[str],
             f"ordering must be a permutation of {to_eliminate}"
         )
 
-    factors = linear_factors(model_factors(model))
-    factors = [fa.reduce_factor(f, evidence) for f in factors]
+    factors, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(model))
     factors = [f for f in factors if f.scope or float(f.table) != 1.0]
     rest, log_norm, widest, _ = _bucket_eliminate(factors, ordering, semiring)
+    log_norm += log_shift
     max_scope = max([widest, *(len(f.scope) for f in factors)])
 
     if rest:
@@ -276,6 +277,26 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
         tables[key] = tau  # the key its scope took in the walk above
         key += 1
     return [tables[k] for k in rest], log_norm, widest, pointers
+
+
+def _exp_shifted(factors: Iterable[Factor], log_shift: float = 0.0
+                 ) -> tuple[list[Factor], float]:
+    """The factors in the linear domain, for the engines that multiply
+    tables, and ``log_shift`` plus the log of the scale taken out of them.
+
+    A log-domain table is exponentiated after subtracting its largest
+    finite entry, so scores past exp's range stay finite, and that entry is
+    added to the log shift. Linear-domain factors pass through as they are.
+    """
+    out = []
+    for f in factors:
+        if f.domain == fa.LOG:
+            finite = f.table[np.isfinite(f.table)]
+            shift = float(finite.max()) if finite.size else 0.0
+            f = Factor(f.scope, np.exp(f.table - shift), _trusted=True)
+            log_shift += shift
+        out.append(f)
+    return out, log_shift
 
 
 def _rescaled(table: np.ndarray) -> tuple[np.ndarray, float]:
@@ -460,25 +481,20 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
 
     Variable nodes ``("v", name)`` come first, in name order, each with a
     base of ones; factor nodes ``("f", i)`` follow, each with its reduced
-    factor (linear domain) as base. A log-domain factor is exponentiated
-    after subtracting its largest finite entry, so scores past exp's range
-    stay finite. A factor's neighbours are in its scope order, a
-    variable's in factor order, and every edge keeps the variable. Returns
-    the graph, the free variables and the log of the factors the evidence
-    fixes completely plus the subtracted entries.
+    factor, made linear by :func:`_exp_shifted`, as base. A factor's
+    neighbours are in its scope order, a variable's in factor order, and
+    every edge keeps the variable. Returns the graph, the free variables
+    and the log of the factors the evidence fixes completely plus the
+    shift taken out of the log-domain ones.
     """
     reduced, scalar_log = reduce_to_evidence(model, evidence)
+    reduced, scalar_log = _exp_shifted(reduced, scalar_log)
     variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
     nodes = [("v", v.name) for v in variables] + [("f", i) for i in range(len(reduced))]
     neighbors: dict[tuple, list[tuple]] = {node: [] for node in nodes}
     base: dict[tuple, Factor] = {("v", v.name): fa.ones_like([v]) for v in variables}
     keep: dict[tuple, tuple[str]] = {}
     for i, f in enumerate(reduced):
-        if f.domain == fa.LOG:
-            finite = f.table[np.isfinite(f.table)]
-            shift = float(finite.max()) if finite.size else 0.0
-            f = Factor(f.scope, np.exp(f.table - shift), _trusted=True)
-            scalar_log += shift
         base[("f", i)] = f
         for name in f.names:
             neighbors[("f", i)].append(("v", name))
@@ -543,7 +559,7 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
     from .models import log_joint
 
     names = sorted(n for n in model.variables if n not in evidence)
-    factors = linear_factors(reduce_to_evidence(model, evidence)[0])
+    factors, _ = _exp_shifted(reduce_to_evidence(model, evidence)[0])
     *_, pointers = _bucket_eliminate(factors, names[::-1], MAX_PRODUCT)
     # traceback in name order (reverse of elimination)
     assignment = dict(evidence)
@@ -571,21 +587,26 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
 
 @dataclass
 class JunctionTree:
-    """A calibrated-on-demand clique tree.
+    """A clique tree: a structure built once, with tables built per evidence.
 
     Cliques are frozensets of variable names; ``tree_edges`` connect clique
-    indices and carry sepsets (intersections of endpoint scopes). The tree
-    is fixed at construction, when its adjacency map is built. The
-    potentials are products of the model factors assigned to each clique
-    (family preservation). After :func:`jt_calibrate`, ``beliefs[c]`` is
-    proportional to p(x_c, evidence) and ``log_partition`` holds log Z.
+    indices and carry sepsets (intersections of endpoint scopes), and
+    ``assignment_of_factor`` gives each model factor, in model order, its
+    home clique (family preservation). That structure is fixed at
+    construction, when the adjacency map is built, and holds no table.
+    Calibration and queries build the tables for their evidence: each
+    clique's home factors are reduced to the evidence first, then
+    multiplied over the clique's free variables, so no table ever spans an
+    observed variable. ``potentials`` is a read-only view, built on each
+    access, of the full products. After :func:`jt_calibrate`,
+    ``beliefs[c]`` is proportional to p(x_c, evidence) and
+    ``log_partition`` holds log Z.
     """
 
     model: Model
     cliques: list[frozenset[str]]
     tree_edges: list[tuple[int, int]]
     sepsets: dict[tuple[int, int], frozenset[str]]
-    potentials: list[Factor]
     assignment_of_factor: list[int]
     evidence: dict[str, str] = field(default_factory=dict)
     messages: dict[tuple[int, int], Factor] = field(default_factory=dict)
@@ -602,6 +623,27 @@ class JunctionTree:
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
         self._adjacency = {i: sorted(nbrs) for i, nbrs in adjacency.items()}
+
+    @property
+    def potentials(self) -> list[Factor]:
+        """Each clique's potential over its variables in name order: a ones
+        table times its home factors, in model order and in the linear
+        domain. Built anew on each access and read by no engine; the tables
+        they calibrate on are these potentials sliced at the evidence, bit
+        for bit."""
+        homed = self._homed(f.to_linear() for f in model_factors(self.model))
+        return [
+            fa.product_all([fa.ones_like([self.model.variable(n) for n in sorted(c)]), *fs])
+            for c, fs in zip(self.cliques, homed)
+        ]
+
+    def _homed(self, factors: Iterable[Factor]) -> list[list[Factor]]:
+        """The model's factors, in model order (each possibly reduced or
+        made linear), grouped by their home clique."""
+        homed: list[list[Factor]] = [[] for _ in self.cliques]
+        for f, home in zip(factors, self.assignment_of_factor):
+            homed[home].append(f)
+        return homed
 
     def neighbors(self, i: int) -> list[int]:
         return list(self._adjacency.get(i, ()))
@@ -668,8 +710,11 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     the cliques disconnected, zero-weight edges (empty sepsets) join the
     pieces, in label order, so a spanning tree exists even for
     disconnected models. Each factor is assigned to the lexicographically
-    smallest containing clique. A clique of more than ``TABLE_CAP``
-    entries raises TooLargeError before any potential is built.
+    smallest containing clique. Only the structure is built: no table is
+    multiplied here, and the tree serves any evidence and any model with
+    the same variables and factor scopes. A clique of more than
+    ``TABLE_CAP`` entries raises TooLargeError here, whatever evidence
+    would later shrink it.
     """
     graph = interaction_graph(model)
     ordering = choose_ordering(model, heuristic).order
@@ -717,11 +762,10 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
         sepsets[(a, b)] = cliques[a] & cliques[b]
         sepsets[(b, a)] = cliques[a] & cliques[b]
 
-    factors = linear_factors(model_factors(model))
     ranked = sorted(range(len(cliques)), key=lambda k: tuple(sorted(cliques[k])))
     rank = {k: r for r, k in enumerate(ranked)}
     assignment = []
-    for f in factors:
+    for f in model_factors(model):
         names = set(f.names)
         candidates = holding.get(f.names[0], ()) if f.names else ranked
         home = min((k for k in candidates if names <= cliques[k]), key=rank.get, default=None)
@@ -731,17 +775,7 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
             )
         assignment.append(home)
 
-    homed: list[list[Factor]] = [[] for _ in cliques]
-    for f, home in zip(factors, assignment):
-        homed[home].append(f)
-    # every assigned scope lies in the clique, so each product keeps the
-    # sorted clique order of its ones table
-    potentials = [
-        fa.product_all([fa.ones_like([model.variable(n) for n in sorted(c)]), *assigned])
-        for c, assigned in zip(cliques, homed)
-    ]
-
-    jt = JunctionTree(model, list(cliques), tree_edges, sepsets, potentials, assignment)
+    jt = JunctionTree(model, list(cliques), tree_edges, sepsets, assignment)
     if not family_preservation_holds(jt) or not running_intersection_holds(jt):
         raise RuntimeError("constructed clique tree violates a junction-tree property")
     return jt
@@ -757,26 +791,49 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
     evidence = check_evidence(jt.model, evidence or {})
     jt.evidence = dict(evidence)
     nodes = range(len(jt.cliques))
-    cal = _calibrate(_clique_graph(jt, evidence))
+    graph, log_shift = _clique_graph(jt, evidence)
+    cal = _calibrate(graph)
     jt.messages = cal.messages
     jt.message_log_scale = cal.message_log_scale
     jt.beliefs = [cal.beliefs[i] for i in nodes]
-    jt.belief_log_scale = [cal.belief_log_scale[i] for i in nodes]
+    jt.belief_log_scale = [cal.belief_log_scale[i] + log_shift for i in nodes]
     jt.calibrated = True
     jt.log_partition = float(jt.belief_log_scale[0] if nodes else 0.0)
     assert len(jt.messages) == 2 * len(jt.tree_edges)
     return jt
 
 
-def _clique_graph(jt: JunctionTree, evidence: Mapping[str, str]) -> _MessageGraph:
-    """The clique tree with its potentials reduced to the (checked) evidence."""
+def _clique_graph(jt: JunctionTree, evidence: Mapping[str, str]
+                  ) -> tuple[_MessageGraph, float]:
+    """The clique tree with its tables for the (checked) evidence.
+
+    Every model factor is reduced to the evidence and made linear by
+    :func:`_exp_shifted` before any product is taken. Each clique's table,
+    over its unobserved variables in name order, starts as a copy of its
+    first home factor; the others are multiplied in, in model order and in
+    place. Every entry is then bit for bit that of the clique's potential
+    (which starts from ones, and 1 * x = x) sliced at the evidence, and no
+    table spans an observed variable. A clique with no home factor holds
+    ones. Returns the graph and the log of the scale the shift took out.
+    """
+    reduced, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(jt.model))
+    base = {}
+    for i, (clique, homed) in enumerate(zip(jt.cliques, jt._homed(reduced))):
+        scope = [jt.model.variable(n) for n in sorted(clique.difference(evidence))]
+        # every home factor's scope lies in the clique
+        out = np.empty(tuple(v.cardinality for v in scope))
+        out[...] = fa._broadcast_to_scope(homed[0], scope) if homed else 1.0
+        for f in homed[1:]:
+            np.multiply(out, fa._broadcast_to_scope(f, scope), out=out)
+        base[i] = Factor(scope, out, _trusted=True)
     nodes = range(len(jt.cliques))
-    return _MessageGraph(
+    graph = _MessageGraph(
         nodes,
         {i: jt.neighbors(i) for i in nodes},
-        {i: fa.reduce_factor(p, evidence) for i, p in enumerate(jt.potentials)},
+        base,
         {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()},
     )
+    return graph, log_shift
 
 
 def jt_query(jt: JunctionTree, variable: str) -> Factor:
@@ -800,7 +857,7 @@ def jt_marginal(jt: JunctionTree, variable: str,
     evidence = check_evidence(jt.model, evidence or {})
     var = jt.model.variable(variable)
     idx = jt.clique_for(variable)
-    cal = _calibrate(_clique_graph(jt, evidence), root=idx)
+    cal = _calibrate(_clique_graph(jt, evidence)[0], root=idx)
     return _marginal(cal.beliefs[idx], var, evidence)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from scipy.special import chdtrc, gammaln, logsumexp
 
 from . import factors as fa
 from .errors import InsufficientDataError, ScopeError
-from .exact import build_junction_tree, jt_calibrate
+from .exact import JunctionTree, build_junction_tree, jt_calibrate
 from .factors import Factor, Variable
 from .graphs import (
     DirectedGraph,
@@ -770,10 +770,11 @@ def _empirical_factor_moments(mrf: MarkovRandomField, dataset: Dataset
     return out
 
 
-def _model_factor_moments(mrf: MarkovRandomField) -> tuple[list[np.ndarray], float]:
-    jt = jt_calibrate(build_junction_tree(mrf))
+def _model_factor_moments(jt: JunctionTree) -> tuple[list[np.ndarray], float]:
+    """Per-factor marginals of the tree's MRF, and its log Z."""
+    jt = jt_calibrate(jt)
     out = []
-    for f in mrf.factors:
+    for f in jt.model.factors:
         idx = next(
             k for k, c in enumerate(jt.cliques) if set(f.names) <= c
         )
@@ -793,9 +794,11 @@ def fit_mrf(structure: MarkovRandomField, dataset: Dataset,
 
     The gradient per table cell is the empirical frequency minus the model
     marginal, read off a junction tree calibrated at the current
-    parameters; a small L2 pull keeps unsupported cells finite. At
-    convergence the reported moment mismatch is the largest absolute
-    difference between empirical and model marginals.
+    parameters; the tree's structure is built once, from ``structure``,
+    since the steps change tables, not scopes. A small L2 pull keeps
+    unsupported cells finite. At convergence the reported moment mismatch
+    is the largest absolute difference between empirical and model
+    marginals.
     """
     if dataset.n == 0:
         raise InsufficientDataError("empty dataset")
@@ -811,11 +814,12 @@ def fit_mrf(structure: MarkovRandomField, dataset: Dataset,
     trace = []
     mismatch = math.inf
     mrf = structure
+    jt = build_junction_tree(structure)
     for k in range(1, iters + 1):
         mrf = MarkovRandomField(
             variables, [Factor(s, np.exp(t)) for s, t in zip(scopes, theta)]
         )
-        model_moments, jt_logz = _model_factor_moments(mrf)
+        model_moments, jt_logz = _model_factor_moments(replace(jt, model=mrf))
         log_scores = batch_log_unnormalized(mrf.factors, dataset.names, dataset.rows)
         avg_ll = float(np.mean(log_scores)) - jt_logz
         trace.append(avg_ll)

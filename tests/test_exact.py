@@ -27,6 +27,7 @@ from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph, UndirectedGraph, induced_width, max_weight_spanning_tree
 from pgmkit.models import (
     BayesianNetwork,
+    ChainCRF,
     MarkovRandomField,
     enumerate_inference,
     random_cpds,
@@ -35,7 +36,7 @@ from pgmkit.models import (
 from pgmkit.zoo import asia_dag, student_network
 
 
-def no_tables(factors):
+def no_tables(*args, **kwargs):
     raise AssertionError("a table was built")
 
 
@@ -465,6 +466,51 @@ class TestJunctionTree:
         want = variable_elimination(bn, ["LETTER"]).normalized()
         assert np.allclose(jt_query(jt, "LETTER").table, want.table, atol=1e-12)
 
+    def test_build_builds_no_table(self, rng, monkeypatch):
+        crf = ChainCRF(["a", "b", "c"], 2, lambda x, t: np.eye(2)[x[t]],
+                       node_weights=rng.normal(size=(3, 2)), trans_weights=rng.normal(size=(3, 3)))
+        for model in (student_network(), random_mrf(rng, n=8), crf.to_mrf([0, 1, 1, 0])):
+            with monkeypatch.context() as m:
+                m.setattr(Factor, "__init__", no_tables)
+                jt = build_junction_tree(model)
+            assert family_preservation_holds(jt) and len(jt.potentials) == len(jt.cliques)
+
+    def test_tables_under_evidence_fit_the_reduced_cliques(self, rng, monkeypatch):
+        model = random_mrf(rng, n=9, max_states=3, n_factors=18)
+        jt = build_junction_tree(model)
+
+        def entries(clique, evidence):
+            return math.prod(model.variable(n).cardinality for n in clique if n not in evidence)
+
+        widest = max(entries(c, {}) for c in jt.cliques)
+        evidence = {}
+        for c in jt.cliques:
+            if entries(c, {}) == widest:
+                name = min(c)
+                evidence[name] = model.variable(name).states[-1]
+        cap = max(entries(c, evidence) for c in jt.cliques)
+        assert cap < widest  # the evidence shrinks every widest clique
+
+        sizes = []
+        init, send = Factor.__init__, exact._MessageGraph.send
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            sizes.append(self.table.size)
+
+        def recording_send(self, *args):
+            out = send(self, *args)
+            sizes.append(out.size)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(Factor, "__init__", recording_init)
+            m.setattr(exact._MessageGraph, "send", recording_send)
+            jt_calibrate(jt, evidence)
+            for name in sorted(set(model.variables) - set(evidence)):
+                jt_marginal(jt, name, evidence)
+        assert sizes and max(sizes) == cap
+
     def test_dot_export(self, rng):
         jt = build_junction_tree(student_network())
         dot = jt.to_dot()
@@ -509,6 +555,30 @@ class TestDisconnectedModels:
         mrf = MarkovRandomField([a, b], [Factor([a], [0.2, 0.8])])
         got = variable_elimination(mrf, ["b"]).normalized()
         assert np.allclose(got.values, [1 / 3] * 3)
+
+
+class TestLogDomain:
+    def test_engines_agree_past_the_exp_range(self):
+        # node scores of 800 and 790 overflow a plain exp(score)
+        crf = ChainCRF(["a", "b"], 2, lambda x, t: np.eye(2)[x[t]],
+                       node_weights=[[800.0, 0.0], [0.0, 790.0]])
+        mrf = crf.to_mrf([0, 1])
+        cases = [({}, 1590.0, {"y0": "a", "y1": "b"}), ({"y0": "b"}, 790.0, {"y0": "b", "y1": "b"})]
+        for evidence, log_z, best in cases:
+            bp = tree_bp(mrf, evidence)
+            jt = jt_calibrate(build_junction_tree(mrf), evidence)
+            assert bp.log_partition == log_z
+            assert variable_elimination(mrf, [], evidence).log_normalizer == log_z
+            assert jt.log_partition == log_z
+            assert jt_clique_log_partitions(jt) == [log_z] * len(jt.cliques)
+            for name in sorted(set(mrf.variables) - set(evidence)):
+                want = bp.marginal(name)
+                for got in (variable_elimination(mrf, [name], evidence).normalized(),
+                            jt_query(jt, name),
+                            jt_marginal(build_junction_tree(mrf), name, evidence)):
+                    assert got.names == want.names
+                    np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
+            assert max_product_decode(mrf, evidence) == (best, log_z)
 
 
 class TestEngineAgreement:

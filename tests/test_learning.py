@@ -11,7 +11,7 @@ from scipy.special import chdtrc
 from conftest import make_variables, random_bn, random_dag
 from pgmkit import learning
 from pgmkit.errors import InsufficientDataError, ScopeError
-from pgmkit.exact import tree_bp
+from pgmkit.exact import build_junction_tree, tree_bp
 from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph, is_dag, mec_equivalent, mec_signature
 from pgmkit.learning import (
@@ -797,11 +797,27 @@ class TestFitMrf:
         from pgmkit.learning import _empirical_factor_moments, _model_factor_moments
 
         empirical = _empirical_factor_moments(structure, data)[0]
-        model, _ = _model_factor_moments(structure)
+        model, _ = _model_factor_moments(build_junction_tree(structure))
         assert np.allclose(model[0], 0.25)
         # one step from zero moves along (empirical - uniform)
         result = fit_mrf(structure, data, learning_rate=1.0, iters=1, l2=0.0)
         assert np.allclose(result.theta[0], empirical - 0.25, atol=1e-12)
+
+
+    def test_builds_the_junction_tree_once(self, monkeypatch):
+        gen = make_rng(58)
+        a, b, c = (Variable(n, ("0", "1")) for n in "abc")
+        data = Dataset((a, b, c), gen.integers(0, 2, size=(256, 3)))
+        structure = MarkovRandomField(
+            [a, b, c], [Factor([a, b], np.ones((2, 2))), Factor([b, c], np.ones((2, 2)))]
+        )
+        built = []
+        build = learning.build_junction_tree
+        monkeypatch.setattr(learning, "build_junction_tree",
+                            lambda model: built.append(model) or build(model))
+        result = fit_mrf(structure, data, iters=5, tol=0.0)
+        assert result.iterations == 5
+        assert built == [structure]
 
 
 class TestPseudoLikelihood:

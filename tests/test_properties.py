@@ -1,11 +1,17 @@
-"""Property tests: variable elimination, the junction tree and max-product
-decoding against the enumeration oracle on random small models.
+"""Property tests: variable elimination, the junction tree, tree belief
+propagation and max-product decoding against the enumeration oracle on
+random small models.
 
 Tables are built from exactly representable values (MRF entries in
 {0, 1, 2}, Bayesian-network CPT columns of dyadic probabilities), so
 every product is exact: ties and zeros are common, and a tie in the
 model is a tie in floating point, which the decode must break the way
 the oracle does.
+
+Each model also has a log-domain twin: an MRF whose factors hold the
+logs of the model's tables raised by ``LOG_LIFT``, so that a product of
+two of them overflows a plain exp. The sum-product engines must give the
+twin the model's marginals, and its log partition plus the lifts.
 """
 
 import math
@@ -14,7 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgmkit.errors import ZeroEvidenceError
+from pgmkit import exact
+from pgmkit.errors import NotATreeError, ZeroEvidenceError
 from pgmkit.exact import (
     MAX_PRODUCT,
     build_junction_tree,
@@ -22,13 +29,15 @@ from pgmkit.exact import (
     jt_marginal,
     jt_query,
     max_product_decode,
+    tree_bp,
     variable_elimination,
 )
-from pgmkit.factors import Factor, Variable
+from pgmkit.factors import LOG, Factor, Variable, reduce_factor
 from pgmkit.graphs import DirectedGraph
-from pgmkit.models import BayesianNetwork, MarkovRandomField, enumerate_inference
+from pgmkit.models import BayesianNetwork, MarkovRandomField, enumerate_inference, model_factors
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+LOG_LIFT = 400.0   # exp(2 * LOG_LIFT) overflows float64
 
 # CPT columns whose products are exact in floating point
 DYADIC_COLUMNS = {
@@ -93,28 +102,54 @@ def evidence_for(draw, model):
     }
 
 
+def log_twin(model):
+    """The model as an MRF of log-domain factors, each raised by LOG_LIFT;
+    returns it and the log of the factor the lifts multiply Z by."""
+    factors = [Factor(f.scope, f.to_log().table + LOG_LIFT, domain=LOG)
+               for f in model_factors(model)]
+    return MarkovRandomField(list(model.variables.values()), factors), LOG_LIFT * len(factors)
+
+
+def tree_bp_or_none(model, evidence):
+    """tree_bp's answer, or None when the reduced factor graph has a cycle."""
+    try:
+        return tree_bp(model, evidence)
+    except NotATreeError:
+        return None
+
+
 def check_against_oracle(model, evidence):
     free = [n for n in sorted(model.variables) if n not in evidence]
     z = enumerate_inference(model, mode="partition", evidence=evidence)
-    jt = build_junction_tree(model)
-    if z == 0.0:
-        with pytest.raises(ZeroEvidenceError):
-            variable_elimination(model, free[:1], evidence)
-        with pytest.raises(ZeroEvidenceError):
-            jt_marginal(jt, free[0], evidence)
-        with pytest.raises(ZeroEvidenceError):
-            jt_calibrate(jt, evidence)
-    else:
+    for m, lift in ((model, 0.0), log_twin(model)):
+        jt = build_junction_tree(m)
+        if z == 0.0:
+            with pytest.raises(ZeroEvidenceError):
+                variable_elimination(m, free[:1], evidence)
+            with pytest.raises(ZeroEvidenceError):
+                jt_marginal(jt, free[0], evidence)
+            with pytest.raises(ZeroEvidenceError):
+                jt_calibrate(jt, evidence)
+            with pytest.raises((ZeroEvidenceError, NotATreeError)):
+                tree_bp(m, evidence)
+            continue
         calibrated = jt_calibrate(jt, evidence)
+        bp = tree_bp_or_none(m, evidence)
         for name in free:
             want = enumerate_inference(model, [name], evidence)
-            for got in (variable_elimination(model, [name], evidence).normalized(),
-                        jt_marginal(jt, name, evidence),
-                        jt_query(calibrated, name)):
-                assert got.names == want.names
-                np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
-        log_norm = variable_elimination(model, [], evidence).log_normalizer
-        assert log_norm == pytest.approx(math.log(z), abs=1e-12)
+            got = [variable_elimination(m, [name], evidence).normalized(),
+                   jt_marginal(jt, name, evidence),
+                   jt_query(calibrated, name)]
+            if bp is not None:
+                got.append(bp.marginal(name))
+            for g in got:
+                assert g.names == want.names
+                np.testing.assert_allclose(g.table, want.table, rtol=0, atol=1e-12)
+        want_log_z = pytest.approx(math.log(z) + lift, rel=1e-15, abs=1e-12)
+        assert variable_elimination(m, [], evidence).log_normalizer == want_log_z
+        assert calibrated.log_partition == want_log_z
+        if bp is not None:
+            assert bp.log_partition == want_log_z
 
     want, want_logp = enumerate_inference(model, mode="map", evidence=evidence)
     best = variable_elimination(model, [], evidence, semiring=MAX_PRODUCT)
@@ -140,3 +175,41 @@ def test_loopy_mrfs_match_the_oracle(data):
     mrf = data.draw(loopy_mrfs())
     for evidence in ({}, data.draw(evidence_for(mrf))):
         check_against_oracle(mrf, evidence)
+
+
+def with_float_tables(model, seed):
+    """The model with its tables redrawn as random floats, zeros included,
+    so that products round and their order shows in the bits."""
+    rng = np.random.default_rng(seed)
+
+    def table(f):
+        return rng.random(f.table.shape) * (rng.random(f.table.shape) > 0.1)
+
+    if isinstance(model, MarkovRandomField):
+        return MarkovRandomField(list(model.variables.values()),
+                                 [Factor(f.scope, table(f)) for f in model.factors])
+    cpds = {}
+    for name, f in model.cpds.items():
+        t = table(f) + 1e-3
+        cpds[name] = Factor(f.scope, t / t.sum(axis=0))
+    return BayesianNetwork(list(model.variables.values()), model.dag, cpds)
+
+
+def check_clique_tables(model, evidence):
+    """Every clique's evidence-first table is, bit for bit, its full
+    potential sliced at the evidence."""
+    jt = build_junction_tree(model)
+    graph, _ = exact._clique_graph(jt, evidence)
+    for i, potential in enumerate(jt.potentials):
+        want = reduce_factor(potential, evidence)
+        assert tuple(v.name for v in graph.scope[i]) == want.names
+        assert np.array_equal(graph.base[i], want.table)
+
+
+@SETTINGS
+@given(st.data())
+def test_clique_tables_are_sliced_potentials(data):
+    model = data.draw(st.one_of(bayesian_networks(), loopy_mrfs()))
+    model = with_float_tables(model, data.draw(st.integers(0, 2**32 - 1)))
+    for evidence in ({}, data.draw(evidence_for(model))):
+        check_clique_tables(model, evidence)
