@@ -7,6 +7,7 @@ annealing).
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -371,8 +372,9 @@ def ilp_objective_at(mrf: MarkovRandomField, assignment: Mapping[str, str]) -> f
 
 @dataclass
 class DualState:
+    # per (edge, endpoint), in edges order: views into one (E, 2, K) array
     multipliers: dict[tuple[tuple[str, str], str], np.ndarray]
-    bound: float                 # L(delta) at the final iterate
+    bound: float                 # L(delta) at the final iterate, the multipliers' value
     best_bound: float            # min over iterations (still >= true MAP)
     bounds: list[float]          # per-iteration L(delta)
     agreement: bool
@@ -393,10 +395,16 @@ def dual_decomposition(
     edge argmaxes disagree, the multipliers move by the step size, with a
     default schedule of 1/sqrt(k). Each L(delta) upper-bounds the true MAP
     log score; if all slaves agree the decoded assignment is exactly
-    optimal.
+    optimal. No step follows the last evaluation, so the returned
+    multipliers are the ones ``bound`` was evaluated at.
+
+    Each iteration is a few array operations: the multipliers are one
+    (E, 2, K) array, zero-padded past each endpoint's cardinality, and
+    every edge slave of one table shape takes its first maximum in one
+    ``np.argmax``. The bound adds the node maxima, then the edge maxima,
+    as Python floats in edges order.
     """
     names, unary, edges = _pairwise_parts(mrf)
-    cards = {n: mrf.variable(n).cardinality for n in names}
     if step_size is None:
         step = lambda k: 1.0 / math.sqrt(k)
     elif callable(step_size):
@@ -404,34 +412,41 @@ def dual_decomposition(
     else:
         step = lambda k, c=float(step_size): c / math.sqrt(k)
 
-    delta = {
-        (key, endpoint): np.zeros(cards[endpoint])
-        for key in edges
-        for endpoint in key
+    cards = [len(unary[n]) for n in names]
+    width = max(cards, default=1)
+    col = {n: i for i, n in enumerate(names)}
+    keys = list(edges)
+    ends = np.array([[col[a], col[b]] for a, b in keys], dtype=np.intp).reshape(-1, 2)
+    # row 2e + s holds edge e's multipliers at endpoint s; the last row stays zero
+    rows = np.zeros((2 * len(keys) + 1, width))
+    delta = rows[:-1].reshape(len(keys), 2, width)
+    multipliers = {
+        (key, endpoint): delta[e, s, :cards[col[endpoint]]]
+        for e, key in enumerate(keys)
+        for s, endpoint in enumerate(key)
     }
-
-    # each node's multipliers, in edges order so the sums keep their bits
-    incident = {n: [] for n in names}
-    for key in edges:
-        for endpoint in key:
-            incident[endpoint].append(delta[(key, endpoint)])
+    # each node's multiplier rows in edges order, so the sums keep their bits
+    incident: list[list[int]] = [[] for _ in names]
+    for r, i in enumerate(ends.reshape(-1).tolist()):
+        incident[i].append(r)
+    degree = max(map(len, incident), default=0)
+    incident = np.array([r + [len(rows) - 1] * (degree - len(r)) for r in incident],
+                        dtype=np.intp).reshape(len(names), degree)
+    # padded states score -inf, so they never win a node's maximum
+    node_base = np.full((len(names), width), -math.inf)
+    for i, n in enumerate(names):
+        node_base[i, :cards[i]] = unary[n]
+    by_shape: dict[tuple, tuple[list, list]] = {}
+    for e, table in enumerate(edges.values()):
+        tables, members = by_shape.setdefault(table.shape, ([], []))
+        tables.append(table)
+        members.append(e)
+    groups = [(np.stack(tables), np.array(members, dtype=np.intp))
+              for tables, members in by_shape.values()]
     compiled = CompiledModel(mrf)
-
-    def evaluate():
-        node_scores = {
-            n: unary[n] + sum(incident[n], np.zeros(cards[n])) for n in names
-        }
-        node_argmax = {n: int(np.argmax(node_scores[n])) for n in names}
-        bound = sum(float(np.max(node_scores[n])) for n in names)
-        edge_argmax = {}
-        for key, table in edges.items():
-            a, b = key
-            adjusted = table - delta[(key, a)][:, None] - delta[(key, b)][None, :]
-            flat = int(np.argmax(adjusted))
-            sa, sb = np.unravel_index(flat, adjusted.shape)
-            edge_argmax[key] = (int(sa), int(sb))
-            bound += float(adjusted[sa, sb])
-        return bound, node_argmax, edge_argmax
+    node_rows = np.arange(len(names))
+    edge_states = np.zeros((len(keys), 2), dtype=np.intp)
+    edge_maxima = np.zeros(len(keys))
 
     bounds = []
     best_bound = math.inf
@@ -440,32 +455,40 @@ def dual_decomposition(
     agreement = False
     k = 0
     for k in range(1, max_iters + 1):
-        bound, node_argmax, edge_argmax = evaluate()
+        gathered = rows[incident]
+        total = np.zeros((len(names), width))
+        for d in range(degree):
+            total = total + gathered[:, d]
+        node_scores = node_base + total
+        node_states = np.argmax(node_scores, axis=1)
+        bound = sum(node_scores[node_rows, node_states].tolist())
+        for tables, members in groups:
+            g, ka, kb = tables.shape
+            adjusted = (tables - delta[members, 0, :ka, None]
+                        - delta[members, 1, None, :kb]).reshape(g, ka * kb)
+            flat = np.argmax(adjusted, axis=1)
+            edge_maxima[members] = adjusted[np.arange(g), flat]
+            edge_states[members, 0], edge_states[members, 1] = np.divmod(flat, kb)
+        for value in edge_maxima.tolist():
+            bound += value
         bounds.append(bound)
         best_bound = min(best_bound, bound)
-        compiled.state[:] = [node_argmax[n] for n in names]
+        compiled.state[:] = node_states.tolist()
         objective = compiled.log_score()
         if objective > best_objective:
             best_objective = objective
             best_assignment = compiled.assignment()
-        agreement = all(
-            edge_argmax[key][i] == node_argmax[key[i]]
-            for key in edges
-            for i in (0, 1)
-        )
-        if agreement:
+        at_nodes = node_states[ends]
+        agreement = bool(np.all(edge_states == at_nodes))
+        if agreement or k == max_iters:
             break
         alpha = float(step(k))
-        for key, (sa, sb) in edge_argmax.items():
-            a, b = key
-            for endpoint, s_edge in ((a, sa), (b, sb)):
-                s_node = node_argmax[endpoint]
-                if s_edge != s_node:
-                    delta[(key, endpoint)][s_node] -= alpha
-                    delta[(key, endpoint)][s_edge] += alpha
+        e, s = np.nonzero(edge_states != at_nodes)
+        delta[e, s, at_nodes[e, s]] -= alpha
+        delta[e, s, edge_states[e, s]] += alpha
 
     return DualState(
-        multipliers=delta,
+        multipliers=multipliers,
         bound=bounds[-1],
         best_bound=best_bound,
         bounds=bounds,
@@ -538,6 +561,12 @@ def simulated_annealing_map(
 ) -> tuple[dict[str, str], float]:
     """Metropolis sampling of p_t proportional to exp(log-joint / t) while t cools
     geometrically; returns the best assignment seen at any temperature.
+
+    The best is taken over the states after each sweep, each compared by
+    its exact ``log_score``. A sweep's running score is the last exact one
+    plus the accepted moves' deltas; it is re-scored exactly only when it
+    is not finite or comes within the rounding margin of the best, the
+    only case where it could beat it.
     """
     schedule = schedule or AnnealSchedule()
     rng = np.random.default_rng(seed)
@@ -546,10 +575,27 @@ def simulated_annealing_map(
     cards = [v.cardinality for v in compiled.variables]
     state[:] = [int(rng.integers(card)) for card in cards]
     best = list(state)
-    best_score = compiled.log_score()
+    best_score = score = compiled.log_score()
+    # With u = eps / 2 the unit roundoff, F factors, at most B of them on
+    # one variable, and A the sum over factors of their largest finite
+    # |log entry| (a bound on |any sum of terms| at a state of finite
+    # score): log_score is within (F - 1)uA of the real sum, each delta
+    # (two sums of at most B terms and a subtraction) within about 2BuA of
+    # the real change, and each addition to the running score adds about
+    # uA. After m accepted moves the running score is thus within
+    # ((F - 1) + m(B + 1/2)) eps A of log_score to first order, and the
+    # margin below is twice that: a running score under best - margin
+    # means an exact score under the best, which cannot replace it.
+    blanket = max(map(len, compiled.blankets), default=0)
+    scale = 2.0 * sys.float_info.epsilon * sum(
+        max((abs(v) for v in table if math.isfinite(v)), default=0.0)
+        for table, *_ in compiled.factors
+    )
+    moves = 0                    # accepted since score was last exact
     t = schedule.t_start
     while t >= schedule.t_end:
         for _ in range(schedule.sweeps_per_stage):
+            moved = moves
             for i, card in enumerate(cards):
                 proposal = int(rng.integers(card))
                 if proposal == state[i]:
@@ -558,7 +604,14 @@ def simulated_annealing_map(
                          - compiled.local_log_score(i, state[i]))
                 if delta >= 0 or rng.random() < math.exp(delta / t):
                     state[i] = proposal
-            score = compiled.log_score()
+                    score += delta
+                    moves += 1
+            if moves == moved:   # the state and its score are unchanged
+                continue
+            margin = (len(compiled.factors) + moves * (blanket + 1)) * scale
+            if math.isfinite(score) and score < best_score - margin:
+                continue
+            score, moves = compiled.log_score(), 0
             if score > best_score:
                 best, best_score = list(state), score
         t *= schedule.cooling

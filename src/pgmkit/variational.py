@@ -12,7 +12,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import DegenerateUpdateError
-from .exact import _factor_graph
+from .exact import _exp_shifted, _factor_graph
 from .factors import Factor, Variable
 from .models import (
     Model,
@@ -270,38 +270,177 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     message is blended with the old one as (1 - damping) * old + damping *
     new. Convergence means the largest single message change fell below
     tol; on loopy graphs this may never happen, which is reported rather
-    than raised. Beliefs are exact on trees.
+    than raised. Beliefs are exact on trees. Where a message or belief
+    sums to zero, loopy BP takes the uniform one instead.
 
-    Messages and beliefs come from the send step of tree BP and the
-    junction tree; where those refuse an all-zero table, loopy BP takes
-    the uniform one instead.
+    The synchronous schedule runs each iteration as a few array operations
+    over every edge at once (:class:`_StackedFactorGraph`). The sequential
+    schedule sends one message at a time through the send step of tree BP
+    and the junction tree. Both multiply and sum in the order of that send
+    step.
     """
     if schedule not in ("synchronous", "sequential"):
         raise ValueError("schedule must be 'synchronous' or 'sequential'")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     evidence = check_evidence(model, evidence or {})
+    if schedule == "sequential":
+        return _sequential_bp(model, evidence, max_iters, damping, tol)
+    graph = _StackedFactorGraph(model, evidence)
+    messages = graph.initial_messages()
+    old = messages[:-1]           # every row but the ones row, as a view
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        blended = (1 - damping) * old + damping * graph.propose(messages)
+        # a row with a NaN drops out of the residual, as it would from max()
+        residual = float(np.fmax.reduce(np.max(np.abs(blended - old), axis=1), initial=0.0))
+        old[:] = blended
+        if residual < tol:
+            break
+    converged = residual < tol
+
+    beliefs = graph.beliefs(messages)
+    marginals = {
+        v.name: Factor([v], row[:v.cardinality])
+        for v, row in zip(graph.variables, beliefs)
+    }
+    return LoopyBpResult(marginals, converged, iterations, residual)
+
+
+class _StackedFactorGraph:
+    """The factor graph of a model reduced to its evidence, as stacked
+    arrays for the synchronous schedule of :func:`loopy_bp`.
+
+    Edge e joins a reduced factor, made linear by ``_exp_shifted``, to one
+    variable of its scope, in factor order and then scope order. All
+    messages sit in one (2E + 1, K) array: row e holds the message from
+    edge e's factor, row E + e the one into it, and the last row holds
+    ones. K is the largest free cardinality; a message over fewer states
+    is padded with zeros. Factors are stacked by table shape, and each
+    variable reads its incoming rows through a (V, D) incidence padded
+    with the ones row. Multiplying by one is exact and a row's total sums
+    only its own entries, so every product and sum runs in the order of
+    the per-edge send step.
+    """
+
+    def __init__(self, model: Model, evidence: Mapping[str, str]):
+        reduced, _ = reduce_to_evidence(model, evidence)
+        reduced, _ = _exp_shifted(reduced)
+        self.variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
+        row = {v.name: i for i, v in enumerate(self.variables)}
+        cards = [v.cardinality for v in self.variables]
+        self.width = width = max(cards, default=1)
+        edge_var: list[int] = []
+        by_shape: dict[tuple, tuple[list, list]] = {}
+        for f in reduced:
+            tables, edges = by_shape.setdefault(f.table.shape, ([], []))
+            tables.append(f.table)
+            edges.append(range(len(edge_var), len(edge_var) + len(f.names)))
+            edge_var += [row[n] for n in f.names]
+        self.n_edges = n = len(edge_var)
+        # (tables (G, *shape), edge index per slot (G, r), shape)
+        self.groups = [(np.stack(tables), np.array(edges, dtype=np.intp), shape)
+                       for shape, (tables, edges) in by_shape.items()]
+
+        incident: list[list[int]] = [[] for _ in cards]
+        for e, i in enumerate(edge_var):
+            incident[i].append(e)
+        degree = max(map(len, incident), default=0)
+        ones = 2 * n
+        self.incident = np.array([es + [ones] * (degree - len(es)) for es in incident],
+                                 dtype=np.intp).reshape(len(cards), degree)
+        # slot t of a variable multiplies every incident row but its own
+        self.leave_one_out = np.repeat(self.incident[:, None, :], degree, axis=1)
+        self.leave_one_out[:, np.arange(degree), np.arange(degree)] = ones
+        # the row of edge e's leave-one-out product, flattened over (V, D)
+        self.position = np.empty(n, dtype=np.intp)
+        for i, es in enumerate(incident):
+            self.position[es] = i * degree + np.arange(len(es))
+        # each variable's base table of ones, padded with zeros: (V, 1, K)
+        self.base = (np.arange(width) < np.array(cards).reshape(-1, 1, 1)).astype(float)
+        self.message_rows = _RowLayout([cards[i] for i in edge_var] * 2, width)
+        self.belief_rows = _RowLayout(cards, width)
+
+    def initial_messages(self) -> np.ndarray:
+        """Uniform messages on both sides of every edge, then the ones row."""
+        return np.vstack([self.message_rows.uniform, np.ones((1, self.width))])
+
+    def propose(self, messages: np.ndarray) -> np.ndarray:
+        """Every new message from the current ones, normalized: the
+        factor-to-variable rows, then the variable-to-factor rows."""
+        n, width = self.n_edges, self.width
+        new = np.zeros((2 * n, width))
+        for tables, edges, shape in self.groups:
+            incoming = []
+            for j, k in enumerate(shape):
+                expand = [len(tables)] + [1] * len(shape)
+                expand[j + 1] = k
+                incoming.append(messages[n + edges[:, j], :k].reshape(expand))
+            for t, k in enumerate(shape):
+                out = tables
+                for j, message in enumerate(incoming):
+                    if j != t:
+                        out = out * message
+                if len(shape) > 1:
+                    out = np.sum(out, axis=tuple(a + 1 for a in range(len(shape)) if a != t))
+                new[edges[:, t], :k] = out
+        new[n:] = self._products(messages, self.leave_one_out).reshape(-1, width)[self.position]
+        return self.message_rows.normalized(new)
+
+    def beliefs(self, messages: np.ndarray) -> np.ndarray:
+        """Each variable's normalized belief, one padded row per variable."""
+        products = self._products(messages, self.incident[:, None, :])
+        return self.belief_rows.normalized(products.reshape(-1, self.width))
+
+    def _products(self, messages: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Per variable and target slot, the base times the rows ``index``
+        (V, T, D) names, multiplied in slot order: (V, T, K)."""
+        out = self.base
+        gathered = messages[index]
+        for d in range(index.shape[2]):
+            out = out * gathered[:, :, d]
+        return out
+
+
+class _RowLayout:
+    """Rows of a padded array, each over the first k of its K columns."""
+
+    def __init__(self, cards: Sequence[int], width: int):
+        cards = np.array(cards, dtype=np.intp).reshape(-1, 1)
+        self.uniform = np.where(np.arange(width) < cards, 1.0 / cards, 0.0)
+        # each total sums k entries, in the order a k-entry table's sum takes
+        seen = np.unique(cards)
+        self.by_card = [(int(k), slice(None) if len(seen) == 1 else np.flatnonzero(cards == k))
+                        for k in seen]
+
+    def normalized(self, table: np.ndarray) -> np.ndarray:
+        """Each row scaled to sum to 1; the uniform row where it sums to 0."""
+        total = np.empty(len(table))
+        for k, rows in self.by_card:
+            total[rows] = table[rows, :k].sum(axis=1)
+        positive = (total > 0)[:, None]
+        return np.divide(table, total[:, None], out=self.uniform.copy(), where=positive)
+
+
+def _sequential_bp(model: Model, evidence: Mapping[str, str], max_iters: int,
+                   damping: float, tol: float) -> LoopyBpResult:
+    """Loopy BP's sequential schedule: one send per edge, each read by the
+    sends after it, factor-to-variable edges first."""
     graph, variables, _ = _factor_graph(model, evidence)
     messages = {edge: np.full(v.cardinality, 1.0 / v.cardinality)
                 for edge, (v,) in graph.kept.items()}
-    f2v = [edge for edge in messages if edge[0][0] == "f"]
-    v2f = [edge for edge in messages if edge[0][0] == "v"]
-    if schedule == "synchronous":
-        groups = [f2v + v2f]      # every proposal reads the old messages
-    else:
-        groups = [[edge] for edge in sorted(f2v) + sorted(v2f)]
-
+    order = (sorted(edge for edge in messages if edge[0][0] == "f")
+             + sorted(edge for edge in messages if edge[0][0] == "v"))
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
         residual = 0.0
-        for group in groups:
-            proposed = [_normalized(graph.send(messages, *edge)) for edge in group]
-            for edge, new in zip(group, proposed):
-                old = messages[edge]
-                blended = (1 - damping) * old + damping * new
-                residual = max(residual, float(np.max(np.abs(blended - old))))
-                messages[edge] = blended
+        for edge in order:
+            old = messages[edge]
+            blended = (1 - damping) * old + damping * _normalized(graph.send(messages, *edge))
+            residual = max(residual, float(np.max(np.abs(blended - old))))
+            messages[edge] = blended
         if residual < tol:
             break
     converged = residual < tol

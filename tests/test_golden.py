@@ -8,12 +8,13 @@ a log convention shows up here.
 import math
 
 import numpy as np
+import pytest
 
 from pgmkit.factors import LOG, Factor, Variable
 from pgmkit.mapinf import dual_decomposition, local_search_map, simulated_annealing_map
 from pgmkit.models import MarkovRandomField, reduce_to_evidence
 from pgmkit.sampling import gibbs, make_rng
-from pgmkit.variational import mean_field
+from pgmkit.variational import loopy_bp, mean_field
 
 EVIDENCE = {"g11": "s0", "g32": "s1"}
 
@@ -112,6 +113,32 @@ def test_dual_decomposition_assignment_and_bounds():
     assert (state.iterations, state.agreement) == (25, False)
 
 
+def test_dual_decomposition_bound_is_the_returned_multipliers_value():
+    # with no agreement the run ends on an evaluation, not on a step
+    mrf = reduced_grid()
+    for iters in (1, 5, 25):
+        state = dual_decomposition(mrf, max_iters=iters)
+        assert not state.agreement
+        unary = {n: np.zeros(v.cardinality) for n, v in mrf.variables.items()}
+        edges = {}
+        for f in mrf.factors:
+            with np.errstate(divide="ignore"):
+                table = f.table if f.domain == LOG else np.log(f.table)
+            if len(f.names) == 1:
+                unary[f.names[0]] = unary[f.names[0]] + table
+            else:
+                key = tuple(sorted(f.names))
+                edges[key] = edges.get(key, 0.0) + (table if key == f.names else table.T)
+        nodes = {n: u.copy() for n, u in unary.items()}
+        for (key, endpoint), delta in state.multipliers.items():
+            nodes[endpoint] = nodes[endpoint] + delta
+        bound = sum(float(np.max(score)) for score in nodes.values())
+        for (a, b), table in edges.items():
+            adjusted = table - state.multipliers[((a, b), a)][:, None] - state.multipliers[((a, b), b)][None, :]
+            bound += float(np.max(adjusted))
+        assert bound == pytest.approx(state.bound, rel=1e-12, abs=1e-12)
+
+
 def test_mean_field_sweep_values():
     _, trace = mean_field(golden_grid(), EVIDENCE, max_sweeps=4, tol=-math.inf)
     assert trace.values == [
@@ -119,3 +146,57 @@ def test_mean_field_sweep_values():
         -14.50176859745257, -14.486884927878975,
     ]
     assert len(trace.update_values) == 56
+
+
+# (iterations, final_residual, marginals) of loopy_bp's defaults on
+# golden_grid() under EVIDENCE, recorded before the synchronous schedule
+# moved onto stacked arrays
+LOOPY_SYNCHRONOUS = (
+    73, 9.090646013731885e-10,
+    {
+        'g00': [0.4293438629095963, 0.07030639546592958, 0.5003497416244741],
+        'g01': [0.8788336818329798, 0.12116631816702007],
+        'g02': [0.6182573766215466, 0.38174262337845344],
+        'g03': [0.260105145385713, 0.3190660868413846, 0.42082876777290246],
+        'g10': [0.44146162462209676, 0.5585383753779032],
+        'g12': [0.7144974210418386, 0.19962939528495469, 0.08587318367320679],
+        'g13': [0.4509693827249662, 0.5490306172750338],
+        'g20': [0.535177207775031, 0.4648227922249691],
+        'g21': [0.07487448551195197, 0.3380436964807353, 0.5870818180073127],
+        'g22': [0.2743271995817962, 0.7256728004182038],
+        'g23': [0.5528005969984533, 0.44719940300154676],
+        'g30': [0.4595408314073172, 0.14187929630492246, 0.3985798722877603],
+        'g31': [0.5044349328974718, 0.4955650671025283],
+        'g33': [0.1282246434278717, 0.7208017248965727, 0.1509736316755556],
+    },
+)
+LOOPY_SEQUENTIAL = (
+    58, 9.24301746252354e-10,
+    {
+        'g00': [0.4293438635602354, 0.0703063958037956, 0.500349740635969],
+        'g01': [0.8788336815706157, 0.1211663184293842],
+        'g02': [0.6182573764909769, 0.3817426235090231],
+        'g03': [0.26010514672595764, 0.3190660869383697, 0.4208287663356727],
+        'g10': [0.44146162558978735, 0.5585383744102127],
+        'g12': [0.714497422202929, 0.19962939397036816, 0.08587318382670281],
+        'g13': [0.45096938545101567, 0.5490306145489844],
+        'g20': [0.5351772081084685, 0.46482279189153153],
+        'g21': [0.07487448526043605, 0.33804369735821316, 0.5870818173813508],
+        'g22': [0.27432719931562144, 0.7256728006843786],
+        'g23': [0.552800598531682, 0.447199401468318],
+        'g30': [0.4595408322698969, 0.14187929591773074, 0.39857987181237226],
+        'g31': [0.5044349311940515, 0.4955650688059486],
+        'g33': [0.12822464367266856, 0.7208017243170373, 0.15097363201029415],
+    },
+)
+
+
+@pytest.mark.parametrize("schedule, pinned", [
+    ("synchronous", LOOPY_SYNCHRONOUS),
+    ("sequential", LOOPY_SEQUENTIAL),
+])
+def test_loopy_bp_marginals_iterations_and_residual(schedule, pinned):
+    iterations, residual, marginals = pinned
+    result = loopy_bp(golden_grid(), EVIDENCE, schedule=schedule)
+    assert (result.iterations, result.final_residual, result.converged) == (iterations, residual, True)
+    assert {n: f.values.tolist() for n, f in result.marginals.items()} == marginals

@@ -245,6 +245,38 @@ class TestDualDecomposition:
             assert all(b >= want - 1e-9 for b in state.bounds)
 
 
+    @staticmethod
+    def binary_grid(side, rng):
+        names = [[f"g{r}_{c}" for c in range(side)] for r in range(side)]
+        var = {n: Variable(n, ("0", "1")) for row in names for n in row}
+        factors = [Factor([var[n]], rng.random(2) + 0.1) for row in names for n in row]
+        for r in range(side):
+            for c in range(side):
+                for dr, dc in ((0, 1), (1, 0)):
+                    if r + dr < side and c + dc < side:
+                        factors.append(Factor([var[names[r][c]], var[names[r + dr][c + dc]]],
+                                              rng.random((2, 2)) + 0.1))
+        return MarkovRandomField(list(var.values()), factors)
+
+    def test_argmax_calls_per_iteration_do_not_grow_with_the_grid(self, monkeypatch, rng):
+        # every slave of one table shape takes its argmax in one call: a
+        # return to per-edge argmaxes shows up here as a count
+        calls = []
+        argmax = np.argmax
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return argmax(*args, **kw)
+
+        monkeypatch.setattr(np, "argmax", counted)
+        per_iteration = []
+        for side in (4, 8):
+            calls.clear()
+            state = dual_decomposition(self.binary_grid(side, rng), max_iters=12)
+            per_iteration.append(len(calls) / state.iterations)
+        assert per_iteration[0] == per_iteration[1] == 2.0
+
+
 class TestLocalSearch:
     def test_unary_only_exact(self, rng):
         vs = [Variable(n, ("0", "1", "2")) for n in "abcd"]

@@ -1,6 +1,7 @@
 """Property tests: variable elimination, the junction tree, tree belief
 propagation and max-product decoding against the enumeration oracle on
-random small models.
+random small models; loopy BP, dual decomposition and annealing against
+their per-edge or always-re-scoring forms and their bounds.
 
 Tables are built from exactly representable values (MRF entries in
 {0, 1, 2}, Bayesian-network CPT columns of dyadic probabilities), so
@@ -33,8 +34,17 @@ from pgmkit.exact import (
     variable_elimination,
 )
 from pgmkit.factors import LOG, Factor, Variable, reduce_factor
+from pgmkit.mapinf import AnnealSchedule, dual_decomposition, simulated_annealing_map
 from pgmkit.graphs import DirectedGraph
-from pgmkit.models import BayesianNetwork, MarkovRandomField, enumerate_inference, model_factors
+from pgmkit.models import (
+    BayesianNetwork,
+    CompiledModel,
+    MarkovRandomField,
+    check_evidence,
+    enumerate_inference,
+    model_factors,
+)
+from pgmkit.variational import LoopyBpResult, loopy_bp
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 LOG_LIFT = 400.0   # exp(2 * LOG_LIFT) overflows float64
@@ -213,3 +223,201 @@ def test_clique_tables_are_sliced_potentials(data):
     model = with_float_tables(model, data.draw(st.integers(0, 2**32 - 1)))
     for evidence in ({}, data.draw(evidence_for(model))):
         check_clique_tables(model, evidence)
+
+
+# ---------------------------------------------------------------------------
+# Loopy BP, dual decomposition and annealing
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def factor_graphs(draw, max_arity=3, zeros=True):
+    """Up to five variables of two to four states and up to six factors
+    over one to ``max_arity`` of them, as random floats (with zeros when
+    asked), some in the log domain. A variable may lie on no factor, and
+    there may be no factor at all."""
+    n = draw(st.integers(1, 5))
+    variables = [Variable(f"v{i}", tuple(f"s{k}" for k in range(draw(st.integers(2, 4)))))
+                 for i in range(n)]
+    entry = st.floats(0.05, 4.0)
+    if zeros:
+        entry = st.one_of(st.just(0.0), entry)
+    factors = []
+    for scope in draw(st.lists(st.lists(st.sampled_from(variables), min_size=1,
+                                        max_size=max_arity, unique=True), max_size=6)):
+        size = math.prod(v.cardinality for v in scope)
+        values = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+        if draw(st.booleans()):
+            with np.errstate(divide="ignore"):
+                factors.append(Factor(scope, np.log(values) + draw(st.sampled_from([0.0, LOG_LIFT])),
+                                      domain=LOG))
+        else:
+            factors.append(Factor(scope, values))
+    return MarkovRandomField(variables, factors)
+
+
+def any_evidence(draw, model):
+    """Evidence on any subset of the variables, all of them included."""
+    names = sorted(model.variables)
+    observed = draw(st.lists(st.sampled_from(names), unique=True))
+    return {n: draw(st.sampled_from(model.variable(n).states)) for n in observed}
+
+
+def per_edge_loopy_bp(model, evidence, max_iters, damping, tol):
+    """The synchronous schedule as one send per edge: every proposal reads
+    the old messages, then all are blended."""
+    evidence = check_evidence(model, evidence)
+    graph, variables, _ = exact._factor_graph(model, evidence)
+    messages = {edge: np.full(v.cardinality, 1.0 / v.cardinality)
+                for edge, (v,) in graph.kept.items()}
+    edges = ([edge for edge in messages if edge[0][0] == "f"]
+             + [edge for edge in messages if edge[0][0] == "v"])
+
+    def normalized(table):
+        total = table.sum()
+        return table / total if total > 0 else np.full(len(table), 1.0 / len(table))
+
+    residual, iterations = math.inf, 0
+    for iterations in range(1, max_iters + 1):
+        residual = 0.0
+        proposed = [normalized(graph.send(messages, *edge)) for edge in edges]
+        for edge, new in zip(edges, proposed):
+            old = messages[edge]
+            blended = (1 - damping) * old + damping * new
+            residual = max(residual, float(np.max(np.abs(blended - old))))
+            messages[edge] = blended
+        if residual < tol:
+            break
+    marginals = {v.name: Factor([v], normalized(graph.send(messages, ("v", v.name))))
+                 for v in variables}
+    return LoopyBpResult(marginals, residual < tol, iterations, residual)
+
+
+def bp_outputs(result):
+    return ({n: f.values.tolist() for n, f in result.marginals.items()},
+            result.converged, result.iterations, result.final_residual)
+
+
+@SETTINGS
+@given(st.data())
+def test_synchronous_loopy_bp_is_the_per_edge_schedule_bit_for_bit(data):
+    model = data.draw(factor_graphs())
+    evidence = any_evidence(data.draw, model)
+    kw = dict(max_iters=data.draw(st.integers(1, 12)),
+              damping=data.draw(st.sampled_from([1.0, 0.5, 0.3])),
+              tol=data.draw(st.sampled_from([0.0, 1e-9, 1e-3])))
+    got = loopy_bp(model, evidence, **kw)
+    assert bp_outputs(got) == bp_outputs(per_edge_loopy_bp(model, evidence, **kw))
+
+
+@pytest.mark.parametrize("model, evidence", [
+    # no free variable
+    (MarkovRandomField([Variable("a", ("0", "1"))], [Factor([Variable("a", ("0", "1"))], [1.0, 3.0])]),
+     {"a": "1"}),
+    # a free variable on no factor
+    (MarkovRandomField([Variable("a", ("0", "1")), Variable("b", ("0", "1", "2"))],
+                       [Factor([Variable("a", ("0", "1"))], [1.0, 3.0])]), {}),
+    # no edge at all
+    (MarkovRandomField([Variable("a", ("0", "1")), Variable("b", ("0", "1", "2"))], []), {}),
+])
+def test_loopy_bp_empty_cases_match_the_per_edge_schedule(model, evidence):
+    for tol in (1e-9, -math.inf):
+        got = loopy_bp(model, evidence, max_iters=3, tol=tol)
+        assert bp_outputs(got) == bp_outputs(per_edge_loopy_bp(model, evidence, 3, 0.5, tol))
+
+
+def test_loopy_bp_wide_and_narrow_messages_match_the_per_edge_schedule():
+    # messages of 5, 9 and 10 states: a total over 8 or more entries sums
+    # pairwise, so a narrow row must not be summed at the padded width
+    rng = np.random.default_rng(4)
+    a, b, c = (Variable(n, tuple(str(k) for k in range(card)))
+               for n, card in (("a", 9), ("b", 5), ("c", 10)))
+    factors = [Factor(scope, rng.random([v.cardinality for v in scope]))
+               for scope in ([a, b], [b, c], [c, a, b], [c], [b])]
+    model = MarkovRandomField([a, b, c], factors)
+    for evidence in ({}, {"a": "4"}):
+        got = loopy_bp(model, evidence, max_iters=6, tol=0.0)
+        assert bp_outputs(got) == bp_outputs(per_edge_loopy_bp(model, evidence, 6, 0.5, 0.0))
+
+
+@st.composite
+def forests(draw):
+    """Factor graphs without a cycle: each factor joins variables of
+    distinct components. Entries are positive, so tree BP never refuses."""
+    model = draw(factor_graphs(zeros=False))
+    component = {n: n for n in model.variables}
+
+    def root(n):
+        while component[n] != n:
+            n = component[n]
+        return n
+
+    kept = []
+    for f in model.factors:
+        roots = [root(n) for n in f.names]
+        if len(set(roots)) == len(roots):
+            kept.append(f)
+            for r in roots[1:]:
+                component[r] = roots[0]
+    return MarkovRandomField(list(model.variables.values()), kept)
+
+
+@SETTINGS
+@given(st.data())
+def test_loopy_bp_is_exact_on_forests(data):
+    model = data.draw(forests())
+    evidence = any_evidence(data.draw, model)
+    if len(evidence) == len(model.variables):
+        return
+    exact_bp = tree_bp(model, evidence)
+    result = loopy_bp(model, evidence, damping=1.0, max_iters=100, tol=1e-13)
+    assert result.converged
+    for name, belief in result.marginals.items():
+        assert np.allclose(belief.values, exact_bp.marginal(name).values, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(st.data())
+def test_every_dual_bound_is_at_least_the_map_value(data):
+    model = data.draw(factor_graphs(max_arity=2))
+    _, map_value = enumerate_inference(model, mode="map")
+    state = dual_decomposition(model, max_iters=data.draw(st.integers(1, 40)))
+    slack = 1e-9 * max(1.0, abs(map_value)) if math.isfinite(map_value) else 0.0
+    assert all(bound >= map_value - slack for bound in state.bounds)
+
+
+def always_rescored_annealing(mrf, schedule, seed):
+    """Annealing with an exact log_score after every sweep."""
+    rng = np.random.default_rng(seed)
+    compiled = CompiledModel(mrf)
+    state = compiled.state
+    cards = [v.cardinality for v in compiled.variables]
+    state[:] = [int(rng.integers(card)) for card in cards]
+    best, best_score = list(state), compiled.log_score()
+    t = schedule.t_start
+    while t >= schedule.t_end:
+        for _ in range(schedule.sweeps_per_stage):
+            for i, card in enumerate(cards):
+                proposal = int(rng.integers(card))
+                if proposal == state[i]:
+                    continue
+                delta = (compiled.local_log_score(i, proposal)
+                         - compiled.local_log_score(i, state[i]))
+                if delta >= 0 or rng.random() < math.exp(delta / t):
+                    state[i] = proposal
+            score = compiled.log_score()
+            if score > best_score:
+                best, best_score = list(state), score
+        t *= schedule.cooling
+    return compiled.assignment(best), best_score
+
+
+@SETTINGS
+@given(st.data())
+def test_annealing_picks_the_best_an_exact_score_per_sweep_picks(data):
+    model = data.draw(factor_graphs())
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    schedule = AnnealSchedule(t_start=2.0, t_end=0.05, cooling=0.7, sweeps_per_stage=2)
+    assignment, logp = simulated_annealing_map(model, schedule, seed=seed)
+    want_assignment, want_logp = always_rescored_annealing(model, schedule, seed)
+    assert (assignment, repr(logp)) == (want_assignment, repr(want_logp))
