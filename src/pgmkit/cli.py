@@ -197,8 +197,9 @@ def _cmd_map(args, out) -> int:
     model = _read_model(args.model)
     evidence = _parse_evidence(args.evidence)
     if args.export_lp:
+        text = export_map_ilp(_as_mrf(model))  # a refusal leaves no file
         with open(args.export_lp, "w") as handle:
-            handle.write(export_map_ilp(_as_mrf(model)))
+            handle.write(text)
         print(f"lp_written={args.export_lp}", file=out)
     engine = args.engine
     if engine == "enum":

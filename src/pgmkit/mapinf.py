@@ -16,7 +16,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ScopeError
-from .models import CompiledModel, MarkovRandomField, linear_factors
+from .models import CompiledModel, MarkovRandomField
 
 
 # ---------------------------------------------------------------------------
@@ -192,46 +192,29 @@ def graphcut_map(m: PairwiseEnergyModel) -> tuple[dict[str, int], float]:
 def mrf_to_energy_model(mrf: MarkovRandomField) -> PairwiseEnergyModel:
     """Convert a binary pairwise MRF with agreement-type couplings.
 
-    Pairwise tables must be metric: equal diagonal, equal off-diagonal,
-    diagonal at least as large (so the disagreement penalty is
-    nonnegative). Energies are negative log potentials; the constant
+    Energies are the negated log-unaries and log-tables of
+    :func:`_pairwise_parts`. Each edge's summed log table must be metric:
+    equal diagonal, equal off-diagonal (to 1e-9 in logs), diagonal at least as
+    large (so the disagreement penalty is nonnegative). The constant
     per-edge offset drops out of the argmin.
     """
-    variables = sorted(mrf.variables)
-    for name in variables:
+    for name in sorted(mrf.variables):
         if mrf.variable(name).cardinality != 2:
             raise ValueError(f"graph cuts need binary variables; {name!r} is not")
-    unary = {v: [0.0, 0.0] for v in variables}
-    lam: dict[tuple[str, str], float] = {}
-    for f in linear_factors(mrf.factors):
-        if np.any(f.table <= 0.0):
-            raise ValueError("zero potential entries have infinite energy")
-        if len(f.scope) == 1:
-            name = f.names[0]
-            unary[name][0] += -math.log(float(f.table[0]))
-            unary[name][1] += -math.log(float(f.table[1]))
-        elif len(f.scope) == 2:
-            t = f.table
-            if not (
-                math.isclose(t[0, 0], t[1, 1], rel_tol=1e-9)
-                and math.isclose(t[0, 1], t[1, 0], rel_tol=1e-9)
-            ):
-                raise ValueError(
-                    f"pairwise table over {list(f.names)} is not of the "
-                    "agreement (metric) form"
-                )
-            coupling = math.log(float(t[0, 0])) - math.log(float(t[0, 1]))
-            if coupling < 0:
-                raise ValueError(
-                    f"couplings must favor agreement; edge {list(f.names)} does not"
-                )
-            key = (min(f.names), max(f.names))
-            lam[key] = lam.get(key, 0.0) + coupling
-        else:
-            raise ValueError("graph cuts support unary and pairwise factors only")
-    return PairwiseEnergyModel(
-        tuple(variables), {v: tuple(e) for v, e in unary.items()}, lam
-    )
+    names, unary, edges = _pairwise_parts(mrf)
+    if not all(np.all(np.isfinite(t)) for t in [*unary.values(), *edges.values()]):
+        raise ValueError("zero potential entries have infinite energy")
+    lam = {}
+    for key, t in edges.items():
+        if abs(t[0, 0] - t[1, 1]) > 1e-9 or abs(t[0, 1] - t[1, 0]) > 1e-9:
+            raise ValueError(
+                f"pairwise table over {list(key)} is not of the agreement (metric) form"
+            )
+        lam[key] = float(t[0, 0] - t[0, 1])
+        if lam[key] < 0:
+            raise ValueError(f"couplings must favor agreement; edge {list(key)} does not")
+    # 0.0 - x, not -x: a zero log stays a +0.0 energy
+    return PairwiseEnergyModel(tuple(names), {v: 0.0 - u for v, u in unary.items()}, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +223,8 @@ def mrf_to_energy_model(mrf: MarkovRandomField) -> PairwiseEnergyModel:
 
 
 def _pairwise_parts(mrf: MarkovRandomField):
-    """Split a pairwise MRF into per-node log-unaries and per-edge log-tables."""
+    """Split a pairwise MRF into per-node log-unaries and per-edge log-tables,
+    as graph cuts, the LP export and dual decomposition all read it."""
     names = sorted(mrf.variables)
     unary = {n: np.zeros(mrf.variable(n).cardinality) for n in names}
     edges: dict[tuple[str, str], np.ndarray] = {}
@@ -279,6 +263,8 @@ def export_map_ilp(mrf: MarkovRandomField) -> str:
     relaxation whose solution can be rounded to an approximate MAP.
     """
     names, unary, edges = _pairwise_parts(mrf)
+    if not names:
+        raise ValueError("a model with no variables has no MAP program to export")
     for n, table in unary.items():
         if not np.all(np.isfinite(table)):
             raise ValueError(f"zero potential entries for {n!r} cannot be encoded")

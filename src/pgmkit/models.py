@@ -313,12 +313,6 @@ def model_factors(model: Model) -> list[Factor]:
     return list(model.factors)
 
 
-def linear_factors(factors: Iterable[Factor]) -> list[Factor]:
-    """The factors with log-domain tables exponentiated, for the engines
-    that multiply tables; linear-domain factors pass through as they are."""
-    return [f.to_linear() for f in factors]
-
-
 def check_evidence(model: Model, evidence: Mapping[str, str]) -> dict[str, str]:
     out = {}
     for name, state in evidence.items():
@@ -445,8 +439,8 @@ def _joint_factor(model: Model, cap: int = ENUMERATION_CAP) -> Factor:
         raise TooLargeError(f"joint table of {size} entries exceeds the cap of {cap}")
     ordered = [model.variables[n] for n in sorted(model.variables)]
     joint = fa.ones_like(ordered)
-    for f in linear_factors(model_factors(model)):
-        joint = fa.product(joint, f)
+    for f in model_factors(model):
+        joint = fa.product(joint, f.to_linear())
     return fa.align_to(joint, sorted(model.variables))
 
 

@@ -22,14 +22,13 @@ from .errors import (
     TrappedStateError,
     ZeroEvidenceError,
 )
-from .exact import JunctionTree, _tree_schedule
+from .exact import JunctionTree, _exp_shifted, _tree_schedule
 from .factors import Factor, Variable
 from .graphs import topological_sort
 from .models import (
     BayesianNetwork,
     Model,
     check_evidence,
-    linear_factors,
     model_factors,
 )
 
@@ -363,9 +362,7 @@ class _ConditionalSampler:
         self.cards = np.array(
             [model.variable(n).cardinality for n in self.free], dtype=np.int64
         )
-        reduced = [
-            fa.reduce_factor(f, evidence) for f in linear_factors(model_factors(model))
-        ]
+        reduced, _ = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(model))
         # per free variable: the blanket table, its cumulative rows as
         # lists, the blanket columns and their strides; None past the cache
         # cap, where the conditional comes from the factors

@@ -293,6 +293,18 @@ class TestMap:
         text = lp_path.read_text()
         assert "Maximize" in text and "Subject To" in text and "Binary" in text
 
+    def test_lp_export_of_a_model_with_no_variables_exits_2(self, tmp_path, capsys):
+        from pgmkit.models import MarkovRandomField
+
+        path = tmp_path / "empty.json"
+        path.write_text(serialize_model(MarkovRandomField([], [])))
+        lp_path = tmp_path / "map.lp"
+        code, _ = run(["map", "--model", str(path), "--engine", "enum",
+                       "--export-lp", str(lp_path)])
+        assert code == 2
+        assert "no variables" in capsys.readouterr().err
+        assert not lp_path.exists()
+
     def test_graphcut_engine(self, tmp_path):
         from pgmkit.factors import Factor, Variable
         from pgmkit.models import MarkovRandomField, enumerate_inference

@@ -1,11 +1,15 @@
+import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import random_mrf, random_tree_mrf
+from pgmkit.cli import main
 from pgmkit.factors import Factor, Variable
+from pgmkit.io import serialize_model
 from pgmkit.mapinf import (
     AnnealSchedule,
     FlowNetwork,
@@ -16,6 +20,7 @@ from pgmkit.mapinf import (
     ilp_objective_at,
     local_search_map,
     min_cut,
+    mrf_to_energy_model,
     normalize_energies,
     partition_cost,
     simulated_annealing_map,
@@ -161,6 +166,75 @@ class TestGraphCut:
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             PairwiseEnergyModel(("a", "b"), {}, {("a", "b"): -1.0})
+
+    @staticmethod
+    def log_metric_grid(seed, lift):
+        gen = np.random.default_rng(seed)
+        vs = {(r, c): Variable(f"g{r}{c}", ("0", "1")) for r in range(3) for c in range(3)}
+        factors = [Factor([v], gen.normal(size=2) + lift, domain="log") for v in vs.values()]
+        for (r, c), v in vs.items():
+            for nb in ((r, c + 1), (r + 1, c)):
+                if nb in vs:
+                    agree, disagree = gen.random(), -gen.random()
+                    table = np.array([[agree, disagree], [disagree, agree]]) + lift
+                    factors.append(Factor([v, vs[nb]], table, domain="log"))
+        return MarkovRandomField(list(vs.values()), factors)
+
+    def test_log_potentials_past_the_exp_range(self):
+        for seed in range(5):
+            mrf = self.log_metric_grid(seed, 800.0)
+            labels, energy = graphcut_map(mrf_to_energy_model(mrf))
+            want, logp = enumerate_inference(self.log_metric_grid(seed, 0.0), mode="map")
+            assert {n: str(s) for n, s in labels.items()} == want
+            assert math.isfinite(energy)
+            # the energy leaves out each edge's agreement score
+            dropped = sum(f.table[0, 0] for f in mrf.factors if len(f.scope) == 2)
+            assert energy == pytest.approx(dropped - logp - 800.0 * len(mrf.factors), abs=1e-9)
+
+
+def _refused_models():
+    a, b, c = (Variable(n, ("0", "1")) for n in "abc")
+    t = Variable("t", ("0", "1", "2"))
+    return {
+        "ternary variable": (
+            MarkovRandomField([a, t], [Factor([a, t], np.ones((2, 3)))]),
+            "need binary variables"),
+        "factor over three variables": (
+            MarkovRandomField([a, b, c], [Factor([a, b, c], np.ones((2, 2, 2)))]),
+            "unary and pairwise factors only"),
+        "zero linear entry": (
+            MarkovRandomField([a, b], [Factor([a], [0.0, 1.0]),
+                                       Factor([a, b], [[2.0, 1.0], [1.0, 2.0]])]),
+            "infinite energy"),
+        "-inf log entry": (
+            MarkovRandomField([a, b], [Factor([a, b], [[1.0, -np.inf], [-np.inf, 1.0]],
+                                              domain="log")]),
+            "infinite energy"),
+        "non-metric table": (
+            MarkovRandomField([a, b], [Factor([a, b], [[3.0, 1.0], [2.0, 3.0]])]),
+            r"not of the agreement \(metric\) form"),
+        "repulsive coupling": (
+            MarkovRandomField([a, b], [Factor([a, b], [[1.0, 3.0], [3.0, 1.0]])]),
+            "couplings must favor agreement"),
+    }
+
+
+class TestGraphCutRefusals:
+    @pytest.mark.parametrize("case", sorted(_refused_models()))
+    def test_energy_model_refuses(self, case):
+        mrf, message = _refused_models()[case]
+        with pytest.raises(ValueError, match=message):
+            mrf_to_energy_model(mrf)
+
+    # a model document cannot hold -inf, so that case has no CLI twin
+    @pytest.mark.parametrize("case", sorted(set(_refused_models()) - {"-inf log entry"}))
+    def test_cli_exits_2(self, case, tmp_path, capsys):
+        mrf, message = _refused_models()[case]
+        path = tmp_path / "model.json"
+        path.write_text(serialize_model(mrf))
+        assert main(["map", "--model", str(path), "--engine", "graphcut"],
+                    out=io.StringIO()) == 2
+        assert re.search(message, capsys.readouterr().err)
 
 
 class TestIlpExport:

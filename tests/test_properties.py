@@ -34,7 +34,14 @@ from pgmkit.exact import (
     variable_elimination,
 )
 from pgmkit.factors import LOG, Factor, Variable, reduce_factor
-from pgmkit.mapinf import AnnealSchedule, dual_decomposition, simulated_annealing_map
+from pgmkit.mapinf import (
+    AnnealSchedule,
+    dual_decomposition,
+    graphcut_map,
+    ilp_objective_at,
+    mrf_to_energy_model,
+    simulated_annealing_map,
+)
 from pgmkit.graphs import DirectedGraph
 from pgmkit.models import (
     BayesianNetwork,
@@ -42,7 +49,9 @@ from pgmkit.models import (
     MarkovRandomField,
     check_evidence,
     enumerate_inference,
+    log_joint,
     model_factors,
+    reduce_to_evidence,
 )
 from pgmkit.variational import LoopyBpResult, loopy_bp
 
@@ -421,3 +430,54 @@ def test_annealing_picks_the_best_an_exact_score_per_sweep_picks(data):
     assignment, logp = simulated_annealing_map(model, schedule, seed=seed)
     want_assignment, want_logp = always_rescored_annealing(model, schedule, seed)
     assert (assignment, repr(logp)) == (want_assignment, repr(want_logp))
+
+
+@st.composite
+def metric_binary_mrfs(draw):
+    """Binary pairwise MRFs whose summed log table on each edge is metric
+    with a positive coupling. Each factor is stored linear or log, each
+    pairwise scope in a drawn order, and an edge may carry two factors
+    that are metric only in sum."""
+    n = draw(st.integers(2, 5))
+    variables = [Variable(f"v{i}", ("s0", "s1")) for i in draw(st.permutations(range(n)))]
+    quarter = st.integers(-8, 8).map(lambda k: k / 4)
+
+    def stored(scope, log_table):
+        if draw(st.booleans()):
+            return Factor(scope, log_table, domain=LOG)
+        return Factor(scope, np.exp(log_table))
+
+    def pairwise(a, b, log_table):
+        if draw(st.booleans()):
+            a, b, log_table = b, a, log_table.T
+        return stored([a, b], log_table)
+
+    factors = [stored([v], np.array([draw(quarter), draw(quarter)]))
+               for v in variables for _ in range(draw(st.integers(0, 2)))]
+    pairs = [(a, b) for i, a in enumerate(variables) for b in variables[i + 1:]]
+    for k in draw(st.lists(st.integers(0, len(pairs) - 1), unique=True)):
+        agree, gap = draw(quarter), draw(st.integers(1, 8)) / 4
+        total = np.array([[agree, agree - gap], [agree - gap, agree]])
+        if draw(st.booleans()):
+            part = np.array(draw(st.lists(quarter, min_size=4, max_size=4))).reshape(2, 2)
+            factors += [pairwise(*pairs[k], total - part), pairwise(*pairs[k], part)]
+        else:
+            factors.append(pairwise(*pairs[k], total))
+    return MarkovRandomField(variables, draw(st.permutations(factors)))
+
+
+@SETTINGS
+@given(st.data())
+def test_graph_cuts_and_the_ilp_objective_read_one_pairwise_split(data):
+    model = data.draw(metric_binary_mrfs())
+    evidence = data.draw(evidence_for(model))
+    kept, log_offset = reduce_to_evidence(model, evidence)
+    mrf = MarkovRandomField([v for n, v in model.variables.items() if n not in evidence], kept)
+    _, map_value = enumerate_inference(model, mode="map", evidence=evidence)
+    labels, _ = graphcut_map(mrf_to_energy_model(mrf))
+    cut = {n: mrf.variable(n).states[s] for n, s in labels.items()}
+    assert log_joint(mrf, cut) + log_offset == pytest.approx(map_value, abs=1e-9)
+    drawn = {n: data.draw(st.sampled_from(v.states)) for n, v in sorted(mrf.variables.items())}
+    for assignment in (cut, drawn):
+        assert ilp_objective_at(mrf, assignment) == pytest.approx(
+            log_joint(mrf, assignment), abs=1e-9)

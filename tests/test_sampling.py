@@ -323,8 +323,30 @@ class TestGibbs:
             for k, state in enumerate(mrf.variable(name).states):
                 assert batch.frequency(name, state) == pytest.approx(exact[k], abs=0.04)
 
+    def test_log_unary_past_the_exp_range(self):
+        # exp(800) overflows; the conditional is the logistic of the difference
+        a = Variable("a", ("0", "1"))
+        mrf = MarkovRandomField([a], [Factor([a], [800.0, 801.0], domain="log")])
+        batch = gibbs(mrf, None, 4000, 100, make_rng(5))
+        assert batch.frequency("a", "1") == pytest.approx(1 / (1 + math.exp(-1)), abs=0.03)
+
+
+def _past_exp_range_pair(lift):
+    """Two binary variables with log tables lifted by ``lift``."""
+    a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+    return MarkovRandomField([a, b], [
+        Factor([a], np.array([0.0, 1.0]) + lift, domain="log"),
+        Factor([b, a], np.array([[0.5, -0.3], [0.0, 1.5]]) + lift, domain="log"),
+    ])
+
 
 class TestGibbsKernel:
+    def test_stationary_past_the_exp_range_is_the_shifted_oracle(self):
+        T, labels = gibbs_transition_matrix(_past_exp_range_pair(800.0))
+        oracle = enumerate_inference(_past_exp_range_pair(0.0), ["a", "b"])
+        want = np.array([oracle(label) for label in labels])
+        assert np.allclose(chain_analysis(T).stationary, want, rtol=0, atol=1e-10)
+
     def test_sweep_kernel_stationary(self, rng):
         for _ in range(5):
             mrf = random_tree_mrf(rng, n=3, max_states=2)
