@@ -354,8 +354,8 @@ class _Calibration:
 
 class _MessageGraph:
     """Nodes holding base tables, joined by edges that each keep some of
-    the sender's variables; the one send step of tree BP, the junction tree
-    and loopy BP.
+    the sender's variables; the one send step of tree BP and the junction
+    tree.
 
     A message is a plain array over its edge's kept variables, in the
     sender's order. Every edge's broadcast plan is worked out once, here:

@@ -356,26 +356,24 @@ class _ConditionalSampler:
 
     def __init__(self, model: Model, evidence: Mapping[str, str]):
         self.model = model
-        self.evidence = dict(evidence)
         self.free = [n for n in sorted(model.variables) if n not in evidence]
         self.col_of = {n: k for k, n in enumerate(self.free)}
-        self.cards = np.array(
-            [model.variable(n).cardinality for n in self.free], dtype=np.int64
-        )
-        reduced, _ = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(model))
+        raw = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
+        reduced, _ = _exp_shifted(raw)
         # per free variable: the blanket table, its cumulative rows as
         # lists, the blanket columns and their strides; None past the cache
         # cap, where the conditional comes from the factors
         self.sites = []
         self.factor_plans = {}
         for name in self.free:
-            touching = [f for f in reduced if name in f.names]
-            blanket = sorted({v for f in touching for v in f.names if v != name})
+            touching = [i for i, f in enumerate(reduced) if name in f.names]
+            blanket = sorted({v for i in touching for v in reduced[i].names if v != name})
             size = math.prod(model.variable(b).cardinality for b in blanket)
             card = model.variable(name).cardinality
             if touching and size * card <= CONDITIONAL_CACHE_CAP:
-                aligned = fa.align_to(fa.product_all(touching), blanket + [name])
-                table = aligned.table.reshape(size, card)
+                aligned = fa.align_to(fa.product_all(reduced[i] for i in touching), blanket + [name])
+                table = _underflow_rebuilt(aligned.table.reshape(size, card),
+                                           [raw[i] for i in touching], {}, blanket + [name])
                 self.sites.append((
                     table,
                     np.cumsum(table, axis=1).tolist(),
@@ -384,14 +382,15 @@ class _ConditionalSampler:
                 ))
             else:
                 self.sites.append(None)
-                self.factor_plans[name] = (touching, blanket)
+                self.factor_plans[name] = ([reduced[i] for i in touching],
+                                           [raw[i] for i in touching], blanket)
 
     def conditional(self, name: str, state_vec: np.ndarray) -> np.ndarray:
         site = self.sites[self.col_of[name]]
         if site is not None:
             table, _, cols, strides = site
             return table[sum(int(state_vec[c]) * s for c, s in zip(cols, strides))]
-        touching, blanket = self.factor_plans[name]
+        touching, raw, blanket = self.factor_plans[name]
         card = self.model.variable(name).cardinality
         out = np.ones(card)
         assignment = {
@@ -399,9 +398,25 @@ class _ConditionalSampler:
             for v in blanket
         }
         for f in touching:
-            sliced = fa.reduce_factor(f, assignment)
-            out = out * fa.align_to(sliced, [name]).values
-        return out
+            out = out * fa.reduce_factor(f, assignment).table
+        return _underflow_rebuilt(out[None], raw, assignment, [name])[0]
+
+
+def _underflow_rebuilt(rows: np.ndarray, raw: Sequence[Factor],
+                       assignment: Mapping[str, str], names: list[str]) -> np.ndarray:
+    """``rows``, the shifted product of the ``raw`` factors reduced to
+    ``assignment``, over ``names`` as (blanket states, site states). A row
+    that underflowed to all zeros but has a finite log entry is rebuilt
+    from its log sum less its largest finite entry; other rows keep their
+    bits."""
+    dead = ~np.any(rows > 0.0, axis=1)
+    if dead.any():
+        logs = fa.product_all(fa.reduce_factor(f, assignment).to_log() for f in raw)
+        logs = fa.align_to(logs, names).table.reshape(rows.shape)
+        dead &= np.any(np.isfinite(logs), axis=1)
+        rows = rows.copy()
+        rows[dead] = np.exp(logs[dead] - logs[dead].max(axis=1, keepdims=True))
+    return rows
 
 
 def _initial_state(model: Model, evidence: Mapping[str, str],

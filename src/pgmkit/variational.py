@@ -12,7 +12,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import DegenerateUpdateError
-from .exact import _exp_shifted, _factor_graph
+from .exact import _exp_shifted
 from .factors import Factor, Variable
 from .models import (
     Model,
@@ -273,29 +273,41 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     than raised. Beliefs are exact on trees. Where a message or belief
     sums to zero, loopy BP takes the uniform one instead.
 
-    The synchronous schedule runs each iteration as a few array operations
-    over every edge at once (:class:`_StackedFactorGraph`). The sequential
-    schedule sends one message at a time through the send step of tree BP
-    and the junction tree. Both multiply and sum in the order of that send
-    step.
+    Both schedules run on the stacked arrays of :class:`_StackedFactorGraph`,
+    in two half-steps: every factor-to-variable message, then every
+    variable-to-factor message. Each half reads only the other half's
+    messages, so it is a few array operations over all its edges. The
+    synchronous schedule proposes both halves from the messages the
+    iteration started with; the sequential one blends the factor half in
+    before the variable half reads it. Products and sums run in the order
+    of the send step of tree BP and the junction tree.
     """
     if schedule not in ("synchronous", "sequential"):
         raise ValueError("schedule must be 'synchronous' or 'sequential'")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     evidence = check_evidence(model, evidence or {})
-    if schedule == "sequential":
-        return _sequential_bp(model, evidence, max_iters, damping, tol)
     graph = _StackedFactorGraph(model, evidence)
     messages = graph.initial_messages()
-    old = messages[:-1]           # every row but the ones row, as a view
+    n = graph.n_edges
+
+    def blend(rows: np.ndarray, new: np.ndarray) -> float:
+        """Blend ``new`` into the message rows in place; the largest change."""
+        blended = (1 - damping) * rows + damping * new
+        # a row with a NaN drops out of the residual, as it would from max()
+        change = float(np.fmax.reduce(np.max(np.abs(blended - rows), axis=1), initial=0.0))
+        rows[:] = blended
+        return change
+
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        blended = (1 - damping) * old + damping * graph.propose(messages)
-        # a row with a NaN drops out of the residual, as it would from max()
-        residual = float(np.fmax.reduce(np.max(np.abs(blended - old), axis=1), initial=0.0))
-        old[:] = blended
+        if schedule == "synchronous":
+            residual = blend(messages[:-1], np.vstack([graph.factor_half(messages),
+                                                       graph.variable_half(messages)]))
+        else:
+            residual = blend(messages[:n], graph.factor_half(messages))
+            residual = max(residual, blend(messages[n:-1], graph.variable_half(messages)))
         if residual < tol:
             break
     converged = residual < tol
@@ -310,7 +322,7 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
 
 class _StackedFactorGraph:
     """The factor graph of a model reduced to its evidence, as stacked
-    arrays for the synchronous schedule of :func:`loopy_bp`.
+    arrays for both schedules of :func:`loopy_bp`.
 
     Edge e joins a reduced factor, made linear by ``_exp_shifted``, to one
     variable of its scope, in factor order and then scope order. All
@@ -359,18 +371,19 @@ class _StackedFactorGraph:
             self.position[es] = i * degree + np.arange(len(es))
         # each variable's base table of ones, padded with zeros: (V, 1, K)
         self.base = (np.arange(width) < np.array(cards).reshape(-1, 1, 1)).astype(float)
-        self.message_rows = _RowLayout([cards[i] for i in edge_var] * 2, width)
+        self.message_rows = _RowLayout([cards[i] for i in edge_var], width)
         self.belief_rows = _RowLayout(cards, width)
 
     def initial_messages(self) -> np.ndarray:
         """Uniform messages on both sides of every edge, then the ones row."""
-        return np.vstack([self.message_rows.uniform, np.ones((1, self.width))])
+        uniform = self.message_rows.uniform
+        return np.vstack([uniform, uniform, np.ones((1, self.width))])
 
-    def propose(self, messages: np.ndarray) -> np.ndarray:
-        """Every new message from the current ones, normalized: the
-        factor-to-variable rows, then the variable-to-factor rows."""
-        n, width = self.n_edges, self.width
-        new = np.zeros((2 * n, width))
+    def factor_half(self, messages: np.ndarray) -> np.ndarray:
+        """Every new factor-to-variable message from the current
+        variable-to-factor ones, normalized."""
+        n = self.n_edges
+        new = np.zeros((n, self.width))
         for tables, edges, shape in self.groups:
             incoming = []
             for j, k in enumerate(shape):
@@ -385,8 +398,13 @@ class _StackedFactorGraph:
                 if len(shape) > 1:
                     out = np.sum(out, axis=tuple(a + 1 for a in range(len(shape)) if a != t))
                 new[edges[:, t], :k] = out
-        new[n:] = self._products(messages, self.leave_one_out).reshape(-1, width)[self.position]
         return self.message_rows.normalized(new)
+
+    def variable_half(self, messages: np.ndarray) -> np.ndarray:
+        """Every new variable-to-factor message from the current
+        factor-to-variable ones, normalized."""
+        products = self._products(messages, self.leave_one_out).reshape(-1, self.width)
+        return self.message_rows.normalized(products[self.position])
 
     def beliefs(self, messages: np.ndarray) -> np.ndarray:
         """Each variable's normalized belief, one padded row per variable."""
@@ -422,37 +440,3 @@ class _RowLayout:
         positive = (total > 0)[:, None]
         return np.divide(table, total[:, None], out=self.uniform.copy(), where=positive)
 
-
-def _sequential_bp(model: Model, evidence: Mapping[str, str], max_iters: int,
-                   damping: float, tol: float) -> LoopyBpResult:
-    """Loopy BP's sequential schedule: one send per edge, each read by the
-    sends after it, factor-to-variable edges first."""
-    graph, variables, _ = _factor_graph(model, evidence)
-    messages = {edge: np.full(v.cardinality, 1.0 / v.cardinality)
-                for edge, (v,) in graph.kept.items()}
-    order = (sorted(edge for edge in messages if edge[0][0] == "f")
-             + sorted(edge for edge in messages if edge[0][0] == "v"))
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        residual = 0.0
-        for edge in order:
-            old = messages[edge]
-            blended = (1 - damping) * old + damping * _normalized(graph.send(messages, *edge))
-            residual = max(residual, float(np.max(np.abs(blended - old))))
-            messages[edge] = blended
-        if residual < tol:
-            break
-    converged = residual < tol
-
-    marginals = {
-        v.name: Factor([v], _normalized(graph.send(messages, ("v", v.name))))
-        for v in variables
-    }
-    return LoopyBpResult(marginals, converged, iterations, residual)
-
-
-def _normalized(table: np.ndarray) -> np.ndarray:
-    """A one-variable table scaled to sum to 1; uniform when all zero."""
-    total = table.sum()
-    return table / total if total > 0 else np.full(len(table), 1.0 / len(table))

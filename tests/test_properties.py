@@ -15,6 +15,7 @@ two of them overflows a plain exp. The sum-product engines must give the
 twin the model's marginals, and its log partition plus the lifts.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -272,6 +273,12 @@ def any_evidence(draw, model):
     return {n: draw(st.sampled_from(model.variable(n).states)) for n in observed}
 
 
+def normalized(table):
+    """A one-variable table scaled to sum to 1; uniform when all zero."""
+    total = table.sum()
+    return table / total if total > 0 else np.full(len(table), 1.0 / len(table))
+
+
 def per_edge_loopy_bp(model, evidence, max_iters, damping, tol):
     """The synchronous schedule as one send per edge: every proposal reads
     the old messages, then all are blended."""
@@ -281,11 +288,6 @@ def per_edge_loopy_bp(model, evidence, max_iters, damping, tol):
                 for edge, (v,) in graph.kept.items()}
     edges = ([edge for edge in messages if edge[0][0] == "f"]
              + [edge for edge in messages if edge[0][0] == "v"])
-
-    def normalized(table):
-        total = table.sum()
-        return table / total if total > 0 else np.full(len(table), 1.0 / len(table))
-
     residual, iterations = math.inf, 0
     for iterations in range(1, max_iters + 1):
         residual = 0.0
@@ -302,21 +304,61 @@ def per_edge_loopy_bp(model, evidence, max_iters, damping, tol):
     return LoopyBpResult(marginals, residual < tol, iterations, residual)
 
 
+def per_edge_sequential_loopy_bp(model, evidence, max_iters, damping, tol):
+    """The sequential schedule as one send per edge, each read by the sends
+    after it, factor-to-variable edges first."""
+    evidence = check_evidence(model, evidence)
+    graph, variables, _ = exact._factor_graph(model, evidence)
+    messages = {edge: np.full(v.cardinality, 1.0 / v.cardinality)
+                for edge, (v,) in graph.kept.items()}
+    order = (sorted(edge for edge in messages if edge[0][0] == "f")
+             + sorted(edge for edge in messages if edge[0][0] == "v"))
+    residual, iterations = math.inf, 0
+    for iterations in range(1, max_iters + 1):
+        residual = 0.0
+        for edge in order:
+            old = messages[edge]
+            blended = (1 - damping) * old + damping * normalized(graph.send(messages, *edge))
+            residual = max(residual, float(np.max(np.abs(blended - old))))
+            messages[edge] = blended
+        if residual < tol:
+            break
+    marginals = {v.name: Factor([v], normalized(graph.send(messages, ("v", v.name))))
+                 for v in variables}
+    return LoopyBpResult(marginals, residual < tol, iterations, residual)
+
+
+PER_EDGE = {"synchronous": per_edge_loopy_bp, "sequential": per_edge_sequential_loopy_bp}
+
+
 def bp_outputs(result):
     return ({n: f.values.tolist() for n, f in result.marginals.items()},
             result.converged, result.iterations, result.final_residual)
 
 
-@SETTINGS
-@given(st.data())
-def test_synchronous_loopy_bp_is_the_per_edge_schedule_bit_for_bit(data):
+def draw_loopy_bp_case(data):
     model = data.draw(factor_graphs())
     evidence = any_evidence(data.draw, model)
     kw = dict(max_iters=data.draw(st.integers(1, 12)),
               damping=data.draw(st.sampled_from([1.0, 0.5, 0.3])),
               tol=data.draw(st.sampled_from([0.0, 1e-9, 1e-3])))
+    return model, evidence, kw
+
+
+@SETTINGS
+@given(st.data())
+def test_synchronous_loopy_bp_is_the_per_edge_schedule_bit_for_bit(data):
+    model, evidence, kw = draw_loopy_bp_case(data)
     got = loopy_bp(model, evidence, **kw)
     assert bp_outputs(got) == bp_outputs(per_edge_loopy_bp(model, evidence, **kw))
+
+
+@SETTINGS
+@given(st.data())
+def test_sequential_loopy_bp_is_the_per_edge_schedule_bit_for_bit(data):
+    model, evidence, kw = draw_loopy_bp_case(data)
+    got = loopy_bp(model, evidence, schedule="sequential", **kw)
+    assert bp_outputs(got) == bp_outputs(per_edge_sequential_loopy_bp(model, evidence, **kw))
 
 
 @pytest.mark.parametrize("model, evidence", [
@@ -330,9 +372,9 @@ def test_synchronous_loopy_bp_is_the_per_edge_schedule_bit_for_bit(data):
     (MarkovRandomField([Variable("a", ("0", "1")), Variable("b", ("0", "1", "2"))], []), {}),
 ])
 def test_loopy_bp_empty_cases_match_the_per_edge_schedule(model, evidence):
-    for tol in (1e-9, -math.inf):
-        got = loopy_bp(model, evidence, max_iters=3, tol=tol)
-        assert bp_outputs(got) == bp_outputs(per_edge_loopy_bp(model, evidence, 3, 0.5, tol))
+    for (schedule, reference), tol in itertools.product(PER_EDGE.items(), (1e-9, -math.inf)):
+        got = loopy_bp(model, evidence, max_iters=3, tol=tol, schedule=schedule)
+        assert bp_outputs(got) == bp_outputs(reference(model, evidence, 3, 0.5, tol))
 
 
 def test_loopy_bp_wide_and_narrow_messages_match_the_per_edge_schedule():
@@ -344,9 +386,9 @@ def test_loopy_bp_wide_and_narrow_messages_match_the_per_edge_schedule():
     factors = [Factor(scope, rng.random([v.cardinality for v in scope]))
                for scope in ([a, b], [b, c], [c, a, b], [c], [b])]
     model = MarkovRandomField([a, b, c], factors)
-    for evidence in ({}, {"a": "4"}):
-        got = loopy_bp(model, evidence, max_iters=6, tol=0.0)
-        assert bp_outputs(got) == bp_outputs(per_edge_loopy_bp(model, evidence, 6, 0.5, 0.0))
+    for (schedule, reference), evidence in itertools.product(PER_EDGE.items(), ({}, {"a": "4"})):
+        got = loopy_bp(model, evidence, max_iters=6, tol=0.0, schedule=schedule)
+        assert bp_outputs(got) == bp_outputs(reference(model, evidence, 6, 0.5, 0.0))
 
 
 @st.composite

@@ -330,6 +330,24 @@ class TestGibbs:
         batch = gibbs(mrf, None, 4000, 100, make_rng(5))
         assert batch.frequency("a", "1") == pytest.approx(1 / (1 + math.exp(-1)), abs=0.03)
 
+    @pytest.mark.parametrize("cap", [sampling.CONDITIONAL_CACHE_CAP, 1])
+    def test_log_table_wider_than_the_exp_range(self, cap, monkeypatch):
+        # shifting the whole table by 1000 underflows the rows with b = 1;
+        # each conditional is its own log row, shifted by that row's peak
+        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        mrf = MarkovRandomField([a, b], [Factor([a, b], [[1000.0, 0.0], [0.0, 0.0]], domain="log")])
+        sampler = sampling._ConditionalSampler(mrf, {})
+        assert (sampler.sites[0] is None) == (cap == 1)
+        for name, other in (("a", 1), ("b", 0)):
+            for state in ([0, 0], [1, 1]):
+                state[other] = 1
+                assert sampler.conditional(name, np.array(state)).tolist() == [1.0, 1.0]
+        assert sampler.conditional("a", np.array([0, 0])).tolist() == [1.0, 0.0]
+        for seed in range(6):
+            batch = gibbs(mrf, None, 10, 0, make_rng(seed))
+            assert batch.states[-1].tolist() == [0, 0]
+
 
 def _past_exp_range_pair(lift):
     """Two binary variables with log tables lifted by ``lift``."""
