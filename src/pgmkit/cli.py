@@ -11,6 +11,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -479,10 +480,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every ``main`` call in this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     _echo_config(args, out)
     try:
         return args.func(args, out)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 from operator import getitem
-from typing import NoReturn, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, ScopeError
 from .factors import Factor, Variable
 from .graphs import DirectedGraph
 from .learning import Dataset
@@ -49,6 +49,8 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if value == -math.inf:
+            return "-Infinity"   # a zero of a log table; json reads it back
         if not math.isfinite(value):
             raise SchemaError("non-finite numbers cannot be serialized")
         return format(float(value), ".17g")
@@ -68,6 +70,12 @@ def canonical_json(document) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _document_table(f: Factor) -> list[float]:
+    if f.domain == "linear" and not np.isfinite(f.table).all():
+        raise SchemaError("non-finite numbers cannot be serialized")
+    return [float(x) for x in f.values]
+
+
 def model_to_document(model: Model) -> dict:
     variables = [
         {"name": v.name, "states": list(v.states)}
@@ -84,7 +92,7 @@ def model_to_document(model: Model) -> dict:
                     "child": name,
                     "scope": list(cpd.names),
                     "domain": cpd.domain,
-                    "table": [float(x) for x in cpd.values],
+                    "table": _document_table(cpd),
                 }
             )
     else:
@@ -95,7 +103,7 @@ def model_to_document(model: Model) -> dict:
                     "kind": "potential",
                     "scope": list(f.names),
                     "domain": f.domain,
-                    "table": [float(x) for x in f.values],
+                    "table": _document_table(f),
                 }
             )
     return {
@@ -121,6 +129,103 @@ def _require(document, key, types, path):
     return value
 
 
+class _Entry(NamedTuple):
+    """A factor entry of a model document that passed the structural checks."""
+
+    kind: str
+    document: dict
+    scope: tuple[Variable, ...]
+    shape: tuple[int, ...]
+    domain: str
+    table: list
+    path: str
+
+
+def _entry(document, path: str, by_name: dict[str, Variable]) -> _Entry:
+    """Check everything of one factor entry but its numbers."""
+    kind = _require(document, "kind", str, path)
+    scope_names = _require(document, "scope", list, path)
+    table = _require(document, "table", list, path)
+    domain = document.get("domain", "linear")
+    if domain not in ("linear", "log"):
+        raise SchemaError(f"unknown domain {domain!r}", path=path)
+    scope = []
+    for name in scope_names:
+        if name not in by_name:
+            raise SchemaError(f"scope references unknown variable {name!r}", path=path)
+        scope.append(by_name[name])
+    shape = tuple(v.cardinality for v in scope)
+    expected = math.prod(shape)
+    if len(table) != expected:
+        raise SchemaError(
+            f"table has {len(table)} entries but the scope "
+            f"{scope_names} requires {expected}",
+            path=path,
+        )
+    if len(set(scope_names)) != len(scope_names):
+        # Factor's own refusal, raised here to keep its place in entry order
+        raise ScopeError(f"duplicate variables in scope {scope_names}")
+    return _Entry(kind, document, tuple(scope), shape, domain, table, path)
+
+
+def _tables(entries: list[_Entry]) -> list[np.ndarray]:
+    """The tables of the entries as read-only float arrays, in entry order.
+
+    The tables of one (shape, domain) are read as one block and checked at
+    once, and each is returned as a view of its block. A linear table may
+    hold finite, nonnegative numbers; a log table anything below +Infinity
+    (-Infinity is a zero). Of the refused tables, the first in document
+    order is reported, as reading the entries one by one would.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, e in enumerate(entries):
+        groups.setdefault((e.shape, e.domain), []).append(k)
+    tables: list = [None] * len(entries)
+    faults = []   # (position, message) of the first refused table of each group
+    for (shape, domain), ks in groups.items():
+        block, unreadable = _block([entries[k] for k in ks], shape)
+        allowed = block < math.inf
+        if domain == "linear":
+            allowed &= block >= 0
+        bad = np.flatnonzero(~allowed.reshape(len(block), math.prod(shape)).all(axis=1))
+        if bad.size:
+            faults.append((ks[bad[0]], _refusal(block[bad[0]], domain)))
+        elif unreadable is not None:
+            faults.append((ks[len(block)], unreadable))
+        else:
+            block.flags.writeable = False
+            for k, table in zip(ks, block):
+                tables[k] = table
+    if faults:
+        k, message = min(faults)
+        raise SchemaError(message, path=entries[k].path)
+    return tables
+
+
+def _refusal(table: np.ndarray, domain: str) -> str:
+    if domain == "log":
+        return "log-domain factor entries must not be NaN or +Infinity"
+    if (table < 0).any():
+        return "linear-domain factor entries must be nonnegative"
+    return "linear-domain factor entries must be finite"
+
+
+def _block(entries: list[_Entry], shape: tuple[int, ...]) -> tuple[np.ndarray, str | None]:
+    """The entries' tables stacked as floats, and None; or, when one cannot
+    be read, the stack of the tables before it and the reason."""
+    try:
+        return np.array([e.table for e in entries], dtype=float).reshape(len(entries), *shape), None
+    except (TypeError, ValueError):
+        pass   # a nonnumeric entry or a nested table: read them one at a time
+    rows = []
+    for e in entries:
+        try:
+            rows.append(Factor(e.scope, e.table, e.domain, _trusted=True).table)
+        except (TypeError, ValueError) as exc:
+            return np.array(rows).reshape(len(rows), *shape), str(exc)
+    return np.array(rows), None
+
+
 def document_to_model(document: dict) -> Model:
     if not isinstance(document, dict):
         raise SchemaError("document must be an object", path="$")
@@ -142,53 +247,36 @@ def document_to_model(document: dict) -> Model:
         raise SchemaError("duplicate variable names", path="$.variables")
 
     factor_entries = _require(document, "factors", list, "$")
-    parsed = []
-    for i, entry in enumerate(factor_entries):
-        path = f"$.factors[{i}]"
-        kind = _require(entry, "kind", str, path)
-        scope_names = _require(entry, "scope", list, path)
-        table = _require(entry, "table", list, path)
-        domain = entry.get("domain", "linear")
-        if domain not in ("linear", "log"):
-            raise SchemaError(f"unknown domain {domain!r}", path=path)
-        scope = []
-        for name in scope_names:
-            if name not in by_name:
-                raise SchemaError(f"scope references unknown variable {name!r}", path=path)
-            scope.append(by_name[name])
-        expected = math.prod(v.cardinality for v in scope)
-        if len(table) != expected:
-            raise SchemaError(
-                f"table has {len(table)} entries but the scope "
-                f"{scope_names} requires {expected}",
-                path=path,
-            )
-        try:
-            factor = Factor(scope, np.asarray(table, dtype=float), domain=domain)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(str(exc), path=path) from exc
-        parsed.append((kind, entry, factor, path))
+    parsed: list[_Entry] = []
+    try:
+        for i, entry in enumerate(factor_entries):
+            parsed.append(_entry(entry, f"$.factors[{i}]", by_name))
+    except Exception:
+        _tables(parsed)   # a refused table in an earlier factor is reported first
+        raise
+    factors = [Factor(e.scope, table, e.domain, _trusted=True)
+               for e, table in zip(parsed, _tables(parsed))]
 
     if model_type == "bayesian_network":
         cpds = {}
         edges = []
-        for kind, entry, factor, path in parsed:
-            if kind != "cpd":
-                raise SchemaError("bayesian networks require cpd factors", path=path)
-            child = _require(entry, "child", str, path)
+        for e, factor in zip(parsed, factors):
+            if e.kind != "cpd":
+                raise SchemaError("bayesian networks require cpd factors", path=e.path)
+            child = _require(e.document, "child", str, e.path)
             if not factor.names or factor.names[0] != child:
-                raise SchemaError("cpd scope must start with the child", path=path)
+                raise SchemaError("cpd scope must start with the child", path=e.path)
             if child in cpds:
-                raise SchemaError(f"duplicate cpd for {child!r}", path=path)
+                raise SchemaError(f"duplicate cpd for {child!r}", path=e.path)
             cpds[child] = factor
             edges.extend((parent, child) for parent in factor.names[1:])
         dag = DirectedGraph([v.name for v in variables], edges)
         model = BayesianNetwork(variables, dag, cpds)
     elif model_type == "markov_random_field":
-        for kind, _, _, path in parsed:
-            if kind != "potential":
-                raise SchemaError("markov random fields require potential factors", path=path)
-        model = MarkovRandomField(variables, [f for _, _, f, _ in parsed])
+        for e in parsed:
+            if e.kind != "potential":
+                raise SchemaError("markov random fields require potential factors", path=e.path)
+        model = MarkovRandomField(variables, factors)
     else:
         raise SchemaError(f"unknown model_type {model_type!r}", path="$.model_type")
 

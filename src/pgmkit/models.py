@@ -67,20 +67,27 @@ class BayesianNetwork:
         missing = set(self.variables) - set(self.cpds)
         for name in sorted(missing):
             out.append(Violation(name, "no CPD declared"))
-        for name in sorted(self.cpds):
+        names = sorted(self.cpds)
+        negative = np.zeros(len(names), dtype=bool)
+        normalized = np.ones(len(names), dtype=bool)
+        for ks, block in _stacked([self.cpds[n].table for n in names]):
+            negative[ks] = block.reshape(len(ks), -1).min(axis=1) < 0
+            if block.ndim > 1:   # a table over no variable fails the scope checks below
+                # the tolerance of np.allclose(row_sums, 1, atol=1e-9); NaN fails
+                row_sums = block.sum(axis=1).reshape(len(ks), -1)
+                normalized[ks] = (np.abs(row_sums - 1.0) <= 1e-9 + 1e-5).all(axis=1)
+        for k, name in enumerate(names):
             cpd = self.cpds[name]
-            expected = (name,) + tuple(self.dag.parents(name)) if name in self.dag.nodes else None
+            expected = (name,) + self.dag.parents(name) if name in self.variables else None
             if expected is not None and set(cpd.names) != set(expected):
                 out.append(Violation(name, f"CPD scope {list(cpd.names)} != child+parents {list(expected)}"))
                 continue
             if cpd.names[0] != name:
                 out.append(Violation(name, "CPD scope must list the child variable first"))
                 continue
-            if cpd.table.min() < 0:
+            if negative[k]:
                 out.append(Violation(name, "negative CPD entry"))
-            # the tolerance of np.allclose(row_sums, 1, atol=1e-9); NaN fails
-            row_sums = cpd.table.sum(axis=0)
-            if not (np.abs(row_sums - 1.0) <= 1e-9 + 1e-5).all():
+            if not normalized[k]:
                 out.append(Violation(name, "rows do not sum to 1 over the child states"))
         return out
 
@@ -123,6 +130,9 @@ class MarkovRandomField:
 
     def validate(self) -> list[Violation]:
         out = []
+        negative = np.zeros(len(self.factors), dtype=bool)
+        for ks, block in _stacked([f.table for f in self.factors]):
+            negative[ks] = block.reshape(len(ks), -1).min(axis=1) < 0
         for idx, f in enumerate(self.factors):
             label = f"factor[{idx}] over {list(f.names)}"
             for v in f.scope:
@@ -131,7 +141,7 @@ class MarkovRandomField:
                     out.append(Violation(label, f"scope variable {v.name!r} not declared"))
                 elif declared.states != v.states:
                     out.append(Violation(label, f"state mismatch for {v.name!r}"))
-            if f.domain == fa.LINEAR and f.table.size and np.min(f.table) < 0:
+            if f.domain == fa.LINEAR and negative[idx]:
                 out.append(Violation(label, "negative entry"))
         return out
 
@@ -284,6 +294,16 @@ Model = BayesianNetwork | MarkovRandomField
 
 def validate(model) -> list[Violation]:
     return model.validate()
+
+
+def _stacked(tables: Sequence[np.ndarray]) -> Iterable[tuple[list[int], np.ndarray]]:
+    """The tables grouped by shape: for each shape, the positions of its
+    tables and their stack, so that validation reduces each group at once."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, table in enumerate(tables):
+        groups.setdefault(table.shape, []).append(k)
+    for ks in groups.values():
+        yield ks, np.stack([tables[k] for k in ks])
 
 
 def bn_to_mrf(bn: BayesianNetwork) -> MarkovRandomField:

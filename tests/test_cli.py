@@ -491,3 +491,28 @@ class TestJtree:
         code, out = run(["validate", "--model", student_path])
         assert code == 0
         assert grep(out, "valid") == "true"
+
+    def test_non_finite_table_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"format_version": 1, "model_type": "markov_random_field", '
+            '"variables": [{"name": "a", "states": ["0", "1"]}], "factors": '
+            '[{"kind": "potential", "scope": ["a"], "table": [1.0, NaN]}]}')
+        code, _ = run(["validate", "--model", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error=$.factors[0]: linear-domain factor entries must be finite\n")
+
+    def test_main_builds_its_parser_once_per_process(self, student_path, monkeypatch):
+        from pgmkit import cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run(["validate", "--model", student_path])[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1

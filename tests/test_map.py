@@ -226,8 +226,7 @@ class TestGraphCutRefusals:
         with pytest.raises(ValueError, match=message):
             mrf_to_energy_model(mrf)
 
-    # a model document cannot hold -inf, so that case has no CLI twin
-    @pytest.mark.parametrize("case", sorted(set(_refused_models()) - {"-inf log entry"}))
+    @pytest.mark.parametrize("case", sorted(_refused_models()))
     def test_cli_exits_2(self, case, tmp_path, capsys):
         mrf, message = _refused_models()[case]
         path = tmp_path / "model.json"

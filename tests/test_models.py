@@ -69,6 +69,41 @@ class TestValidate:
         mrf = MarkovRandomField([v], [Factor([other], [1.0, 2.0])])
         assert any("state mismatch" in p.rule for p in validate(mrf))
 
+    def test_network_violations_in_order(self):
+        a, b, c, d, e = (Variable(n, ("0", "1")) for n in "abcde")
+        dag = DirectedGraph("abcde", [("a", "b"), ("e", "d")])
+        cpds = {
+            "a": Factor([a], [0.5, 0.6]),
+            "b": Factor([b], [0.5, 0.5]),
+            "c": Factor([c], [-0.5, 1.0], _trusted=True),
+            "d": Factor([e, d], [[0.5, 0.5], [0.5, 0.5]]),
+        }
+        unnormalized = "rows do not sum to 1 over the child states"
+        assert [(p.subject, p.rule) for p in validate(BayesianNetwork([a, b, c, d, e], dag, cpds))] == [
+            ("e", "no CPD declared"),
+            ("a", unnormalized),
+            ("b", "CPD scope ['b'] != child+parents ['b', 'a']"),
+            ("c", "negative CPD entry"),
+            ("c", unnormalized),
+            ("d", "CPD scope must list the child variable first"),
+        ]
+
+    def test_field_violations_in_order(self):
+        v, w = Variable("v", ("0", "1")), Variable("w", ("0", "1"))
+        factors = [
+            Factor([v], [1.0, 2.0]),
+            Factor([Variable("v", ("x", "y")), w], np.ones((2, 2))),
+            Factor([w], [-1.0, 2.0], _trusted=True),
+            Factor([w], [-1.0, 2.0], domain="log"),
+            Factor([Variable("u", ("0", "1"))], [-1.0, 2.0], _trusted=True),
+        ]
+        assert [(p.subject, p.rule) for p in validate(MarkovRandomField([v, w], factors))] == [
+            ("factor[1] over ['v', 'w']", "state mismatch for 'v'"),
+            ("factor[2] over ['w']", "negative entry"),
+            ("factor[4] over ['u']", "scope variable 'u' not declared"),
+            ("factor[4] over ['u']", "negative entry"),
+        ]
+
 
 class TestBnToMrf:
     def test_v_structure_moral_skeleton(self):
