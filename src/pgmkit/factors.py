@@ -165,7 +165,7 @@ class Factor:
         if self.domain == LOG:
             return self
         with np.errstate(divide="ignore"):
-            return Factor(self.scope, np.log(self.table), domain=LOG)
+            return Factor(self.scope, np.log(self.table), domain=LOG, _trusted=True)
 
     def to_linear(self) -> "Factor":
         if self.domain == LINEAR:

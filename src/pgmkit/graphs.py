@@ -32,11 +32,13 @@ class DirectedGraph:
                 raise ValueError(f"edge ({u!r}, {v!r}) references an unknown node")
             seen.add((u, v))
         self._edges = tuple(sorted(seen))
-        self._parents = {n: [] for n in self._nodes}
-        self._children = {n: [] for n in self._nodes}
-        for u, v in self._edges:
-            self._parents[v].append(u)
-            self._children[u].append(v)
+        parents: dict[str, list[str]] = {n: [] for n in self._nodes}
+        children: dict[str, list[str]] = {n: [] for n in self._nodes}
+        for u, v in self._edges:   # sorted edges give sorted lists
+            parents[v].append(u)
+            children[u].append(v)
+        self._parents = {n: tuple(ps) for n, ps in parents.items()}
+        self._children = {n: tuple(cs) for n, cs in children.items()}
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -47,15 +49,15 @@ class DirectedGraph:
         return self._edges
 
     def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in set(self._edges)
+        return v in self._children.get(u, ())
 
     def parents(self, v: str) -> tuple[str, ...]:
         self._check(v)
-        return tuple(sorted(self._parents[v]))
+        return self._parents[v]
 
     def children(self, v: str) -> tuple[str, ...]:
         self._check(v)
-        return tuple(sorted(self._children[v]))
+        return self._children[v]
 
     def spouses(self, v: str) -> tuple[str, ...]:
         """Other parents of v's children, as a set (each spouse once)."""
@@ -87,7 +89,7 @@ class DirectedGraph:
         return out
 
     def adjacent(self, u: str, v: str) -> bool:
-        return (u, v) in set(self._edges) or (v, u) in set(self._edges)
+        return self.has_edge(u, v) or self.has_edge(v, u)
 
     def skeleton(self) -> "UndirectedGraph":
         return UndirectedGraph(self._nodes, self._edges)

@@ -119,6 +119,8 @@ def serialize_model(model: Model) -> str:
 
 
 def _require(document, key, types, path):
+    if not isinstance(document, dict):
+        raise SchemaError("must be an object", path=path)
     if key not in document:
         raise SchemaError(f"missing key {key!r}", path=path)
     value = document[key]
@@ -151,6 +153,8 @@ def _entry(document, path: str, by_name: dict[str, Variable]) -> _Entry:
         raise SchemaError(f"unknown domain {domain!r}", path=path)
     scope = []
     for name in scope_names:
+        if not isinstance(name, str):
+            raise SchemaError(f"scope entry {name!r} is not a variable name", path=path)
         if name not in by_name:
             raise SchemaError(f"scope references unknown variable {name!r}", path=path)
         scope.append(by_name[name])
@@ -215,20 +219,18 @@ def _block(entries: list[_Entry], shape: tuple[int, ...]) -> tuple[np.ndarray, s
     be read, the stack of the tables before it and the reason."""
     try:
         return np.array([e.table for e in entries], dtype=float).reshape(len(entries), *shape), None
-    except (TypeError, ValueError):
-        pass   # a nonnumeric entry or a nested table: read them one at a time
+    except (TypeError, ValueError, OverflowError):
+        pass   # a nonnumeric entry, a nested table or a huge integer: read one at a time
     rows = []
     for e in entries:
         try:
             rows.append(Factor(e.scope, e.table, e.domain, _trusted=True).table)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             return np.array(rows).reshape(len(rows), *shape), str(exc)
     return np.array(rows), None
 
 
 def document_to_model(document: dict) -> Model:
-    if not isinstance(document, dict):
-        raise SchemaError("document must be an object", path="$")
     version = _require(document, "format_version", int, "$")
     if version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version}", path="$.format_version")

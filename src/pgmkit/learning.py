@@ -28,7 +28,7 @@ from .graphs import (
     mec_signature,
 )
 from .models import BayesianNetwork, ChainCRF, MarkovRandomField
-from .sampling import batch_log_unnormalized
+from .sampling import _site_logits, _site_plans, batch_log_unnormalized
 
 
 # ---------------------------------------------------------------------------
@@ -845,59 +845,37 @@ def pseudo_likelihood(mrf: MarkovRandomField, dataset: Dataset,
     The objective replaces the joint likelihood with the sum over
     variables of the log full conditional given the observed neighbors;
     each conditional normalizer only sums over one variable, so no global
-    inference is needed.
+    inference is needed. The log tables are ``theta`` when given, else the
+    model's tables read through ``Factor.to_log()`` (either domain), and
+    each variable's logits at the observed blankets come from the Gibbs
+    sampler's per-site gather.
     """
     if dataset.n == 0:
         raise InsufficientDataError("empty dataset")
-    scopes = [list(f.scope) for f in mrf.factors]
     if theta is None:
-        with np.errstate(divide="ignore"):
-            theta = [np.log(f.table) for f in mrf.factors]
-    grads = [np.zeros_like(t) for t in theta]
-    value = 0.0
+        theta = [f.to_log().table for f in mrf.factors]
+    logs = [Factor(f.scope, t, domain=fa.LOG) for f, t in zip(mrf.factors, theta)]
     names = sorted(mrf.variables)
-    n = dataset.n
-    for i_name in names:
-        var = mrf.variable(i_name)
-        card = var.cardinality
-        logits = np.zeros((n, card))
-        involved = [
-            (fi, scopes[fi].index(next(v for v in scopes[fi] if v.name == i_name)))
-            for fi in range(len(scopes))
-            if i_name in (v.name for v in scopes[fi])
-        ]
-        gathered = []
-        for fi, axis in involved:
-            t = np.moveaxis(theta[fi], axis, -1)  # (...others, card_i)
-            other_names = [v.name for v in scopes[fi] if v.name != i_name]
-            other_cards = [mrf.variable(nm).cardinality for nm in other_names]
-            flat = t.reshape(-1, card)
-            if other_names:
-                rows = np.column_stack(
-                    [dataset.column(nm) for nm in other_names]
-                ) @ fa.strides(other_cards)
-            else:
-                rows = np.zeros(n, dtype=np.int64)
-            logits += flat[rows]
-            gathered.append((fi, axis, rows, flat.shape))
+    col_of = {name: dataset.index(name) for name in names}
+    grads = [np.zeros_like(t) for t in theta]
+    value, n = 0.0, dataset.n
+    for site in _site_plans(logs, [mrf.variable(nm) for nm in names], col_of):
+        logits, rows = _site_logits(site, dataset.rows[:, site.cols])
         norm = logsumexp(logits, axis=1, keepdims=True)
         cond = np.exp(logits - norm)
-        observed = dataset.column(i_name)
+        observed = dataset.column(site.variable.name)
         value += float(np.sum(logits[np.arange(n), observed] - norm[:, 0]))
-        for (fi, axis, rows, flat_shape) in gathered:
-            gflat = np.zeros(flat_shape)
-            np.add.at(gflat, (rows, observed), 1.0)
-            for s in range(card):
-                np.add.at(gflat, (rows, np.full(n, s)), -cond[:, s])
-            grad = np.moveaxis(
-                gflat.reshape([*np.moveaxis(theta[fi], axis, -1).shape]),
-                -1,
-                axis,
-            )
-            grads[fi] += grad
+        for (fi, axis, _, table), flat in zip(site.terms, rows):
+            gflat = np.zeros(table.shape)
+            np.add.at(gflat, (flat, observed), 1.0)
+            np.add.at(gflat, flat, -cond)
+            moved = np.moveaxis(grads[fi], axis, -1)
+            moved += gflat.reshape(moved.shape)
     value /= n
-    grads = [g / n - 2 * l2 * t for g, t in zip(grads, theta)]
-    value -= l2 * sum(float(np.sum(t * t)) for t in theta)
+    grads = [g / n for g in grads]
+    if l2:   # the log of a zero potential is -inf, which 0 * -inf would make NaN
+        grads = [g - 2 * l2 * t for g, t in zip(grads, theta)]
+        value -= l2 * sum(float(np.sum(t * t)) for t in theta)
     return value, grads
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     TrappedStateError,
     ZeroEvidenceError,
 )
-from .exact import JunctionTree, _exp_shifted, _tree_schedule
+from .exact import JunctionTree, _tree_schedule
 from .factors import Factor, Variable
 from .graphs import topological_sort
 from .models import (
@@ -273,6 +273,17 @@ class ImportanceResult:
 _SUPPORT_CHECK_CAP = 1 << 14
 
 
+def _with_evidence(bn, evidence, hidden, z) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``z`` of the ``hidden`` variables' states with the evidence
+    added, over the sorted variable names, and their log joint."""
+    names = sorted(bn.variables)
+    full = np.zeros((z.shape[0], len(names)), dtype=np.int64)
+    full[:, [names.index(v.name) for v in hidden]] = z
+    for name, state in evidence.items():
+        full[:, names.index(name)] = bn.variable(name).index_of(state)
+    return full, batch_log_unnormalized(model_factors(bn), names, full)
+
+
 def _check_proposal_support(bn, evidence, proposal, hidden) -> None:
     """Raise if q(z) = 0 somewhere p(evidence, z) > 0.
 
@@ -282,15 +293,8 @@ def _check_proposal_support(bn, evidence, proposal, hidden) -> None:
     size = math.prod(v.cardinality for v in hidden)
     if size > _SUPPORT_CHECK_CAP:
         return
-    cards = [v.cardinality for v in hidden]
-    grid = np.indices(cards).reshape(len(cards), -1).T if hidden else np.zeros((1, 0), dtype=int)
-    names = sorted(bn.variables)
-    full = np.zeros((grid.shape[0], len(names)), dtype=np.int64)
-    for k, v in enumerate(hidden):
-        full[:, names.index(v.name)] = grid[:, k]
-    for name, state in evidence.items():
-        full[:, names.index(name)] = bn.variable(name).index_of(state)
-    log_p = batch_log_unnormalized(model_factors(bn), names, full)
+    grid = np.indices([v.cardinality for v in hidden]).reshape(len(hidden), size).T
+    _, log_p = _with_evidence(bn, evidence, hidden, grid)
     log_q = proposal.log_prob_batch(grid)
     if np.any(np.isneginf(log_q) & (log_p > -np.inf)):
         raise InfiniteWeightError(
@@ -321,12 +325,7 @@ def importance_estimate(bn: BayesianNetwork, evidence: Mapping[str, str],
     _check_proposal_support(bn, evidence, proposal, hidden)
     z = proposal.sample_batch(n, rng)
     names = sorted(bn.variables)
-    full = np.zeros((n, len(names)), dtype=np.int64)
-    hidden_cols = [names.index(v.name) for v in hidden]
-    full[:, hidden_cols] = z
-    for name, state in evidence.items():
-        full[:, names.index(name)] = bn.variable(name).index_of(state)
-    log_p = batch_log_unnormalized(model_factors(bn), names, full)
+    full, log_p = _with_evidence(bn, evidence, hidden, z)
     log_q = proposal.log_prob_batch(z)
     weights = np.exp(log_p - log_q)
     batch = SampleBatch(
@@ -351,72 +350,99 @@ def importance_estimate(bn: BayesianNetwork, evidence: Mapping[str, str],
 # ---------------------------------------------------------------------------
 
 
+class _Site(NamedTuple):
+    """One variable's full conditional: its Markov blanket (sorted by name)
+    and the blanket's columns in the caller's state rows, and per touching
+    factor, in model order, its index, the variable's axis in its scope,
+    its strides over the blanket and its log table as (other states, site
+    states)."""
+
+    variable: Variable
+    blanket: list[Variable]
+    cols: list[int]
+    terms: list[tuple[int, int, np.ndarray, np.ndarray]]
+
+
+def _site_plans(factors: Sequence[Factor], sites: Sequence[Variable],
+                col_of: Mapping[str, int]) -> list[_Site]:
+    """One plan per site over the factors' tables, read through
+    ``Factor.to_log()``; ``col_of`` maps a variable's name to its column."""
+    touching: dict[str, list[int]] = {v.name: [] for v in sites}
+    for i, f in enumerate(factors):
+        for name in touching.keys() & f.names:
+            touching[name].append(i)
+    logs = [f.to_log().table for f in factors]
+    plans = []
+    for site in sites:
+        others = {v.name: v for i in touching[site.name] for v in factors[i].scope}
+        blanket = [others[n] for n in sorted(others) if n != site.name]
+        pos_of = {v.name: k for k, v in enumerate(blanket)}
+        terms = []
+        for i in touching[site.name]:
+            names = factors[i].names
+            axis = names.index(site.name)
+            order = [k for k in range(len(names)) if k != axis]
+            strides, stride = [0] * len(blanket), 1
+            for k in reversed(order):
+                strides[pos_of[names[k]]], stride = stride, stride * logs[i].shape[k]
+            table = logs[i].transpose(order + [axis]).reshape(-1, site.cardinality)
+            terms.append((i, axis, np.array(strides, dtype=np.int64), table))
+        plans.append(_Site(site, blanket, [col_of[v.name] for v in blanket], terms))
+    return plans
+
+
+def _site_logits(site: _Site, states: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The site's log tables summed in model order at each row of blanket
+    ``states``, as (rows, site states), and each term's table rows."""
+    logits = np.zeros((states.shape[0], site.variable.cardinality))
+    rows = []
+    for _, _, strides, table in site.terms:
+        flat = states @ strides
+        logits += table[flat]
+        rows.append(flat)
+    return logits, rows
+
+
+def _conditionals(site: _Site, states: np.ndarray) -> np.ndarray:
+    """The site's conditionals at each row of blanket ``states``: exp of
+    the summed logs less the row's peak (zeros where no entry is finite)."""
+    logits = _site_logits(site, states)[0]
+    peak = logits.max(axis=1, keepdims=True)
+    peak[peak == -np.inf] = 0.0
+    return np.exp(logits - peak)
+
+
 class _ConditionalSampler:
-    """Per-variable full conditionals with cached blanket-indexed tables."""
+    """Per-variable full conditionals from ``_conditionals``, with the
+    largest entry of each row 1: cached per blanket state up to
+    ``CONDITIONAL_CACHE_CAP`` entries per site, and gathered at the current
+    state past it, with the same bits either way."""
 
     def __init__(self, model: Model, evidence: Mapping[str, str]):
-        self.model = model
         self.free = [n for n in sorted(model.variables) if n not in evidence]
         self.col_of = {n: k for k, n in enumerate(self.free)}
-        raw = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
-        reduced, _ = _exp_shifted(raw)
+        reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
+        self.plans = _site_plans(reduced, [model.variable(n) for n in self.free], self.col_of)
         # per free variable: the blanket table, its cumulative rows as
-        # lists, the blanket columns and their strides; None past the cache
-        # cap, where the conditional comes from the factors
+        # lists, the blanket columns and their strides; None past the cap
         self.sites = []
-        self.factor_plans = {}
-        for name in self.free:
-            touching = [i for i, f in enumerate(reduced) if name in f.names]
-            blanket = sorted({v for i in touching for v in reduced[i].names if v != name})
-            size = math.prod(model.variable(b).cardinality for b in blanket)
-            card = model.variable(name).cardinality
-            if touching and size * card <= CONDITIONAL_CACHE_CAP:
-                aligned = fa.align_to(fa.product_all(reduced[i] for i in touching), blanket + [name])
-                table = _underflow_rebuilt(aligned.table.reshape(size, card),
-                                           [raw[i] for i in touching], {}, blanket + [name])
-                self.sites.append((
-                    table,
-                    np.cumsum(table, axis=1).tolist(),
-                    [self.col_of[b] for b in blanket],
-                    fa.strides(aligned.table.shape[:-1]).tolist(),
-                ))
-            else:
+        for plan in self.plans:
+            cards = [v.cardinality for v in plan.blanket]
+            size = math.prod(cards)
+            if size * plan.variable.cardinality > CONDITIONAL_CACHE_CAP:
                 self.sites.append(None)
-                self.factor_plans[name] = ([reduced[i] for i in touching],
-                                           [raw[i] for i in touching], blanket)
+                continue
+            table = _conditionals(plan, np.indices(cards).reshape(len(cards), size).T)
+            self.sites.append((table, np.cumsum(table, axis=1).tolist(), plan.cols,
+                               fa.strides(cards).tolist()))
 
     def conditional(self, name: str, state_vec: np.ndarray) -> np.ndarray:
         site = self.sites[self.col_of[name]]
         if site is not None:
             table, _, cols, strides = site
             return table[sum(int(state_vec[c]) * s for c, s in zip(cols, strides))]
-        touching, raw, blanket = self.factor_plans[name]
-        card = self.model.variable(name).cardinality
-        out = np.ones(card)
-        assignment = {
-            v: self.model.variable(v).states[state_vec[self.col_of[v]]]
-            for v in blanket
-        }
-        for f in touching:
-            out = out * fa.reduce_factor(f, assignment).table
-        return _underflow_rebuilt(out[None], raw, assignment, [name])[0]
-
-
-def _underflow_rebuilt(rows: np.ndarray, raw: Sequence[Factor],
-                       assignment: Mapping[str, str], names: list[str]) -> np.ndarray:
-    """``rows``, the shifted product of the ``raw`` factors reduced to
-    ``assignment``, over ``names`` as (blanket states, site states). A row
-    that underflowed to all zeros but has a finite log entry is rebuilt
-    from its log sum less its largest finite entry; other rows keep their
-    bits."""
-    dead = ~np.any(rows > 0.0, axis=1)
-    if dead.any():
-        logs = fa.product_all(fa.reduce_factor(f, assignment).to_log() for f in raw)
-        logs = fa.align_to(logs, names).table.reshape(rows.shape)
-        dead &= np.any(np.isfinite(logs), axis=1)
-        rows = rows.copy()
-        rows[dead] = np.exp(logs[dead] - logs[dead].max(axis=1, keepdims=True))
-    return rows
+        plan = self.plans[self.col_of[name]]
+        return _conditionals(plan, np.array([[state_vec[c] for c in plan.cols]], dtype=np.int64))[0]
 
 
 def _initial_state(model: Model, evidence: Mapping[str, str],
@@ -504,40 +530,31 @@ def gibbs_transition_matrix(model: Model, evidence: Mapping[str, str] | None = N
     the same conditionals the sampler uses. Returns (T, state labels)."""
     evidence = check_evidence(model, evidence or {})
     sampler = _ConditionalSampler(model, evidence)
-    free = sampler.free
-    strides, vecs, labels = _free_states(model, evidence, free)
-    size = len(vecs)
-    total = np.eye(size)
-    for i, name in enumerate(free):
-        step = np.zeros((size, size))
-        for flat, vec in enumerate(vecs):
-            probs = sampler.conditional(name, vec)
-            s = probs.sum()
-            if s <= 0.0:
-                raise TrappedStateError(f"zero conditional for {name!r}")
-            probs = probs / s
-            for s_i, p in enumerate(probs):
-                target = flat + (s_i - vec[i]) * int(strides[i])
-                step[target, flat] += p
+    strides, states, labels = _free_states(model, evidence, sampler.free)
+    flat = np.arange(len(states))
+    total = np.eye(len(states))
+    for i, plan in enumerate(sampler.plans):
+        probs = _conditionals(plan, states[:, plan.cols])
+        sums = probs.sum(axis=1, keepdims=True)
+        if np.any(sums <= 0.0):
+            raise TrappedStateError(f"zero conditional for {plan.variable.name!r}")
+        step = np.zeros_like(total)
+        for s_i, p in enumerate((probs / sums).T):
+            step[flat + (s_i - states[:, i]) * strides[i], flat] = p
         total = step @ total
     return total, labels
 
 
 def _free_states(model: Model, evidence: Mapping[str, str], free: Sequence[str]):
     """Every joint state of the free variables, in flat-index order: the
-    strides, the state vectors and their labels with the evidence added."""
+    strides, the states as rows and their labels with the evidence added."""
     cards = [model.variable(nm).cardinality for nm in free]
-    strides = fa.strides(cards)
-    vecs = [
-        np.array([(flat // int(strides[i])) % cards[i] for i in range(len(free))],
-                 dtype=np.int64)
-        for flat in range(math.prod(cards))
-    ]
+    states = np.indices(cards).reshape(len(cards), math.prod(cards)).T
     labels = [
-        {**evidence, **{nm: model.variable(nm).states[vec[i]] for i, nm in enumerate(free)}}
-        for vec in vecs
+        {**evidence, **{nm: model.variable(nm).states[k] for nm, k in zip(free, row)}}
+        for row in states.tolist()
     ]
-    return strides, vecs, labels
+    return fa.strides(cards), states, labels
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +743,7 @@ def mh_transition_matrix(model: Model, kernel,
     reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
     _, vecs, labels = _free_states(model, evidence, free)
     size = len(vecs)
-    log_p = batch_log_unnormalized(reduced, free, np.array(vecs).reshape(size, len(free)))
+    log_p = batch_log_unnormalized(reduced, free, vecs)
     T = np.zeros((size, size))
     for x in range(size):
         for y in range(size):

@@ -199,6 +199,32 @@ REFUSALS = {
     "two unnormalized cpds": (
         _network(_cpd("a", ["a"], [0.5, 0.6]), _cpd("b", ["b", "a"], [0.5] * 6)),
         SchemaError, f"$: a: {UNNORMALIZED}; b: {UNNORMALIZED}"),
+    "scope name that is not a string": (
+        _field(_potential([["a"]], [1, 1])),
+        SchemaError, "$.factors[0]: scope entry ['a'] is not a variable name"),
+    "negative entry before a scope name that is not a string": (
+        _field(_potential(["a"], [-1, 2]), _potential([["a"]], [1, 1])),
+        SchemaError, f"$.factors[0]: {NEGATIVE}"),
+    "document that is not an object": (
+        [1], SchemaError, "$: must be an object"),
+    "factor entry that is not an object": (
+        _field(5),
+        SchemaError, "$.factors[0]: must be an object"),
+    "negative entry before a factor entry that is not an object": (
+        _field(_potential(["a"], [-1, 2]), 5),
+        SchemaError, f"$.factors[0]: {NEGATIVE}"),
+    "variable entry that is not an object": (
+        {**_field(), "variables": [7]},
+        SchemaError, "$.variables[0]: must be an object"),
+    "integer past float range": (
+        _field(_potential(["a"], [1, 10**400])),
+        SchemaError, "$.factors[0]: int too large to convert to float"),
+    "integer past float range before a negative entry": (
+        _field(_potential(["a"], [1, 10**400]), _potential(["a"], [-1, 2])),
+        SchemaError, "$.factors[0]: int too large to convert to float"),
+    "negative entry before an integer past float range": (
+        _field(_potential(["b"], [1, -1, 1]), _potential(["a"], [1, 10**400])),
+        SchemaError, f"$.factors[0]: {NEGATIVE}"),
     "missing cpd and an unnormalized one": (
         _network(_cpd("a", ["a"], [0.5, 0.6]), B, cards={"a": 2, "b": 3, "c": 2}),
         SchemaError, f"$: c: no CPD declared; a: {UNNORMALIZED}"),

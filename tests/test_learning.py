@@ -833,6 +833,20 @@ class TestPseudoLikelihood:
         expected = p1 * math.log(0.7) + (1 - p1) * math.log(0.3)
         assert value == pytest.approx(expected, abs=1e-12)
 
+    def test_log_domain_twin_gives_the_same_value_and_gradients(self):
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        data = Dataset((a, b), np.array([[0, 0], [0, 1], [1, 1], [1, 1]]))
+        linear = MarkovRandomField([a, b], [
+            Factor([a], [0.4, 1.5]), Factor([b, a], [[2.0, 0.5], [1.0, 3.0]])])
+        twin = MarkovRandomField([a, b], [
+            Factor(f.scope, np.log(f.table), domain="log") for f in linear.factors])
+        value, grads = pseudo_likelihood(linear, data)
+        twin_value, twin_grads = pseudo_likelihood(twin, data)
+        assert math.isfinite(value)
+        assert twin_value == value
+        for g, twin_g in zip(grads, twin_grads):
+            assert np.array_equal(twin_g, g)
+
     def test_gradient_matches_finite_differences(self):
         gen = make_rng(58)
         vs = [Variable(n, ("0", "1")) for n in "abc"]

@@ -1,7 +1,8 @@
 """Property tests: variable elimination, the junction tree, tree belief
-propagation and max-product decoding against the enumeration oracle on
-random small models; loopy BP, dual decomposition and annealing against
-their per-edge or always-re-scoring forms and their bounds.
+propagation, max-product decoding, the Gibbs conditionals and the
+pseudo-likelihood against the enumeration oracle on random small models;
+loopy BP, dual decomposition and annealing against their per-edge or
+always-re-scoring forms and their bounds.
 
 Tables are built from exactly representable values (MRF entries in
 {0, 1, 2}, Bayesian-network CPT columns of dyadic probabilities), so
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgmkit import exact
+from pgmkit import exact, sampling
 from pgmkit.errors import NotATreeError, ZeroEvidenceError
 from pgmkit.exact import (
     MAX_PRODUCT,
@@ -44,6 +45,7 @@ from pgmkit.mapinf import (
     simulated_annealing_map,
 )
 from pgmkit.graphs import DirectedGraph
+from pgmkit.learning import Dataset, pseudo_likelihood
 from pgmkit.models import (
     BayesianNetwork,
     CompiledModel,
@@ -233,6 +235,72 @@ def test_clique_tables_are_sliced_potentials(data):
     model = with_float_tables(model, data.draw(st.integers(0, 2**32 - 1)))
     for evidence in ({}, data.draw(evidence_for(model))):
         check_clique_tables(model, evidence)
+
+
+def oracle_conditional(model, name, given):
+    """p(name | given) by enumeration, or None when ``given`` has no mass."""
+    try:
+        return enumerate_inference(model, [name], given).table
+    except ZeroEvidenceError:
+        return None
+
+
+def check_gibbs_conditionals(model, evidence, state):
+    """At the free variables' ``state``, every site's conditional, cached
+    and past the cache cap, is the oracle's, for the model and its twin."""
+    free = [n for n in sorted(model.variables) if n not in evidence]
+    rest = {**evidence, **{n: model.variable(n).states[s] for n, s in zip(free, state)}}
+    want = [oracle_conditional(model, n, {k: v for k, v in rest.items() if k != n})
+            for n in free]
+    for m in (model, log_twin(model)[0]):
+        rows = []
+        for cap in (sampling.CONDITIONAL_CACHE_CAP, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
+                sampler = sampling._ConditionalSampler(m, evidence)
+            rows.append([sampler.conditional(n, state) for n in free])
+        for cached, past_cap, conditional in zip(*rows, want):
+            assert np.array_equal(cached, past_cap)
+            if conditional is not None:   # else the rest of the state has no mass
+                np.testing.assert_allclose(cached / cached.sum(), conditional, rtol=0, atol=1e-12)
+
+
+def check_pseudo_likelihood(model, rows):
+    """The pseudo-likelihood of the model and its twin is the row mean of
+    the summed log oracle conditionals at the observed states."""
+    names = sorted(model.variables)
+    want = 0.0
+    for row in rows:
+        labels = {n: model.variable(n).states[s] for n, s in zip(names, row)}
+        for name, s in zip(names, row):
+            given = {k: v for k, v in labels.items() if k != name}
+            want += math.log(oracle_conditional(model, name, given)[s])
+    want /= len(rows)
+    data = Dataset(tuple(model.variable(n) for n in names), np.array(rows))
+    as_field = MarkovRandomField(list(model.variables.values()), model_factors(model))
+    for m in (as_field, log_twin(model)[0]):
+        value, _ = pseudo_likelihood(m, data)
+        assert value == pytest.approx(want, rel=0, abs=1e-9)
+
+
+@SETTINGS
+@given(st.data())
+def test_gibbs_conditionals_and_pseudo_likelihood_match_the_oracle(data):
+    model = data.draw(st.one_of(bayesian_networks(), loopy_mrfs()))
+    if data.draw(st.booleans()):
+        model = with_float_tables(model, data.draw(st.integers(0, 2**32 - 1)))
+    names = sorted(model.variables)
+    for evidence in ({}, data.draw(evidence_for(model))):
+        state = [data.draw(st.integers(0, model.variable(n).cardinality - 1))
+                 for n in names if n not in evidence]
+        check_gibbs_conditionals(model, evidence, np.array(state, dtype=np.int64))
+    states = itertools.product(*(range(model.variable(n).cardinality) for n in names))
+    supported = [s for s in states
+                 if log_joint(model, {n: model.variable(n).states[k]
+                                      for n, k in zip(names, s)}) > -math.inf]
+    if supported:   # a row without mass has no pseudo-likelihood
+        check_pseudo_likelihood(model, data.draw(
+            st.lists(st.sampled_from(supported), min_size=1, max_size=6)))
 
 
 # ---------------------------------------------------------------------------

@@ -313,15 +313,31 @@ class TestGibbs:
         for _ in range(20):
             state = np.array([rng.integers(c) for c in cards], dtype=np.int64)
             for name in tables.free:
-                assert np.allclose(
-                    slices.conditional(name, state), tables.conditional(name, state),
-                    rtol=0, atol=1e-12,
-                )
+                assert np.array_equal(
+                    slices.conditional(name, state), tables.conditional(name, state))
         batch = gibbs(mrf, None, 5000, 100, make_rng(31))
         for name in sorted(mrf.variables):
             exact = enumerate_inference(mrf, [name]).values
             for k, state in enumerate(mrf.variable(name).states):
                 assert batch.frequency(name, state) == pytest.approx(exact[k], abs=0.04)
+
+    def test_sweeps_past_the_cap_build_no_factor(self, rng, monkeypatch):
+        mrf = random_mrf(rng, n=5, max_states=3, n_factors=8)
+        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", 1)
+        built = []
+        init = Factor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Factor, "__init__", counted)
+        per_call = []
+        for n in (1, 11):
+            built.clear()
+            gibbs(mrf, {"v0": "s1"}, n, 0, make_rng(3))
+            per_call.append(len(built))
+        assert per_call[0] == per_call[1]
 
     def test_log_unary_past_the_exp_range(self):
         # exp(800) overflows; the conditional is the logistic of the difference
