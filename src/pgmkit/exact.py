@@ -30,6 +30,7 @@ from .models import (
     BayesianNetwork,
     Model,
     check_evidence,
+    log_joint,
     model_factors,
     reduce_to_evidence,
 )
@@ -536,7 +537,7 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
 # ---------------------------------------------------------------------------
 
 
-def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
+def max_product_decode(model: Model, evidence: Mapping[str, str] | None = None):
     """MAP assignment and its log score.
 
     Runs max-product elimination in reverse name order, keeping a
@@ -548,16 +549,7 @@ def max_product_decode(model_or_jt, evidence: Mapping[str, str] | None = None):
     The elimination runs on the same bucket pass as variable elimination,
     under the same ``TABLE_CAP`` budget.
     """
-    if isinstance(model_or_jt, JunctionTree):
-        jt = model_or_jt
-        model = jt.model
-        evidence = dict(jt.evidence if evidence is None else evidence)
-    else:
-        model = model_or_jt
-        evidence = check_evidence(model, evidence or {})
-
-    from .models import log_joint
-
+    evidence = check_evidence(model, evidence or {})
     names = sorted(n for n in model.variables if n not in evidence)
     factors, _ = _exp_shifted(reduce_to_evidence(model, evidence)[0])
     *_, pointers = _bucket_eliminate(factors, names[::-1], MAX_PRODUCT)

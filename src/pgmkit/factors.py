@@ -164,8 +164,7 @@ class Factor:
     def to_log(self) -> "Factor":
         if self.domain == LOG:
             return self
-        with np.errstate(divide="ignore"):
-            return Factor(self.scope, np.log(self.table), domain=LOG, _trusted=True)
+        return Factor(self.scope, log_tables([self])[0], domain=LOG, _trusted=True)
 
     def to_linear(self) -> "Factor":
         if self.domain == LINEAR:
@@ -178,10 +177,15 @@ class Factor:
         The min-sum semiring operates on these; the conversion is always
         explicit, never implied by an operation.
         """
-        if self.domain == LOG:
-            return -self.table
-        with np.errstate(divide="ignore"):
-            return -np.log(self.table)
+        return -log_tables([self])[0]
+
+
+def log_tables(factors: Iterable[Factor]) -> list[np.ndarray]:
+    """Each factor's table as logs, the one log convention of every engine
+    that reads logs: a log-domain table as it is, and a linear one as
+    ``np.log`` of it, with log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        return [f.table if f.domain == LOG else np.log(f.table) for f in factors]
 
 
 def _check_shared_variables(scope: Sequence[Variable], other: Sequence[Variable]) -> None:

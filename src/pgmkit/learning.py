@@ -774,11 +774,8 @@ def _model_factor_moments(jt: JunctionTree) -> tuple[list[np.ndarray], float]:
     """Per-factor marginals of the tree's MRF, and its log Z."""
     jt = jt_calibrate(jt)
     out = []
-    for f in jt.model.factors:
-        idx = next(
-            k for k, c in enumerate(jt.cliques) if set(f.names) <= c
-        )
-        belief = jt.beliefs[idx]
+    for f, home in zip(jt.model.factors, jt.assignment_of_factor):
+        belief = jt.beliefs[home]
         marg = fa.eliminate(belief, [n for n in belief.names if n not in f.names])
         marg, _ = fa.normalize(marg)
         out.append(fa.align_to(marg, f.names).table)
@@ -846,14 +843,16 @@ def pseudo_likelihood(mrf: MarkovRandomField, dataset: Dataset,
     variables of the log full conditional given the observed neighbors;
     each conditional normalizer only sums over one variable, so no global
     inference is needed. The log tables are ``theta`` when given, else the
-    model's tables read through ``Factor.to_log()`` (either domain), and
-    each variable's logits at the observed blankets come from the Gibbs
-    sampler's per-site gather.
+    model's tables as ``factors.log_tables`` reads them (either domain),
+    and each variable's logits at the observed blankets come from the
+    Gibbs sampler's per-site gather. A row whose blanket leaves some
+    variable no state of positive mass has probability zero: the value is
+    -inf, and that row's conditional counts as zero in the gradients.
     """
     if dataset.n == 0:
         raise InsufficientDataError("empty dataset")
     if theta is None:
-        theta = [f.to_log().table for f in mrf.factors]
+        theta = fa.log_tables(mrf.factors)
     logs = [Factor(f.scope, t, domain=fa.LOG) for f, t in zip(mrf.factors, theta)]
     names = sorted(mrf.variables)
     col_of = {name: dataset.index(name) for name in names}
@@ -862,6 +861,7 @@ def pseudo_likelihood(mrf: MarkovRandomField, dataset: Dataset,
     for site in _site_plans(logs, [mrf.variable(nm) for nm in names], col_of):
         logits, rows = _site_logits(site, dataset.rows[:, site.cols])
         norm = logsumexp(logits, axis=1, keepdims=True)
+        norm[norm == -np.inf] = 0.0   # no state has mass: the conditional is zero
         cond = np.exp(logits - norm)
         observed = dataset.column(site.variable.name)
         value += float(np.sum(logits[np.arange(n), observed] - norm[:, 0]))

@@ -228,23 +228,21 @@ def _pairwise_parts(mrf: MarkovRandomField):
     names = sorted(mrf.variables)
     unary = {n: np.zeros(mrf.variable(n).cardinality) for n in names}
     edges: dict[tuple[str, str], np.ndarray] = {}
-    with np.errstate(divide="ignore"):
-        for f in mrf.factors:
-            log_table = f.table if f.domain == fa.LOG else np.log(f.table)
-            if len(f.scope) == 1:
-                unary[f.names[0]] = unary[f.names[0]] + log_table
-            elif len(f.scope) == 2:
-                a, b = f.names
-                if a > b:
-                    log_table = log_table.T
-                    a, b = b, a
-                key = (a, b)
-                edges[key] = edges.get(key, 0.0) + log_table
-            else:
-                raise ValueError(
-                    f"factor over {list(f.names)} is not pairwise; "
-                    "this method supports unary and pairwise factors only"
-                )
+    for f, logs in zip(mrf.factors, fa.log_tables(mrf.factors)):
+        if len(f.scope) == 1:
+            unary[f.names[0]] = unary[f.names[0]] + logs
+        elif len(f.scope) == 2:
+            a, b = f.names
+            if a > b:
+                logs = logs.T
+                a, b = b, a
+            key = (a, b)
+            edges[key] = edges.get(key, 0.0) + logs
+        else:
+            raise ValueError(
+                f"factor over {list(f.names)} is not pairwise; "
+                "this method supports unary and pairwise factors only"
+            )
     return names, unary, edges
 
 

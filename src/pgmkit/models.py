@@ -349,17 +349,13 @@ def reduce_to_evidence(model: Model, evidence: Mapping[str, str]) -> tuple[list[
     the log of the product of those the evidence fixes completely (-inf
     when one of them is zero).
     """
-    kept, log_offset = [], 0.0
+    kept, fixed = [], []
     for f in model_factors(model):
         g = fa.reduce_factor(f, evidence)
-        if g.scope:
-            kept.append(g)
-            continue
-        value = float(g.table)
-        if g.domain == fa.LOG:
-            log_offset += value
-        else:
-            log_offset += math.log(value) if value > 0.0 else -math.inf
+        (kept if g.scope else fixed).append(g)
+    log_offset = 0.0
+    for table in fa.log_tables(fixed):
+        log_offset += float(table)
     return kept, log_offset
 
 
@@ -372,13 +368,10 @@ def log_joint(model: Model, assignment: Mapping[str, str]) -> float:
     missing = set(model.variables) - set(assignment)
     if missing:
         raise EvidenceError(f"assignment is missing variables {sorted(missing)}")
+    factors = model_factors(model)
     total = 0.0
-    for f in model_factors(model):
-        if f.domain == fa.LOG:
-            term = f(assignment)
-        else:
-            value = f(assignment)
-            term = math.log(value) if value > 0.0 else -math.inf
+    for f, table in zip(factors, fa.log_tables(factors)):
+        term = table.item(tuple([v.index_of(assignment[v.name]) for v in f.scope]))
         if term == -math.inf:
             return -math.inf
         total += term
@@ -388,10 +381,11 @@ def log_joint(model: Model, assignment: Mapping[str, str]) -> float:
 class CompiledModel:
     """A model's factors as flat Python log tables over an integer state.
 
-    Built once per model for the engines that score one site at a time.
-    ``state`` holds one state index per variable, in name order. Linear
-    entries become ``math.log(v)`` (``-inf`` for zero) entry by entry, the
-    convention of ``log_joint``; log-domain entries stay as they are.
+    Built once per model for the engines that score one state at a time:
+    annealing, local search and Metropolis-Hastings. ``state`` holds one
+    state index per variable, in name order. The tables are the factors'
+    logs as ``factors.log_tables`` gives them, so a score adds the same
+    terms in the same order as ``log_joint`` and ``batch_log_unnormalized``.
     ``blankets[i]`` lists the factors over variable ``i``, in model order,
     each with that variable's stride split from the other columns.
     """
@@ -401,26 +395,24 @@ class CompiledModel:
         self.variables = [model.variables[n] for n in self.names]
         self.state = [0] * len(self.names)
         col = {n: k for k, n in enumerate(self.names)}
-        self.factors = []  # (log table, columns, strides, linear)
-        self.blankets = [[] for _ in self.names]  # (log table, other columns, stride, linear)
-        for f in model_factors(model):
-            table = f.values.tolist()
-            linear = f.domain == fa.LINEAR
-            if linear:
-                table = [math.log(v) if v > 0.0 else -math.inf for v in table]
+        self.factors = []  # (log table, columns, strides)
+        self.blankets = [[] for _ in self.names]  # (log table, other columns, stride)
+        factors = model_factors(model)
+        for f, logs in zip(factors, fa.log_tables(factors)):
+            table = logs.reshape(-1).tolist()
             cols = [col[n] for n in f.names]
             strides = fa.strides(f.table.shape).tolist()
-            self.factors.append((table, cols, strides, linear))
+            self.factors.append((table, cols, strides))
             for site, stride in zip(cols, strides):
                 others = [(c, s) for c, s in zip(cols, strides) if c != site]
-                self.blankets[site].append((table, others, stride, linear))
+                self.blankets[site].append((table, others, stride))
 
     def log_score(self) -> float:
         """``log_joint`` at the state: the terms summed in model order, and
         -inf at the first -inf term."""
         state = self.state
         total = 0.0
-        for table, cols, strides, _ in self.factors:
+        for table, cols, strides in self.factors:
             idx = 0
             for c, s in zip(cols, strides):
                 idx += state[c] * s
@@ -432,16 +424,16 @@ class CompiledModel:
 
     def local_log_score(self, site: int, value: int) -> float:
         """The sum of the log terms of the factors over variable ``site``,
-        with that variable set to ``value``. A zero entry of a linear
-        factor gives -inf at once; a log-domain -inf is summed."""
+        with that variable set to ``value``, and -inf at the first -inf
+        term."""
         state = self.state
         total = 0.0
-        for table, others, stride, linear in self.blankets[site]:
+        for table, others, stride in self.blankets[site]:
             idx = value * stride
             for c, s in others:
                 idx += state[c] * s
             term = table[idx]
-            if linear and term == -math.inf:
+            if term == -math.inf:
                 return -math.inf
             total += term
         return total

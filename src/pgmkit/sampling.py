@@ -27,6 +27,8 @@ from .factors import Factor, Variable
 from .graphs import topological_sort
 from .models import (
     BayesianNetwork,
+    CompiledModel,
+    MarkovRandomField,
     Model,
     check_evidence,
     model_factors,
@@ -203,18 +205,9 @@ def batch_log_unnormalized(factors: Sequence[Factor], names: Sequence[str],
     whose columns are the variables ``names``."""
     col_of = {name: k for k, name in enumerate(names)}
     out = np.zeros(states.shape[0])
-    with np.errstate(divide="ignore"):
-        for f in factors:
-            if not f.scope:
-                value = float(f.table)
-                if f.domain == fa.LOG:
-                    out += value
-                else:
-                    out += math.log(value) if value > 0 else -np.inf
-                continue
-            flat = states[:, [col_of[v] for v in f.names]] @ fa.strides(f.table.shape)
-            logtab = f.table.reshape(-1) if f.domain == fa.LOG else np.log(f.values)
-            out += logtab[flat]
+    for f, logs in zip(factors, fa.log_tables(factors)):
+        flat = states[:, [col_of[v] for v in f.names]] @ fa.strides(f.table.shape)
+        out += logs.reshape(-1)[flat]
     return out
 
 
@@ -365,13 +358,14 @@ class _Site(NamedTuple):
 
 def _site_plans(factors: Sequence[Factor], sites: Sequence[Variable],
                 col_of: Mapping[str, int]) -> list[_Site]:
-    """One plan per site over the factors' tables, read through
-    ``Factor.to_log()``; ``col_of`` maps a variable's name to its column."""
+    """One plan per site over the factors' tables, read as
+    ``factors.log_tables`` gives them; ``col_of`` maps a variable's name to
+    its column."""
     touching: dict[str, list[int]] = {v.name: [] for v in sites}
     for i, f in enumerate(factors):
         for name in touching.keys() & f.names:
             touching[name].append(i)
-    logs = [f.to_log().table for f in factors]
+    logs = fa.log_tables(factors)
     plans = []
     for site in sites:
         others = {v.name: v for i in touching[site.name] for v in factors[i].scope}
@@ -643,13 +637,17 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     current state. A proposed move whose reverse density is zero makes the
     kernel unusable and raises, unless it leaves a zero-mass state.
 
+    Each state is scored by one ``CompiledModel`` over the evidence-reduced
+    factors, in model order, so a score is ``log_joint``'s bit for bit.
+
     The chain starts from the state ``gibbs`` would start from. If that
-    state has zero mass and the joint fits the conditional cache cap, it
-    starts from the MAP state instead (lowest state indices on ties), and
-    raises ``ZeroEvidenceError`` when no state has mass. Past the cap it
-    keeps the drawn state, with no exact search for a supported one; every
-    move out of a zero-mass state is accepted, so the chain walks into the
-    support (or, when no state has mass, wanders over zero-mass states).
+    state has zero mass and the joint fits the conditional cache cap, the
+    joint is scored in full once and the chain starts from its MAP state
+    instead (lowest state indices on ties), or raises ``ZeroEvidenceError``
+    when no state has mass. Past the cap it keeps the drawn state, with no
+    exact search for a supported one; every move out of a zero-mass state
+    is accepted, so the chain walks into the support (or, when no state
+    has mass, wanders over zero-mass states).
     """
     evidence = check_evidence(model, evidence or {})
     free = [nm for nm in sorted(model.variables) if nm not in evidence]
@@ -660,33 +658,26 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
         )
     names = sorted(model.variables)
     reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
+    compiled = CompiledModel(MarkovRandomField([model.variable(nm) for nm in free], reduced))
 
-    cards = [model.variable(nm).cardinality for nm in free]
-    size = math.prod(cards)
-    if size <= CONDITIONAL_CACHE_CAP:
-        strides = fa.strides(cards)
-        grid = np.indices(cards).reshape(len(cards), -1).T
-        lp_table = batch_log_unnormalized(reduced, free, grid)
-
-        def log_ptilde(state_vec: np.ndarray) -> float:
-            return float(lp_table[int(state_vec @ strides)])
-
-    else:
-        lp_table = None
-
-        def log_ptilde(state_vec: np.ndarray) -> float:
-            return float(batch_log_unnormalized(reduced, free, state_vec[None, :])[0])
+    def log_ptilde(state_vec: np.ndarray) -> float:
+        compiled.state = state_vec.tolist()
+        return compiled.log_score()
 
     state = _initial_state(model, evidence, rng, free)
     current_lp = log_ptilde(state)
-    if current_lp == -math.inf and lp_table is not None:
-        # start where the target has mass: at the MAP state of the table
+    cards = [model.variable(nm).cardinality for nm in free]
+    size = math.prod(cards)
+    if current_lp == -math.inf and size <= CONDITIONAL_CACHE_CAP:
+        # start where the target has mass: at the MAP state of the full table
+        grid = np.indices(cards).reshape(len(cards), size).T
+        lp_table = batch_log_unnormalized(reduced, free, grid)
         top = int(np.argmax(lp_table))
         if lp_table[top] == -math.inf:
             raise ZeroEvidenceError(
                 "every state of the free variables has zero probability"
             )
-        state = np.array(np.unravel_index(top, cards), dtype=np.int64)
+        state = grid[top]
         current_lp = float(lp_table[top])
     out = np.zeros((n, len(names)), dtype=np.int64)
     ev_cols = {

@@ -89,15 +89,14 @@ class FactoredDistribution:
         )
 
 
-def _expected_log_factor(f: Factor, q: FactoredDistribution,
+def _expected_log_factor(f: Factor, logf: np.ndarray, q: FactoredDistribution,
                          fix: str | None = None) -> np.ndarray | float:
-    """E_q[log f], optionally as a function of one scope variable left free.
+    """E_q[log f] from f's log table ``logf``, optionally as a function of
+    one scope variable left free.
 
     Zero-probability assignments contribute nothing even when log f is
     -inf there.
     """
-    with np.errstate(divide="ignore"):
-        logf = f.table if f.domain == fa.LOG else np.log(f.table)
     # outer product of q tables, with the fixed axis (if any) left as ones
     weight = np.ones(f.table.shape)
     for ax, v in enumerate(f.scope):
@@ -125,12 +124,20 @@ def elbo(model: Model, q: FactoredDistribution,
     """
     evidence = check_evidence(model, evidence or {})
     free = [n for n in sorted(model.variables) if n not in evidence]
+    reduced, log_offset = reduce_to_evidence(model, evidence)
+    return _elbo(free, reduced, fa.log_tables(reduced), log_offset, q)
+
+
+def _elbo(free: Sequence[str], reduced: Sequence[Factor], logs: Sequence[np.ndarray],
+          log_offset: float, q: FactoredDistribution) -> float:
+    """``elbo`` from the evidence-reduced factors, their log tables and the
+    log of the factors the evidence fixes completely."""
     if sorted(q.tables) != free:
         raise ValueError(f"q must cover exactly the free variables {free}")
-    reduced, total = reduce_to_evidence(model, evidence)
+    total = log_offset
     total += q.entropy()
-    for g in reduced:
-        total += _expected_log_factor(g, q)
+    for g, logf in zip(reduced, logs):
+        total += _expected_log_factor(g, logf, q)
     return float(total)
 
 
@@ -172,14 +179,17 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
     Each update's trace value adds the change in q_j's entropy plus
     E_q[log f] over j's factors to the previous value (a full ``elbo`` when
     either is not finite); each sweep ends with one full ``elbo``, which
-    the sweep's last update value and the convergence test use.
+    the sweep's last update value and the convergence test use. The
+    reduced factors' logs are taken once per call, and every update and
+    full ``elbo`` reads them.
     """
     evidence = check_evidence(model, evidence or {})
     free_names = [n for n in sorted(model.variables) if n not in evidence]
     free_vars = [model.variables[n] for n in free_names]
-    reduced, _ = reduce_to_evidence(model, evidence)
+    reduced, log_offset = reduce_to_evidence(model, evidence)
+    logs = fa.log_tables(reduced)
     touching = {
-        n: [f for f in reduced if n in f.names] for n in free_names
+        n: [(f, logf) for f, logf in zip(reduced, logs) if n in f.names] for n in free_names
     }
     if isinstance(init, FactoredDistribution):
         q = FactoredDistribution(dict(init.tables))
@@ -195,19 +205,19 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
     trace = ElboTrace()
     trace.max_blanket_size = max(
         (
-            len({v for f in touching[n] for v in f.names} - {n})
+            len({v for f, _ in touching[n] for v in f.names} - {n})
             for n in free_names
         ),
         default=0,
     )
-    current = elbo(model, q, evidence)
+    current = _elbo(free_names, reduced, logs, log_offset, q)
     trace.values.append(current)
     for sweep in range(1, max_sweeps + 1):
         before_sweep = current
         for name in free_names:
             log_q = np.zeros(model.variable(name).cardinality)
-            for f in touching[name]:
-                log_q = log_q + _expected_log_factor(f, q, fix=name)
+            for f, logf in touching[name]:
+                log_q = log_q + _expected_log_factor(f, logf, q, fix=name)
             peak = np.max(log_q)
             if peak == -math.inf:
                 raise DegenerateUpdateError(
@@ -220,9 +230,9 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
             if math.isfinite(current) and math.isfinite(before) and math.isfinite(after):
                 current += after - before
             else:
-                current = elbo(model, q, evidence)
+                current = _elbo(free_names, reduced, logs, log_offset, q)
             trace.update_values.append(current)
-        current = elbo(model, q, evidence)
+        current = _elbo(free_names, reduced, logs, log_offset, q)
         if free_names:
             trace.update_values[-1] = current
         trace.values.append(current)

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -846,6 +847,19 @@ class TestPseudoLikelihood:
         assert twin_value == value
         for g, twin_g in zip(grads, twin_grads):
             assert np.array_equal(twin_g, g)
+
+    def test_row_leaving_a_variable_no_mass_is_minus_infinity(self):
+        # at row (1, 1) neither a given b = 1 nor b given a = 1 has a state
+        # of positive mass: the value is -inf, with no warning, and that
+        # row's conditionals count as zero in the gradient
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        mrf = MarkovRandomField([a, b], [Factor([a, b], [[1.0, 0.0], [0.0, 0.0]])])
+        data = Dataset((a, b), np.array([[0, 0], [1, 1]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grads = pseudo_likelihood(mrf, data)
+        assert value == -math.inf
+        assert np.array_equal(grads[0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_gradient_matches_finite_differences(self):
         gen = make_rng(58)

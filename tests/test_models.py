@@ -260,16 +260,9 @@ class TestCompiledModel:
                 for value in range(compiled.variables[i].cardinality):
                     trial = {**full, name: compiled.variables[i].states[value]}
                     total = 0.0
-                    for f in model.factors:
-                        if name not in f.names:
-                            continue
-                        term = f(trial)
-                        if f.domain == fa.LINEAR:
-                            if term <= 0.0:
-                                total = -math.inf
-                                break
-                            term = math.log(term)
-                        total += term
+                    for f, logs in zip(model.factors, fa.log_tables(model.factors)):
+                        if name in f.names:
+                            total += logs[tuple(v.index_of(trial[v.name]) for v in f.scope)]
                     assert compiled.local_log_score(i, value) == total
 
 

@@ -56,6 +56,7 @@ from pgmkit.models import (
     model_factors,
     reduce_to_evidence,
 )
+from pgmkit.sampling import batch_log_unnormalized
 from pgmkit.variational import LoopyBpResult, loopy_bp
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -301,6 +302,39 @@ def test_gibbs_conditionals_and_pseudo_likelihood_match_the_oracle(data):
     if supported:   # a row without mass has no pseudo-likelihood
         check_pseudo_likelihood(model, data.draw(
             st.lists(st.sampled_from(supported), min_size=1, max_size=6)))
+
+
+def check_one_log_convention(model):
+    """At every joint state, ``log_joint``, ``CompiledModel.log_score``, the
+    ``batch_log_unnormalized`` row and minus the summed ``to_energies``
+    entries are one number."""
+    names = sorted(model.variables)
+    factors = model_factors(model)
+    energies = [f.to_energies() for f in factors]
+    states = np.array(list(itertools.product(
+        *(range(model.variable(n).cardinality) for n in names))), dtype=np.int64)
+    rows = batch_log_unnormalized(factors, names, states)
+    compiled = CompiledModel(model)
+    for state, row in zip(states.tolist(), rows.tolist()):
+        compiled.state = state
+        energy = 0.0
+        for f, e in zip(factors, energies):
+            energy += e[tuple(state[names.index(n)] for n in f.names)]
+        want = log_joint(model, compiled.assignment())
+        assert (compiled.log_score(), row, -energy) == (want, want, want)
+
+
+@SETTINGS
+@given(st.data())
+def test_every_log_reader_takes_one_log_convention(data):
+    # ten draws of float tables per structure: a linear entry whose log
+    # rounds differently under two conventions is rare
+    structure = data.draw(st.one_of(bayesian_networks(), loopy_mrfs()))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for k in range(10):
+        model = with_float_tables(structure, [seed, k])
+        for m in (model, log_twin(model)[0]):
+            check_one_log_convention(m)
 
 
 # ---------------------------------------------------------------------------

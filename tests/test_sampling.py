@@ -25,6 +25,7 @@ from pgmkit.sampling import (
     GibbsSiteKernel,
     SingleSiteUniformKernel,
     UniformProposal,
+    batch_log_unnormalized,
     chain_analysis,
     forward_sample,
     gibbs,
@@ -479,6 +480,26 @@ class TestMetropolisHastings:
         b1 = metropolis_hastings(mrf, kernel, 500, 20, make_rng(19))
         b2 = metropolis_hastings(mrf, kernel, 500, 20, make_rng(19))
         assert np.array_equal(b1.states, b2.states)
+
+    @pytest.mark.parametrize("cap", [sampling.CONDITIONAL_CACHE_CAP, 1])
+    def test_steps_score_no_batch_of_states(self, rng, cap, monkeypatch):
+        # a chain whose first state has mass scores every step on one
+        # CompiledModel, under the cache cap and past it
+        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return batch_log_unnormalized(*args)
+
+        monkeypatch.setattr(sampling, "batch_log_unnormalized", counted)
+        mrf = self.three_var_mrf(rng)
+        for evidence in ({}, {"b": "1"}):
+            free = [v for n, v in sorted(mrf.variables.items()) if n not in evidence]
+            for kernel in (SingleSiteUniformKernel(free), GibbsSiteKernel(mrf, evidence)):
+                batch = metropolis_hastings(mrf, kernel, 200, 10, make_rng(3), evidence)
+                assert len(batch) == 200
+        assert len(calls) == 0
 
     # a, b with table [[1, 0], [2, 3]]: a uniform first draw of (0, 1) has
     # zero mass, and a Gibbs proposal cannot return to it
