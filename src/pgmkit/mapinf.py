@@ -16,7 +16,8 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ScopeError
-from .models import CompiledModel, MarkovRandomField
+from .models import CompiledModel, MarkovRandomField, model_factors
+from .sampling import _site_plans, _site_tables
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +489,21 @@ def dual_decomposition(
 # ---------------------------------------------------------------------------
 
 
+def _site_rows(mrf: MarkovRandomField, compiled: CompiledModel) -> list:
+    """Per site of ``compiled``, in name order: its summed log terms at
+    every blanket state as lists, from ``sampling._site_tables``, and the
+    blanket's (column, stride) pairs; None past
+    ``sampling.CONDITIONAL_CACHE_CAP``. The tables are the ones
+    ``CompiledModel`` reads, summed in the same model order, so a row entry
+    is ``compiled.local_log_score`` at that blanket state bit for bit
+    wherever no log entry is +inf or NaN."""
+    plans = _site_plans(model_factors(mrf), compiled.variables,
+                        {n: k for k, n in enumerate(compiled.names)})
+    return [None if built is None else
+            (built[0].tolist(), list(zip(plan.cols, built[1])))
+            for plan, built in zip(plans, _site_tables(plans))]
+
+
 def local_search_map(
     mrf: MarkovRandomField,
     seed: int = 0,
@@ -498,6 +514,8 @@ def local_search_map(
 
     A move is accepted only if it strictly increases the log joint; the
     returned assignment is a local optimum under single-variable flips.
+    Each site's scores are read from its row of ``_site_rows`` at the
+    blanket's state, or from ``local_log_score`` past the cap.
     """
     rng = np.random.default_rng(seed)
     compiled = CompiledModel(mrf)
@@ -509,17 +527,22 @@ def local_search_map(
     else:
         assignment = dict(init)
         state[:] = [v.index_of(init[v.name]) for v in compiled.variables]
+    sites = list(enumerate(zip(cards, _site_rows(mrf, compiled))))
     for _ in range(max_sweeps):
         changed = False
-        for i, card in enumerate(cards):
+        for i, (card, site) in sites:
+            if site is None:
+                row = [compiled.local_log_score(i, s) for s in range(card)]
+            else:
+                rows, blanket = site
+                r = 0
+                for c, stride in blanket:
+                    r += state[c] * stride
+                row = rows[r]
             current = state[i]
-            best_state = current
-            best_score = compiled.local_log_score(i, current)
-            for s in range(card):
-                if s == current:
-                    continue
-                score = compiled.local_log_score(i, s)
-                if score > best_score:
+            best_state, best_score = current, row[current]
+            for s, score in enumerate(row):
+                if s != current and score > best_score:
                     best_state, best_score = s, score
             if best_state != current:
                 state[i] = best_state
@@ -538,6 +561,50 @@ class AnnealSchedule:
     sweeps_per_stage: int = 4
 
 
+class _PCG64Draws:
+    """The draws of a fresh ``np.random.default_rng(seed)``, decoded from its
+    raw PCG64 words read ``BLOCK`` at a time: ``integers(card)`` and
+    ``random()`` return what ``Generator.integers(card)`` and
+    ``Generator.random()`` would, in any interleaving, for cards up to
+    2**32. Reading ahead moves the generator past the draws it returns, so
+    it decodes a generator it owns and nothing else reads.
+
+    ``integers`` takes 32-bit draws, the low half of a word first and its
+    high half on the next call, and maps one to ``m >> 32`` with
+    ``m = draw * card`` by Lemire's method, drawing again while
+    ``m & 0xFFFFFFFF`` is under ``2**32 % card``; a card of 1 draws
+    nothing. ``random`` takes a whole word, as ``(word >> 11) * 2**-53``,
+    and leaves a pending high half for the next ``integers``.
+    """
+
+    BLOCK = 1024
+
+    def __init__(self, seed: int):
+        self._words = self._read(np.random.default_rng(seed).bit_generator)
+        self._high = None        # the high half of the last split word
+
+    def _read(self, bit_generator):
+        while True:
+            yield from bit_generator.random_raw(self.BLOCK).tolist()
+
+    def integers(self, card: int) -> int:
+        if card == 1:
+            return 0
+        threshold = (1 << 32) % card
+        while True:
+            if self._high is None:
+                word = next(self._words)
+                low, self._high = word & 0xFFFFFFFF, word >> 32
+            else:
+                low, self._high = self._high, None
+            m = low * card
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0 ** -53
+
+
 def simulated_annealing_map(
     mrf: MarkovRandomField,
     schedule: AnnealSchedule | None = None,
@@ -546,6 +613,15 @@ def simulated_annealing_map(
     """Metropolis sampling of p_t proportional to exp(log-joint / t) while t cools
     geometrically; returns the best assignment seen at any temperature.
 
+    Draw order, from ``np.random.default_rng(seed)``: one
+    ``integers(card)`` per variable for the initial state, then per sweep
+    one ``integers(card)`` per site visit, in name order, and one
+    ``random()`` per downhill proposal. The generator is private, so the
+    draws are decoded from its raw words in blocks (``_PCG64Draws``), with
+    the same values. A proposal's change of score is read from the site's
+    row of ``_site_rows`` at the blanket's state, or from two
+    ``local_log_score`` calls past the cap.
+
     The best is taken over the states after each sweep, each compared by
     its exact ``log_score``. A sweep's running score is the last exact one
     plus the accepted moves' deltas; it is re-scored exactly only when it
@@ -553,11 +629,13 @@ def simulated_annealing_map(
     only case where it could beat it.
     """
     schedule = schedule or AnnealSchedule()
-    rng = np.random.default_rng(seed)
+    draws = _PCG64Draws(seed)
+    draw, uniform = draws.integers, draws.random
     compiled = CompiledModel(mrf)
     state = compiled.state
     cards = [v.cardinality for v in compiled.variables]
-    state[:] = [int(rng.integers(card)) for card in cards]
+    state[:] = [draw(card) for card in cards]
+    sites = list(enumerate(zip(cards, _site_rows(mrf, compiled))))
     best = list(state)
     best_score = score = compiled.log_score()
     # With u = eps / 2 the unit roundoff, F factors, at most B of them on
@@ -580,13 +658,22 @@ def simulated_annealing_map(
     while t >= schedule.t_end:
         for _ in range(schedule.sweeps_per_stage):
             moved = moves
-            for i, card in enumerate(cards):
-                proposal = int(rng.integers(card))
-                if proposal == state[i]:
+            for i, (card, site) in sites:
+                proposal = draw(card)
+                current = state[i]
+                if proposal == current:
                     continue
-                delta = (compiled.local_log_score(i, proposal)
-                         - compiled.local_log_score(i, state[i]))
-                if delta >= 0 or rng.random() < math.exp(delta / t):
+                if site is None:
+                    delta = (compiled.local_log_score(i, proposal)
+                             - compiled.local_log_score(i, current))
+                else:
+                    rows, others = site
+                    r = 0
+                    for c, stride in others:
+                        r += state[c] * stride
+                    row = rows[r]
+                    delta = row[proposal] - row[current]
+                if delta >= 0 or uniform() < math.exp(delta / t):
                     state[i] = proposal
                     score += delta
                     moves += 1

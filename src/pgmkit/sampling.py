@@ -397,20 +397,41 @@ def _site_logits(site: _Site, states: np.ndarray) -> tuple[np.ndarray, list[np.n
     return logits, rows
 
 
-def _conditionals(site: _Site, states: np.ndarray) -> np.ndarray:
-    """The site's conditionals at each row of blanket ``states``: exp of
-    the summed logs less the row's peak (zeros where no entry is finite)."""
-    logits = _site_logits(site, states)[0]
+def _site_tables(plans: Sequence[_Site]) -> list[tuple[np.ndarray, list[int]] | None]:
+    """Per site, ``_site_logits`` at every blanket state, as (blanket
+    states in flat-index order, site states), and the blanket's strides;
+    None where that table would hold more than ``CONDITIONAL_CACHE_CAP``
+    entries."""
+    out = []
+    for plan in plans:
+        cards = [v.cardinality for v in plan.blanket]
+        size = math.prod(cards)
+        if size * plan.variable.cardinality > CONDITIONAL_CACHE_CAP:
+            out.append(None)
+            continue
+        states = np.indices(cards).reshape(len(cards), size).T
+        out.append((_site_logits(plan, states)[0], fa.strides(cards).tolist()))
+    return out
+
+
+def _less_peak(logits: np.ndarray) -> np.ndarray:
+    """Exp of each row of logits less the row's peak (zeros where no entry
+    is finite)."""
     peak = logits.max(axis=1, keepdims=True)
     peak[peak == -np.inf] = 0.0
     return np.exp(logits - peak)
 
 
+def _conditionals(site: _Site, states: np.ndarray) -> np.ndarray:
+    """The site's conditionals at each row of blanket ``states``."""
+    return _less_peak(_site_logits(site, states)[0])
+
+
 class _ConditionalSampler:
     """Per-variable full conditionals from ``_conditionals``, with the
-    largest entry of each row 1: cached per blanket state up to
-    ``CONDITIONAL_CACHE_CAP`` entries per site, and gathered at the current
-    state past it, with the same bits either way."""
+    largest entry of each row 1: cached per blanket state by
+    ``_site_tables``, and gathered at the current state past its cap, with
+    the same bits either way."""
 
     def __init__(self, model: Model, evidence: Mapping[str, str]):
         self.free = [n for n in sorted(model.variables) if n not in evidence]
@@ -420,15 +441,13 @@ class _ConditionalSampler:
         # per free variable: the blanket table, its cumulative rows as
         # lists, the blanket columns and their strides; None past the cap
         self.sites = []
-        for plan in self.plans:
-            cards = [v.cardinality for v in plan.blanket]
-            size = math.prod(cards)
-            if size * plan.variable.cardinality > CONDITIONAL_CACHE_CAP:
+        for plan, built in zip(self.plans, _site_tables(self.plans)):
+            if built is None:
                 self.sites.append(None)
                 continue
-            table = _conditionals(plan, np.indices(cards).reshape(len(cards), size).T)
-            self.sites.append((table, np.cumsum(table, axis=1).tolist(), plan.cols,
-                               fa.strides(cards).tolist()))
+            logits, strides = built
+            table = _less_peak(logits)
+            self.sites.append((table, np.cumsum(table, axis=1).tolist(), plan.cols, strides))
 
     def conditional(self, name: str, state_vec: np.ndarray) -> np.ndarray:
         site = self.sites[self.col_of[name]]
@@ -687,7 +706,8 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     free_cols = [names.index(nm) for nm in free]
     accepted = 0
     for step in range(burn_in + n):
-        proposal_vec = kernel.propose(state, rng)
+        # with every variable observed there is no move to propose
+        proposal_vec = kernel.propose(state, rng) if free else state
         if np.array_equal(proposal_vec, state):
             accepted += 1  # self-move: the ratio is exactly 1
         else:

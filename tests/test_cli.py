@@ -353,6 +353,20 @@ class TestSample:
             lines = out_path.read_text().strip().splitlines()
             assert len(lines) == 51  # header + rows
 
+    def test_mh_with_every_variable_observed_returns_the_evidence_rows(self, student_path):
+        observed = ["DIFFICULTY=d1", "GRADE=g2", "INVESTMENT=i0", "LETTER=l1", "SAT=s0"]
+        outputs = {}
+        for method in ("gibbs", "mh"):
+            command = ["sample", "--model", student_path, "--method", method,
+                       "--n", "4", "--seed", "5"]
+            for item in observed:
+                command += ["--evidence", item]
+            code, out = run(command)
+            assert code == 0
+            outputs[method] = [l for l in out.splitlines() if not l.startswith("config.")]
+        assert outputs["mh"] == outputs["gibbs"] == [
+            "DIFFICULTY,GRADE,INVESTMENT,LETTER,SAT", *["d1,g2,i0,l1,s0"] * 4]
+
     def test_stdout_csv(self, student_path):
         code, out = run(["sample", "--model", student_path, "--n", "3", "--seed", "7"])
         assert code == 0

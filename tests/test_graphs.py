@@ -219,6 +219,17 @@ class TestMaxCliques:
             assert got == brute_max_cliques(chordal)
             assert len(got) <= len(chordal.nodes)
 
+    def test_matches_networkx_on_random_chordal(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            g = random_undirected(rng, int(rng.integers(1, 16)), p=float(rng.uniform(0.1, 0.5)))
+            order = [g.nodes[k] for k in rng.permutation(len(g.nodes))]
+            chordal, elim = triangulate(g, order)
+            graph = nx.Graph(list(chordal.edges))
+            graph.add_nodes_from(chordal.nodes)
+            assert set(max_cliques(chordal, elim)) == set(nx.chordal_graph_cliques(graph))
+
 
 class TestDSeparation:
     def earthquake(self):

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
+import test_golden
 from conftest import random_mrf, random_tree_mrf
+from pgmkit import sampling
 from pgmkit.cli import main
 from pgmkit.factors import Factor, Variable
 from pgmkit.io import serialize_model
@@ -14,6 +16,7 @@ from pgmkit.mapinf import (
     AnnealSchedule,
     FlowNetwork,
     PairwiseEnergyModel,
+    _PCG64Draws,
     dual_decomposition,
     export_map_ilp,
     graphcut_map,
@@ -25,7 +28,7 @@ from pgmkit.mapinf import (
     partition_cost,
     simulated_annealing_map,
 )
-from pgmkit.models import MarkovRandomField, enumerate_inference, log_joint
+from pgmkit.models import CompiledModel, MarkovRandomField, enumerate_inference, log_joint
 
 
 def enumerate_min_energy(m: PairwiseEnergyModel):
@@ -135,6 +138,24 @@ class TestMinCut:
                 side = frozenset(["s"] + [v for v, b in zip(inner, bits) if b == 0])
                 best = min(best, partition_cost(net, side))
             assert cut.cost == pytest.approx(best)
+
+    def test_cost_matches_networkx_on_random_networks(self, rng):
+        nx = pytest.importorskip("networkx")
+        for _ in range(30):
+            nodes = ["s", "t"] + [f"x{i}" for i in range(int(rng.integers(2, 12)))]
+            net = FlowNetwork("s", "t")
+            graph = nx.DiGraph()
+            graph.add_nodes_from(nodes)
+            for u in nodes:
+                for v in nodes:
+                    if u != v and rng.random() < 0.35:
+                        cap = float(rng.random() * 10)
+                        net.add_arc(u, v, cap)
+                        graph.add_edge(u, v, capacity=cap)
+            want, _ = nx.minimum_cut(graph, "s", "t")
+            cut = min_cut(net)
+            assert cut.cost == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert partition_cost(net, cut.source_side) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestGraphCut:
@@ -411,3 +432,41 @@ class TestLocalSearch:
             if sa >= ls - 1e-12:
                 wins += 1
         assert wins >= 9
+
+
+class TestAnnealingDraws:
+    CARDS = [1, 2, 3, 5, 7, 255, 256, 1000, 2**31 + 3]
+
+    @pytest.mark.parametrize("block", [1, 5, 1024])
+    def test_the_decoder_matches_a_fresh_generator_draw_for_draw(self, block, monkeypatch):
+        # 2**31 + 3 rejects almost half its 32-bit draws; 3,000 draws span
+        # more words than the default block holds
+        monkeypatch.setattr(_PCG64Draws, "BLOCK", block)
+        plan = np.random.default_rng(99)
+        for seed in range(12):
+            draws = _PCG64Draws(seed)
+            rng = np.random.default_rng(seed)
+            for kind, card in zip(plan.random(3000) < 0.3,
+                                  plan.choice(self.CARDS, 3000).tolist()):
+                if kind:
+                    assert draws.random() == rng.random()
+                else:
+                    assert draws.integers(card) == rng.integers(card)
+
+    def test_blanket_scores_come_from_the_site_rows(self, monkeypatch):
+        calls = []
+        local_log_score = CompiledModel.local_log_score
+
+        def counted(self, site, value):
+            calls.append(site)
+            return local_log_score(self, site, value)
+
+        monkeypatch.setattr(CompiledModel, "local_log_score", counted)
+        test_golden.test_anneal_assignment_and_logp()
+        test_golden.test_local_search_assignment_and_logp()
+        assert calls == []
+        # past the cap every site is scored by local_log_score, with the same bits
+        monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", 1)
+        test_golden.test_anneal_assignment_and_logp()
+        test_golden.test_local_search_assignment_and_logp()
+        assert calls
