@@ -171,9 +171,9 @@ def variable_elimination(model: Model, query: Iterable[str],
     p(query, evidence) and ``log_normalizer`` equals log p(evidence) for a
     Bayesian network (log of the evidence-reduced partition value for an
     MRF). With max_product the factor holds unnormalized max-marginals,
-    divided by exp(``log_normalizer``): no rescaling is performed, and
-    ``log_normalizer`` is 0 unless the model has log-domain factors (see
-    :func:`_exp_shifted`).
+    divided by exp(``log_normalizer``): the powers of two taken out while
+    eliminating are folded back, and ``log_normalizer`` is 0 unless the
+    model has log-domain factors (see :func:`_exp_shifted`).
     """
     evidence = check_evidence(model, evidence or {})
     query = list(dict.fromkeys(query))
@@ -220,7 +220,9 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
     Every factor, given or produced, waits in the bucket of its first
     variable in the ordering, behind those that joined before it. A step
     multiplies its bucket and aggregates the variable out; sum-product
-    results are rescaled. The steps are first walked on scopes alone, so
+    results are rescaled to sum to 1, and max-product ones by 2**-e, e the
+    exponent of their largest finite entry, with the e's folded back into
+    the first leftover factor. The steps are first walked on scopes alone, so
     TooLargeError is raised before any table is built when a product
     would hold more than ``TABLE_CAP`` entries.
 
@@ -260,6 +262,7 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
     tables = dict(enumerate(factors))
     key = len(factors)
     log_norm = 0.0
+    exponent = 0    # of the powers of two taken out of max-product results
     pointers: dict[str, tuple | None] = {}
     for var, bucket in zip(ordering, buckets):
         if not bucket:
@@ -275,9 +278,20 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
             table, log_total = _rescaled(tau.table)
             tau = Factor(tau.scope, table, _trusted=True)
             log_norm += log_total
+        elif semiring.kind == "max_product":
+            top = tau.table.max()
+            if not top < math.inf:   # an entry overflowed: take the largest finite one
+                top = tau.table[np.isfinite(tau.table)].max(initial=0.0)
+            e = math.frexp(top)[1]
+            tau = Factor(tau.scope, np.ldexp(tau.table, -e), _trusted=True)
+            exponent += e
         tables[key] = tau  # the key its scope took in the walk above
         key += 1
-    return [tables[k] for k in rest], log_norm, widest, pointers
+    leftover = [tables[k] for k in rest]
+    if exponent:   # a value past float range reads inf (or 0), as the unscaled product would
+        with np.errstate(over="ignore"):
+            leftover[0] = Factor(leftover[0].scope, np.ldexp(leftover[0].table, exponent), _trusted=True)
+    return leftover, log_norm, widest, pointers
 
 
 def _exp_shifted(factors: Iterable[Factor], log_shift: float = 0.0
@@ -547,7 +561,9 @@ def max_product_decode(model: Model, evidence: Mapping[str, str] | None = None):
     matches the enumeration oracle's tie-breaking.
 
     The elimination runs on the same bucket pass as variable elimination,
-    under the same ``TABLE_CAP`` budget.
+    under the same ``TABLE_CAP`` budget; each step's table is scaled by a
+    power of two, so long models stay in float range and every comparison
+    keeps its outcome.
     """
     evidence = check_evidence(model, evidence or {})
     names = sorted(n for n in model.variables if n not in evidence)

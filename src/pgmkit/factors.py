@@ -14,6 +14,7 @@ becomes addition and sum-elimination becomes logsumexp.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -30,6 +31,7 @@ from .errors import (
 
 LINEAR = "linear"
 LOG = "log"
+_LOG_MAX = math.log(sys.float_info.max)  # the largest log whose exp is finite
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,10 @@ class Factor:
     def __init__(self, scope: Sequence[Variable], values, domain: str = LINEAR,
                  *, _trusted: bool = False):
         # ``_trusted`` marks a table pgmkit computed itself from valid
-        # factors: it is used without the defensive copy and the negativity
-        # scan that user-supplied tables get. Either way the table is
-        # C-ordered, which fixes the summation order of later reductions.
+        # factors: it skips the defensive copy and the scans of given tables
+        # (no NaN or +inf, no negative linear entry; -inf is a log zero).
+        # Either way the table is C-ordered, which fixes the summation order
+        # of later reductions.
         scope = tuple(scope)
         names = tuple(v.name for v in scope)
         if len(set(names)) != len(names):
@@ -124,8 +127,11 @@ class Factor:
             table = table.reshape(shape)
         if not _trusted:
             table = table.copy()
-            if domain == LINEAR and table.size and np.min(table) < 0:
-                raise ValueError("linear-domain factor entries must be nonnegative")
+            if table.size:
+                if domain == LINEAR and np.min(table) < 0:
+                    raise ValueError("linear-domain factor entries must be nonnegative")
+                if not np.max(table) < math.inf:   # NaN fails this too
+                    raise ValueError(f"{domain}-domain factor entries must not be NaN or +inf")
         table.flags.writeable = False
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "table", table)
@@ -167,9 +173,14 @@ class Factor:
         return Factor(self.scope, log_tables([self])[0], domain=LOG, _trusted=True)
 
     def to_linear(self) -> "Factor":
+        """The factor's values themselves; a log table with an entry past
+        exp's range raises ValueError."""
         if self.domain == LINEAR:
             return self
-        return Factor(self.scope, np.exp(self.table), domain=LINEAR)
+        if self.table.size and np.max(self.table) > _LOG_MAX:
+            raise ValueError("the log table is past exp's range: its values "
+                             "overflow the linear domain")
+        return Factor(self.scope, np.exp(self.table), _trusted=True)
 
     def to_energies(self) -> np.ndarray:
         """Negative log potentials (energies), as a plain array.

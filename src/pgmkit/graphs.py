@@ -1,6 +1,6 @@
 """Directed and undirected graphs plus the structural transformations used
 by inference and learning: moralization, triangulation, maximal cliques,
-d-separation, Markov blankets, spanning trees, and Markov-equivalence
+d-separation, the Markov blanket, spanning trees, and Markov-equivalence
 signatures.
 
 All outputs are deterministic: ties are broken by node-name order.

@@ -844,7 +844,7 @@ def pseudo_likelihood(mrf: MarkovRandomField, dataset: Dataset,
     each conditional normalizer only sums over one variable, so no global
     inference is needed. The log tables are ``theta`` when given, else the
     model's tables as ``factors.log_tables`` reads them (either domain),
-    and each variable's logits at the observed blankets come from the
+    and each variable's logits at the observed blanket states come from the
     Gibbs sampler's per-site gather. A row whose blanket leaves some
     variable no state of positive mass has probability zero: the value is
     -inf, and that row's conditional counts as zero in the gradients.

@@ -489,19 +489,14 @@ def dual_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def _site_rows(mrf: MarkovRandomField, compiled: CompiledModel) -> list:
-    """Per site of ``compiled``, in name order: its summed log terms at
-    every blanket state as lists, from ``sampling._site_tables``, and the
-    blanket's (column, stride) pairs; None past
-    ``sampling.CONDITIONAL_CACHE_CAP``. The tables are the ones
-    ``CompiledModel`` reads, summed in the same model order, so a row entry
-    is ``compiled.local_log_score`` at that blanket state bit for bit
-    wherever no log entry is +inf or NaN."""
+def _site_rows(mrf: MarkovRandomField, compiled: CompiledModel) -> tuple[list, list]:
+    """Per site of ``compiled``, in name order: its plan, and its rows and
+    blanket from ``sampling._site_tables``, each row the site's summed log
+    terms at one blanket state, as a list. The tables are the ones
+    ``CompiledModel`` reads, summed in the same model order."""
     plans = _site_plans(model_factors(mrf), compiled.variables,
                         {n: k for k, n in enumerate(compiled.names)})
-    return [None if built is None else
-            (built[0].tolist(), list(zip(plan.cols, built[1])))
-            for plan, built in zip(plans, _site_tables(plans))]
+    return plans, _site_tables(plans, np.ndarray.tolist)
 
 
 def local_search_map(
@@ -515,7 +510,7 @@ def local_search_map(
     A move is accepted only if it strictly increases the log joint; the
     returned assignment is a local optimum under single-variable flips.
     Each site's scores are read from its row of ``_site_rows`` at the
-    blanket's state, or from ``local_log_score`` past the cap.
+    blanket's state.
     """
     rng = np.random.default_rng(seed)
     compiled = CompiledModel(mrf)
@@ -527,18 +522,14 @@ def local_search_map(
     else:
         assignment = dict(init)
         state[:] = [v.index_of(init[v.name]) for v in compiled.variables]
-    sites = list(enumerate(zip(cards, _site_rows(mrf, compiled))))
+    sites = list(enumerate(_site_rows(mrf, compiled)[1]))
     for _ in range(max_sweeps):
         changed = False
-        for i, (card, site) in sites:
-            if site is None:
-                row = [compiled.local_log_score(i, s) for s in range(card)]
-            else:
-                rows, blanket = site
-                r = 0
-                for c, stride in blanket:
-                    r += state[c] * stride
-                row = rows[r]
+        for i, (rows, blanket) in sites:
+            r = 0
+            for c, stride in blanket:
+                r += state[c] * stride
+            row = rows[r]
             current = state[i]
             best_state, best_score = current, row[current]
             for s, score in enumerate(row):
@@ -619,8 +610,7 @@ def simulated_annealing_map(
     ``random()`` per downhill proposal. The generator is private, so the
     draws are decoded from its raw words in blocks (``_PCG64Draws``), with
     the same values. A proposal's change of score is read from the site's
-    row of ``_site_rows`` at the blanket's state, or from two
-    ``local_log_score`` calls past the cap.
+    row of ``_site_rows`` at the blanket's state.
 
     The best is taken over the states after each sweep, each compared by
     its exact ``log_score``. A sweep's running score is the last exact one
@@ -635,7 +625,8 @@ def simulated_annealing_map(
     state = compiled.state
     cards = [v.cardinality for v in compiled.variables]
     state[:] = [draw(card) for card in cards]
-    sites = list(enumerate(zip(cards, _site_rows(mrf, compiled))))
+    plans, rows = _site_rows(mrf, compiled)
+    sites = list(enumerate(zip(cards, rows)))
     best = list(state)
     best_score = score = compiled.log_score()
     # With u = eps / 2 the unit roundoff, F factors, at most B of them on
@@ -648,7 +639,7 @@ def simulated_annealing_map(
     # ((F - 1) + m(B + 1/2)) eps A of log_score to first order, and the
     # margin below is twice that: a running score under best - margin
     # means an exact score under the best, which cannot replace it.
-    blanket = max(map(len, compiled.blankets), default=0)
+    blanket = max((len(plan.terms) for plan in plans), default=0)
     scale = 2.0 * sys.float_info.epsilon * sum(
         max((abs(v) for v in table if math.isfinite(v)), default=0.0)
         for table, *_ in compiled.factors
@@ -658,21 +649,16 @@ def simulated_annealing_map(
     while t >= schedule.t_end:
         for _ in range(schedule.sweeps_per_stage):
             moved = moves
-            for i, (card, site) in sites:
+            for i, (card, (rows, others)) in sites:
                 proposal = draw(card)
                 current = state[i]
                 if proposal == current:
                     continue
-                if site is None:
-                    delta = (compiled.local_log_score(i, proposal)
-                             - compiled.local_log_score(i, current))
-                else:
-                    rows, others = site
-                    r = 0
-                    for c, stride in others:
-                        r += state[c] * stride
-                    row = rows[r]
-                    delta = row[proposal] - row[current]
+                r = 0
+                for c, stride in others:
+                    r += state[c] * stride
+                row = rows[r]
+                delta = row[proposal] - row[current]
                 if delta >= 0 or uniform() < math.exp(delta / t):
                     state[i] = proposal
                     score += delta

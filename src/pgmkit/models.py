@@ -382,12 +382,12 @@ class CompiledModel:
     """A model's factors as flat Python log tables over an integer state.
 
     Built once per model for the engines that score one state at a time:
-    annealing, local search and Metropolis-Hastings. ``state`` holds one
-    state index per variable, in name order. The tables are the factors'
-    logs as ``factors.log_tables`` gives them, so a score adds the same
-    terms in the same order as ``log_joint`` and ``batch_log_unnormalized``.
-    ``blankets[i]`` lists the factors over variable ``i``, in model order,
-    each with that variable's stride split from the other columns.
+    annealing, local search, dual decomposition and Metropolis-Hastings.
+    ``state`` holds one state index per variable, in name order. The tables
+    are the factors' logs as ``factors.log_tables`` gives them, so a score
+    adds the same terms in the same order as ``log_joint`` and
+    ``batch_log_unnormalized``. The engines read one variable's terms from
+    its row of ``sampling._site_tables``.
     """
 
     def __init__(self, model: Model):
@@ -396,16 +396,12 @@ class CompiledModel:
         self.state = [0] * len(self.names)
         col = {n: k for k, n in enumerate(self.names)}
         self.factors = []  # (log table, columns, strides)
-        self.blankets = [[] for _ in self.names]  # (log table, other columns, stride)
         factors = model_factors(model)
         for f, logs in zip(factors, fa.log_tables(factors)):
             table = logs.reshape(-1).tolist()
             cols = [col[n] for n in f.names]
             strides = fa.strides(f.table.shape).tolist()
             self.factors.append((table, cols, strides))
-            for site, stride in zip(cols, strides):
-                others = [(c, s) for c, s in zip(cols, strides) if c != site]
-                self.blankets[site].append((table, others, stride))
 
     def log_score(self) -> float:
         """``log_joint`` at the state: the terms summed in model order, and
@@ -415,22 +411,6 @@ class CompiledModel:
         for table, cols, strides in self.factors:
             idx = 0
             for c, s in zip(cols, strides):
-                idx += state[c] * s
-            term = table[idx]
-            if term == -math.inf:
-                return -math.inf
-            total += term
-        return total
-
-    def local_log_score(self, site: int, value: int) -> float:
-        """The sum of the log terms of the factors over variable ``site``,
-        with that variable set to ``value``, and -inf at the first -inf
-        term."""
-        state = self.state
-        total = 0.0
-        for table, others, stride in self.blankets[site]:
-            idx = value * stride
-            for c, s in others:
                 idx += state[c] * s
             term = table[idx]
             if term == -math.inf:

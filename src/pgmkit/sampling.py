@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -397,21 +398,40 @@ def _site_logits(site: _Site, states: np.ndarray) -> tuple[np.ndarray, list[np.n
     return logits, rows
 
 
-def _site_tables(plans: Sequence[_Site]) -> list[tuple[np.ndarray, list[int]] | None]:
-    """Per site, ``_site_logits`` at every blanket state, as (blanket
-    states in flat-index order, site states), and the blanket's strides;
-    None where that table would hold more than ``CONDITIONAL_CACHE_CAP``
-    entries."""
+def _site_tables(plans: Sequence[_Site], view: Callable[[np.ndarray], Sequence]
+                 ) -> list[tuple[Sequence, list[tuple[int, int]]]]:
+    """Per site, its rows and the blanket's (column, stride) pairs: row
+    ``sum(state[c] * stride)`` is ``view`` (of a (rows, site states) array)
+    of ``_site_logits`` at that blanket state. Rows holding at most
+    ``CONDITIONAL_CACHE_CAP`` entries in all are built at once, else each
+    when read; the strides are Python ints, as such a blanket can have
+    more than 2**63 states."""
     out = []
     for plan in plans:
         cards = [v.cardinality for v in plan.blanket]
+        strides = [math.prod(cards[k + 1:]) for k in range(len(cards))]
         size = math.prod(cards)
-        if size * plan.variable.cardinality > CONDITIONAL_CACHE_CAP:
-            out.append(None)
-            continue
-        states = np.indices(cards).reshape(len(cards), size).T
-        out.append((_site_logits(plan, states)[0], fa.strides(cards).tolist()))
+        if size * plan.variable.cardinality <= CONDITIONAL_CACHE_CAP:
+            rows = view(_site_logits(plan, np.indices(cards).reshape(len(cards), size).T)[0])
+        else:
+            rows = _RowsAt(plan, strides, view)
+        out.append((rows, list(zip(plan.cols, strides))))
     return out
+
+
+class _RowsAt:
+    """A site's rows past the cap, each built when read from the blanket
+    state its flat index encodes."""
+
+    def __init__(self, plan: _Site, strides: list[int], view: Callable[[np.ndarray], Sequence]):
+        self.plan, self.strides, self.view = plan, strides, view
+
+    def __getitem__(self, flat: int):
+        states = []
+        for stride in self.strides:
+            state, flat = divmod(flat, stride)
+            states.append(state)
+        return self.view(_site_logits(self.plan, np.array([states], dtype=np.int64))[0])[0]
 
 
 def _less_peak(logits: np.ndarray) -> np.ndarray:
@@ -422,40 +442,29 @@ def _less_peak(logits: np.ndarray) -> np.ndarray:
     return np.exp(logits - peak)
 
 
-def _conditionals(site: _Site, states: np.ndarray) -> np.ndarray:
-    """The site's conditionals at each row of blanket ``states``."""
-    return _less_peak(_site_logits(site, states)[0])
-
-
 class _ConditionalSampler:
-    """Per-variable full conditionals from ``_conditionals``, with the
-    largest entry of each row 1: cached per blanket state by
-    ``_site_tables``, and gathered at the current state past its cap, with
-    the same bits either way."""
+    """Per-variable full conditionals, ``_less_peak`` of the site rows of
+    ``_site_tables``: ``tables`` holds them as arrays, for
+    ``conditional``, and ``cumulative`` their running sums as lists, for
+    the Gibbs sweep. Each is built on first use."""
 
     def __init__(self, model: Model, evidence: Mapping[str, str]):
         self.free = [n for n in sorted(model.variables) if n not in evidence]
         self.col_of = {n: k for k, n in enumerate(self.free)}
         reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
         self.plans = _site_plans(reduced, [model.variable(n) for n in self.free], self.col_of)
-        # per free variable: the blanket table, its cumulative rows as
-        # lists, the blanket columns and their strides; None past the cap
-        self.sites = []
-        for plan, built in zip(self.plans, _site_tables(self.plans)):
-            if built is None:
-                self.sites.append(None)
-                continue
-            logits, strides = built
-            table = _less_peak(logits)
-            self.sites.append((table, np.cumsum(table, axis=1).tolist(), plan.cols, strides))
+
+    @cached_property
+    def tables(self):
+        return _site_tables(self.plans, _less_peak)
+
+    @cached_property
+    def cumulative(self):
+        return _site_tables(self.plans, lambda logits: np.cumsum(_less_peak(logits), axis=1).tolist())
 
     def conditional(self, name: str, state_vec: np.ndarray) -> np.ndarray:
-        site = self.sites[self.col_of[name]]
-        if site is not None:
-            table, _, cols, strides = site
-            return table[sum(int(state_vec[c]) * s for c, s in zip(cols, strides))]
-        plan = self.plans[self.col_of[name]]
-        return _conditionals(plan, np.array([[state_vec[c] for c in plan.cols]], dtype=np.int64))[0]
+        rows, blanket = self.tables[self.col_of[name]]
+        return rows[sum(int(state_vec[c]) * stride for c, stride in blanket)]
 
 
 def _initial_state(model: Model, evidence: Mapping[str, str],
@@ -493,7 +502,7 @@ def gibbs(model: Model, evidence: Mapping[str, str] | None,
     state = _initial_state(model, evidence, rng, free).tolist()
     names = sorted(model.variables)
     k_free = len(free)
-    sites = sampler.sites
+    sites = sampler.cumulative
     kept = array("q")
     for sweep in range(burn_in + n):
         if k_free:
@@ -503,15 +512,11 @@ def gibbs(model: Model, evidence: Mapping[str, str] | None,
                 else rng.integers(k_free, size=k_free).tolist()
             )
             for i, u in zip(order, rng.random(k_free).tolist()):
-                site = sites[i]
-                if site is None:
-                    cum = np.cumsum(sampler.conditional(free[i], state)).tolist()
-                else:
-                    _, rows, cols, strides = site
-                    row = 0
-                    for c, stride in zip(cols, strides):
-                        row += state[c] * stride
-                    cum = rows[row]
+                rows, blanket = sites[i]
+                row = 0
+                for c, stride in blanket:
+                    row += state[c] * stride
+                cum = rows[row]
                 total = cum[-1]
                 if total <= 0.0:
                     raise TrappedStateError(
@@ -547,7 +552,7 @@ def gibbs_transition_matrix(model: Model, evidence: Mapping[str, str] | None = N
     flat = np.arange(len(states))
     total = np.eye(len(states))
     for i, plan in enumerate(sampler.plans):
-        probs = _conditionals(plan, states[:, plan.cols])
+        probs = _less_peak(_site_logits(plan, states[:, plan.cols])[0])
         sums = probs.sum(axis=1, keepdims=True)
         if np.any(sums <= 0.0):
             raise TrappedStateError(f"zero conditional for {plan.variable.name!r}")

@@ -336,6 +336,30 @@ class TestMaxProductDecode:
         want, _ = enumerate_inference(bn, mode="map", evidence={"GRADE": "g1"})
         assert got == want
 
+    @pytest.mark.parametrize("steps", [500, 3000])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0])
+    def test_long_chains_match_a_log_space_viterbi(self, steps, scale):
+        # the max of the joint is past float range on all but one chain:
+        # about e**-3136 for 500 steps at 1e-3, e**1828 for 3000 steps at 1
+        rng = np.random.default_rng(0)
+        xs = [Variable(f"x{t:04d}", ("0", "1", "2")) for t in range(steps + 1)]
+        tables = rng.gamma(1.0, size=(steps, 3, 3)) * scale
+        mrf = MarkovRandomField(xs, [Factor([xs[t], xs[t + 1]], tables[t]) for t in range(steps)])
+        logs = np.log(tables)
+        best = np.zeros(3)      # the best log score of x_0..x_t, per state of x_t
+        back = []
+        for t in range(steps):
+            scores = best[:, None] + logs[t]
+            back.append(np.argmax(scores, axis=0))
+            best = scores.max(axis=0)
+        path = [int(np.argmax(best))]
+        for pointers in reversed(back):
+            path.append(int(pointers[path[-1]]))
+        path.reverse()
+        assignment, logp = max_product_decode(mrf)
+        assert [int(assignment[x.name]) for x in xs] == path
+        assert logp == pytest.approx(float(best.max()), rel=1e-12)
+
 
 class TestJunctionTree:
     def test_asia_structure(self, rng):

@@ -348,6 +348,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Factor([A], [-1.0, 1.0])
 
+    @pytest.mark.parametrize("domain", ["linear", "log"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_and_plus_inf_rejected(self, domain, bad):
+        with pytest.raises(ValueError, match=f"{domain}-domain factor entries must not be NaN or \\+inf"):
+            Factor([A, B], [[1.0, bad], [0.0, 2.0]], domain=domain)
+
+    def test_a_log_table_may_hold_minus_inf(self):
+        f = Factor([A], [-math.inf, 0.0], domain="log")
+        assert f.to_linear().table.tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match="nonnegative"):
+            Factor([A], [-math.inf, 0.0])
+
+    def test_an_infinite_log_entry_next_to_a_zero_is_rejected(self):
+        # with [[-inf, 0], [0, 0]] on (a, b), a site row of b would add
+        # inf and -inf into NaN; the +inf is refused before any scorer runs
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            Factor([A], [math.inf, 0.0], domain="log")
+        Factor([A, B], [[-math.inf, 0.0], [0.0, 0.0]], domain="log")
+
+    def test_trusted_tables_skip_the_scans(self):
+        # pgmkit's own results skip the scans, as the serializer's tests rely on
+        f = Factor([A, B], [[math.nan, math.inf], [-1.0, 0.0]], _trusted=True)
+        assert np.isnan(f.table[0, 0]) and f.table[0, 1] == math.inf
+
+    def test_to_linear_past_the_exp_range_is_refused(self):
+        at_edge = Factor([A], [fa._LOG_MAX, 0.0], domain="log").to_linear()
+        assert math.isfinite(at_edge.table[0])
+        past = Factor([A], [np.nextafter(fa._LOG_MAX, math.inf), 0.0], domain="log")
+        with pytest.raises(ValueError, match="past exp's range"):
+            past.to_linear()
+
     def test_immutability(self):
         f = Factor([A], [1.0, 2.0])
         with pytest.raises(ValueError):

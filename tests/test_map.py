@@ -28,7 +28,7 @@ from pgmkit.mapinf import (
     partition_cost,
     simulated_annealing_map,
 )
-from pgmkit.models import CompiledModel, MarkovRandomField, enumerate_inference, log_joint
+from pgmkit.models import MarkovRandomField, enumerate_inference, log_joint
 
 
 def enumerate_min_energy(m: PairwiseEnergyModel):
@@ -454,19 +454,70 @@ class TestAnnealingDraws:
                     assert draws.integers(card) == rng.integers(card)
 
     def test_blanket_scores_come_from_the_site_rows(self, monkeypatch):
-        calls = []
-        local_log_score = CompiledModel.local_log_score
+        built = []
+        getitem = sampling._RowsAt.__getitem__
 
-        def counted(self, site, value):
-            calls.append(site)
-            return local_log_score(self, site, value)
+        def counted(self, flat):
+            built.append(flat)
+            return getitem(self, flat)
 
-        monkeypatch.setattr(CompiledModel, "local_log_score", counted)
+        monkeypatch.setattr(sampling._RowsAt, "__getitem__", counted)
         test_golden.test_anneal_assignment_and_logp()
         test_golden.test_local_search_assignment_and_logp()
-        assert calls == []
-        # past the cap every site is scored by local_log_score, with the same bits
+        assert built == []
+        # past the cap every row is built when read, with the same bits
         monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", 1)
         test_golden.test_anneal_assignment_and_logp()
         test_golden.test_local_search_assignment_and_logp()
-        assert calls
+        assert built
+
+
+class TestStarPastTheCap:
+    """A ternary centre with 70 binary leaves: the centre's blanket has
+    2**70 states, so its rows are built when read, from blanket states
+    whose flat index is past int64. The pins were recorded when the
+    centre was scored factor by factor."""
+
+    PINS = {
+        0: ("11000010001111000101000110010001101100011010010100100000110110101010011",
+            "28.616352630532234",
+            ["11011000001011100111000101010101000100111011001001000111111100011000011",
+             "10001010101111100101000111000001100100010010111101100000111101101111101",
+             "11001010010100000100101000010001000000101110010000100100111100111010010"]),
+        1: ("20100001001010100011101110110110100000110101011101001000101001101000111",
+            "40.98016936867122",
+            ["20111101000000101011001111100111100001110111011101100000100001001000111",
+             "20001001001010100011101111110101000000111101011100111010101001000001111",
+             "20001001101010000011101111100111100000111110001101010000111011111000111"]),
+    }
+
+    @staticmethod
+    def star_mrf():
+        rng = np.random.default_rng(7)
+        centre = Variable("c", ("0", "1", "2"))
+        leaves = [Variable(f"l{k:02d}", ("0", "1")) for k in range(70)]
+        factors = [Factor([centre], rng.gamma(1.0, size=3))]
+        for k, leaf in enumerate(leaves):
+            logs = rng.normal(0.0, 1.0, size=(3, 2))
+            if k % 7 == 0:
+                logs[0, 1] = -np.inf
+            if k % 2:
+                factors.append(Factor([centre, leaf], logs, domain="log"))
+            else:
+                with np.errstate(under="ignore"):
+                    factors.append(Factor([leaf, centre], np.exp(logs.T)))
+        return MarkovRandomField([centre, *leaves], factors)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_outputs_keep_their_bits(self, seed):
+        mrf = self.star_mrf()
+        sampler = sampling._ConditionalSampler(mrf, {})
+        assert isinstance(sampler.tables[0][0], sampling._RowsAt)
+        assert not any(isinstance(rows, sampling._RowsAt) for rows, _ in sampler.tables[1:])
+        states, logp, rows = self.PINS[seed]
+        for engine in (simulated_annealing_map, local_search_map):
+            assignment, got = engine(mrf, seed=seed)
+            assert "".join(assignment[n] for n in sorted(assignment)) == states
+            assert repr(got) == logp
+        batch = sampling.gibbs(mrf, {"l03": "1"}, 3, 5, sampling.make_rng(seed))
+        assert ["".join(map(str, row)) for row in batch.states.tolist()] == rows

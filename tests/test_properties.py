@@ -35,7 +35,7 @@ from pgmkit.exact import (
     tree_bp,
     variable_elimination,
 )
-from pgmkit.factors import LOG, Factor, Variable, reduce_factor
+from pgmkit.factors import LOG, Factor, Variable, log_tables, reduce_factor
 from pgmkit.mapinf import (
     AnnealSchedule,
     dual_decomposition,
@@ -259,7 +259,7 @@ def check_gibbs_conditionals(model, evidence, state):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sampling, "CONDITIONAL_CACHE_CAP", cap)
                 sampler = sampling._ConditionalSampler(m, evidence)
-            rows.append([sampler.conditional(n, state) for n in free])
+                rows.append([sampler.conditional(n, state) for n in free])
         for cached, past_cap, conditional in zip(*rows, want):
             assert np.array_equal(cached, past_cap)
             if conditional is not None:   # else the rest of the state has no mass
@@ -547,6 +547,22 @@ def always_rescored_annealing(mrf, schedule, seed):
     cards = [v.cardinality for v in compiled.variables]
     state[:] = [int(rng.integers(card)) for card in cards]
     best, best_score = list(state), compiled.log_score()
+    factors = model_factors(mrf)
+    col = {n: k for k, n in enumerate(compiled.names)}
+    terms = [[(logs, [col[n] for n in f.names])
+              for f, logs in zip(factors, log_tables(factors)) if name in f.names]
+             for name in compiled.names]
+
+    def local_log_score(i, value):
+        """The log terms over variable i summed in model order, with i set
+        to value, as Python floats (-inf - -inf is then NaN, not a warning)."""
+        trial = list(state)
+        trial[i] = value
+        total = 0.0
+        for logs, cols in terms[i]:
+            total += logs[tuple(trial[c] for c in cols)].item()
+        return total
+
     t = schedule.t_start
     while t >= schedule.t_end:
         for _ in range(schedule.sweeps_per_stage):
@@ -554,8 +570,7 @@ def always_rescored_annealing(mrf, schedule, seed):
                 proposal = int(rng.integers(card))
                 if proposal == state[i]:
                     continue
-                delta = (compiled.local_log_score(i, proposal)
-                         - compiled.local_log_score(i, state[i]))
+                delta = local_log_score(i, proposal) - local_log_score(i, state[i])
                 if delta >= 0 or rng.random() < math.exp(delta / t):
                     state[i] = proposal
             score = compiled.log_score()

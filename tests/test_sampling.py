@@ -306,10 +306,10 @@ class TestGibbs:
     def test_factor_fallback_matches_table_path(self, rng, monkeypatch):
         mrf = random_mrf(rng, n=5, max_states=3, n_factors=8)
         tables = sampling._ConditionalSampler(mrf, {})
-        assert all(site is not None for site in tables.sites)
+        assert not any(isinstance(rows, sampling._RowsAt) for rows, _ in tables.tables)
         monkeypatch.setattr(sampling, "CONDITIONAL_CACHE_CAP", 1)
         slices = sampling._ConditionalSampler(mrf, {})
-        assert all(site is None for site in slices.sites)
+        assert all(isinstance(rows, sampling._RowsAt) for rows, _ in slices.tables)
         cards = [mrf.variable(n).cardinality for n in tables.free]
         for _ in range(20):
             state = np.array([rng.integers(c) for c in cards], dtype=np.int64)
@@ -355,7 +355,7 @@ class TestGibbs:
         a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
         mrf = MarkovRandomField([a, b], [Factor([a, b], [[1000.0, 0.0], [0.0, 0.0]], domain="log")])
         sampler = sampling._ConditionalSampler(mrf, {})
-        assert (sampler.sites[0] is None) == (cap == 1)
+        assert isinstance(sampler.tables[0][0], sampling._RowsAt) == (cap == 1)
         for name, other in (("a", 1), ("b", 0)):
             for state in ([0, 0], [1, 1]):
                 state[other] = 1
