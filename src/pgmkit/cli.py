@@ -52,7 +52,6 @@ from .mapinf import (
 )
 from .models import (
     BayesianNetwork,
-    MarkovRandomField,
     bn_to_mrf,
     check_evidence,
     enumerate_inference,
@@ -122,23 +121,6 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _as_mrf(model) -> MarkovRandomField:
-    return bn_to_mrf(model) if isinstance(model, BayesianNetwork) else model
-
-
-def _reduced_mrf(model, evidence) -> tuple[MarkovRandomField, float]:
-    """The model as an MRF over its unobserved variables, each factor
-    reduced to the evidence, plus the log of the product of the factors
-    that the evidence reduced to constants."""
-    mrf = _as_mrf(model)
-    if not evidence:
-        return mrf, 0.0
-    evidence = check_evidence(mrf, evidence)
-    kept, log_offset = reduce_to_evidence(mrf, evidence)
-    free = [v for name, v in mrf.variables.items() if name not in evidence]
-    return MarkovRandomField(free, kept), log_offset
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -149,7 +131,8 @@ def _cmd_query(args, out) -> int:
     evidence = _parse_evidence(args.evidence)
     target = args.target
     var = model.variable(target)
-    if target in check_evidence(model, evidence):
+    evidence = check_evidence(model, evidence)
+    if target in evidence:
         raise EvidenceError(f"query variable {target!r} is also evidence")
     engine = args.engine
     if engine == "enum":
@@ -178,8 +161,8 @@ def _cmd_query(args, out) -> int:
             [batch.frequency(target, s) for s in var.states]
         )
     elif engine == "mh":
-        free = [v for n, v in sorted(model.variables.items()) if n not in evidence]
-        kernel = SingleSiteUniformKernel(free)
+        mrf, _ = reduce_to_evidence(model, evidence)
+        kernel = SingleSiteUniformKernel(mrf.variables.values())
         batch = metropolis_hastings(model, kernel, args.n, args.burn_in,
                                     make_rng(args.seed), evidence)
         values = np.array(
@@ -198,7 +181,8 @@ def _cmd_map(args, out) -> int:
     model = _read_model(args.model)
     evidence = _parse_evidence(args.evidence)
     if args.export_lp:
-        text = export_map_ilp(_as_mrf(model))  # a refusal leaves no file
+        # a refusal leaves no file
+        text = export_map_ilp(bn_to_mrf(model) if isinstance(model, BayesianNetwork) else model)
         with open(args.export_lp, "w") as handle:
             handle.write(text)
         print(f"lp_written={args.export_lp}", file=out)
@@ -208,9 +192,9 @@ def _cmd_map(args, out) -> int:
     elif engine == "maxprod":
         assignment, logp = max_product_decode(model, evidence)
     else:
-        # These engines search the MRF of the unobserved variables; the
-        # factors the evidence reduces to constants add to every score.
-        mrf, log_offset = _reduced_mrf(model, evidence)
+        # These engines search the field of the unobserved variables; the
+        # factors the evidence fixes completely add to every score.
+        mrf, log_offset = reduce_to_evidence(model, check_evidence(model, evidence))
         if engine == "graphcut":
             energy_model = mrf_to_energy_model(mrf)
             labels, energy = graphcut_map(energy_model)
@@ -257,8 +241,8 @@ def _cmd_sample(args, out) -> int:
     elif method == "gibbs":
         batch = gibbs(model, evidence, args.n, args.burn_in, rng)
     elif method == "mh":
-        free = [v for n, v in sorted(model.variables.items()) if n not in evidence]
-        kernel = SingleSiteUniformKernel(free)
+        mrf, _ = reduce_to_evidence(model, check_evidence(model, evidence))
+        kernel = SingleSiteUniformKernel(mrf.variables.values())
         batch = metropolis_hastings(model, kernel, args.n, args.burn_in, rng, evidence)
     else:
         raise ValueError(f"unknown method {method!r}")

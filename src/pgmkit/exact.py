@@ -1,10 +1,11 @@
 """Exact inference: variable elimination, belief propagation on factor
 trees, and the junction tree algorithm.
 
-All engines receive evidence as a partial assignment and apply it by
-reducing factors up front. Messages are normalized after every send, with
-the pulled-out scale factors accumulated in log space, so partition values
-are recovered exactly without underflow.
+All engines receive evidence as a partial assignment and condition on it
+up front with ``models.reduce_to_evidence``; the junction tree reduces
+each clique's home factors instead. Messages are normalized after every
+send, with the pulled-out scale factors accumulated in log space, so
+partition values are recovered exactly without underflow.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .models import (
     log_joint,
     model_factors,
     reduce_to_evidence,
+    refuse_zero_evidence,
 )
 
 HEURISTICS = ("min_neighbors", "min_weight", "min_fill")
@@ -167,13 +169,12 @@ def variable_elimination(model: Model, query: Iterable[str],
                          heuristic: str = "min_fill") -> VeResult:
     """Eliminate all non-query variables by combine-then-aggregate steps.
 
-    With the sum-product semiring the returned factor is proportional to
-    p(query, evidence) and ``log_normalizer`` equals log p(evidence) for a
-    Bayesian network (log of the evidence-reduced partition value for an
-    MRF). With max_product the factor holds unnormalized max-marginals,
-    divided by exp(``log_normalizer``): the powers of two taken out while
-    eliminating are folded back, and ``log_normalizer`` is 0 unless the
-    model has log-domain factors (see :func:`_exp_shifted`).
+    With the sum-product semiring the factor is p(query | evidence) and
+    ``log_normalizer`` is log p(evidence) for a Bayesian network (log of
+    the evidence-reduced partition value for an MRF); zero-probability
+    evidence raises ZeroEvidenceError. With max_product the factor times
+    exp(``log_normalizer``) is the max-marginal (the max value is
+    log(table) + ``log_normalizer``, -inf under zero-probability evidence).
     """
     evidence = check_evidence(model, evidence or {})
     query = list(dict.fromkeys(query))
@@ -189,27 +190,21 @@ def variable_elimination(model: Model, query: Iterable[str],
             f"ordering must be a permutation of {to_eliminate}"
         )
 
-    factors, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(model))
-    factors = [f for f in factors if f.scope or float(f.table) != 1.0]
+    mrf, log_offset = reduce_to_evidence(model, evidence)
+    if semiring.kind == "sum_product":
+        refuse_zero_evidence(log_offset)
+    factors, log_shift = _exp_shifted(mrf.factors, log_offset)
     rest, log_norm, widest, _ = _bucket_eliminate(factors, ordering, semiring)
     log_norm += log_shift
     max_scope = max([widest, *(len(f.scope) for f in factors)])
 
-    if rest:
-        result = fa.product_all(rest)
-    else:
-        result = fa.ones_like([model.variable(q) for q in query])
+    ones = fa.ones_like([model.variable(q) for q in query])
+    result = fa.product_all(rest) if rest else ones
     max_scope = max(max_scope, len(result.scope))
     if query:
-        result = fa.align_to(
-            fa.product(result, fa.ones_like([model.variable(q) for q in query])),
-            sorted(query),
-        )
-    if semiring.kind == "sum_product":
-        table, log_total = _rescaled(result.table)
-        result = Factor(result.scope, table, _trusted=True)
-        log_norm += log_total
-    return VeResult(result, log_norm, max_scope)
+        result = fa.align_to(fa.product(result, ones), sorted(query))
+    table, log_total = _rescaled(result.table, semiring)
+    return VeResult(Factor(result.scope, table, _trusted=True), log_norm + log_total, max_scope)
 
 
 def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
@@ -219,14 +214,12 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
 
     Every factor, given or produced, waits in the bucket of its first
     variable in the ordering, behind those that joined before it. A step
-    multiplies its bucket and aggregates the variable out; sum-product
-    results are rescaled to sum to 1, and max-product ones by 2**-e, e the
-    exponent of their largest finite entry, with the e's folded back into
-    the first leftover factor. The steps are first walked on scopes alone, so
-    TooLargeError is raised before any table is built when a product
-    would hold more than ``TABLE_CAP`` entries.
+    multiplies its bucket, aggregates the variable out of the product's
+    table and rescales the result by :func:`_rescaled`. The steps are first
+    walked on scopes alone, so TooLargeError is raised before any table is
+    built when a product would hold more than ``TABLE_CAP`` entries.
 
-    Returns the factors over no eliminated variable, the log of the mass
+    Returns the factors over no eliminated variable, the log of the scale
     pulled out, the scope size of the largest product, and, under
     max-product, each variable's back-pointers: None for an empty bucket,
     else the product's other names and its argmax along the variable's
@@ -262,36 +255,22 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
     tables = dict(enumerate(factors))
     key = len(factors)
     log_norm = 0.0
-    exponent = 0    # of the powers of two taken out of max-product results
     pointers: dict[str, tuple | None] = {}
     for var, bucket in zip(ordering, buckets):
         if not bucket:
             pointers[var] = None
             continue
         combined = fa.product_all([tables.pop(k) for k in bucket])
+        axis = combined.axis(var)
         if semiring.kind == "max_product":
-            axis = combined.axis(var)
             rest_names = combined.names[:axis] + combined.names[axis + 1:]
             pointers[var] = (rest_names, np.argmax(combined.table, axis=axis))
-        tau = fa.eliminate(combined, [var], semiring)
-        if semiring.kind == "sum_product":
-            table, log_total = _rescaled(tau.table)
-            tau = Factor(tau.scope, table, _trusted=True)
-            log_norm += log_total
-        elif semiring.kind == "max_product":
-            top = tau.table.max()
-            if not top < math.inf:   # an entry overflowed: take the largest finite one
-                top = tau.table[np.isfinite(tau.table)].max(initial=0.0)
-            e = math.frexp(top)[1]
-            tau = Factor(tau.scope, np.ldexp(tau.table, -e), _trusted=True)
-            exponent += e
-        tables[key] = tau  # the key its scope took in the walk above
+        table, log_total = _rescaled(semiring.aggregate(combined.table, axis=axis), semiring)
+        log_norm += log_total
+        scope = combined.scope[:axis] + combined.scope[axis + 1:]
+        tables[key] = Factor(scope, table, _trusted=True)  # the key the walk above gave it
         key += 1
-    leftover = [tables[k] for k in rest]
-    if exponent:   # a value past float range reads inf (or 0), as the unscaled product would
-        with np.errstate(over="ignore"):
-            leftover[0] = Factor(leftover[0].scope, np.ldexp(leftover[0].table, exponent), _trusted=True)
-    return leftover, log_norm, widest, pointers
+    return [tables[k] for k in rest], log_norm, widest, pointers
 
 
 def _exp_shifted(factors: Iterable[Factor], log_shift: float = 0.0
@@ -314,8 +293,19 @@ def _exp_shifted(factors: Iterable[Factor], log_shift: float = 0.0
     return out, log_shift
 
 
-def _rescaled(table: np.ndarray) -> tuple[np.ndarray, float]:
-    """The table scaled to sum to 1, and the log of the total pulled out."""
+def _rescaled(table: np.ndarray, semiring: Semiring = SUM_PRODUCT) -> tuple[np.ndarray, float]:
+    """The table rescaled, and the log of the scale pulled out: under
+    sum-product to sum to 1, under max-product by 2**-e, e the exponent of
+    its largest finite entry (exact, so every comparison keeps its
+    outcome); other semirings leave it as it is."""
+    if semiring.kind == "max_product":
+        top = table.max()
+        if not top < math.inf:   # an entry overflowed: take the largest finite one
+            top = table[np.isfinite(table)].max(initial=0.0)
+        e = math.frexp(top)[1]
+        return np.ldexp(table, -e), e * math.log(2.0)
+    if semiring.kind != "sum_product":
+        return table, 0.0
     total = float(np.sum(table))
     if total <= 0.0:
         raise ZeroEvidenceError("the evidence has probability zero")
@@ -500,11 +490,13 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
     neighbours are in its scope order, a variable's in factor order, and
     every edge keeps the variable. Returns the graph, the free variables
     and the log of the factors the evidence fixes completely plus the
-    shift taken out of the log-domain ones.
+    shift taken out of the log-domain ones. Evidence of probability zero
+    that a fixed factor shows raises ZeroEvidenceError.
     """
-    reduced, scalar_log = reduce_to_evidence(model, evidence)
-    reduced, scalar_log = _exp_shifted(reduced, scalar_log)
-    variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
+    mrf, log_offset = reduce_to_evidence(model, evidence)
+    refuse_zero_evidence(log_offset)
+    reduced, scalar_log = _exp_shifted(mrf.factors, log_offset)
+    variables = list(mrf.variables.values())
     nodes = [("v", v.name) for v in variables] + [("f", i) for i in range(len(reduced))]
     neighbors: dict[tuple, list[tuple]] = {node: [] for node in nodes}
     base: dict[tuple, Factor] = {("v", v.name): fa.ones_like([v]) for v in variables}
@@ -528,8 +520,6 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
     """
     evidence = check_evidence(model, evidence or {})
     graph, variables, scalar_log = _factor_graph(model, evidence)
-    if scalar_log == -math.inf:
-        raise ZeroEvidenceError("the evidence has probability zero")
     cal = _calibrate(graph)
 
     # all beliefs of a tree agree on its log Z up to rounding; each tree
@@ -566,8 +556,9 @@ def max_product_decode(model: Model, evidence: Mapping[str, str] | None = None):
     keeps its outcome.
     """
     evidence = check_evidence(model, evidence or {})
-    names = sorted(n for n in model.variables if n not in evidence)
-    factors, _ = _exp_shifted(reduce_to_evidence(model, evidence)[0])
+    mrf, _ = reduce_to_evidence(model, evidence)
+    names = list(mrf.variables)
+    factors, _ = _exp_shifted(mrf.factors)
     *_, pointers = _bucket_eliminate(factors, names[::-1], MAX_PRODUCT)
     # traceback in name order (reverse of elimination)
     assignment = dict(evidence)

@@ -342,12 +342,17 @@ def check_evidence(model: Model, evidence: Mapping[str, str]) -> dict[str, str]:
     return out
 
 
-def reduce_to_evidence(model: Model, evidence: Mapping[str, str]) -> tuple[list[Factor], float]:
-    """The model's factors reduced to the (checked) evidence.
+def reduce_to_evidence(model: Model, evidence: Mapping[str, str]
+                       ) -> tuple[MarkovRandomField, float]:
+    """The model conditioned on the (checked) evidence: the one step every
+    engine that takes evidence starts from.
 
-    Returns the reduced factors that keep a variable, in model order, and
-    the log of the product of those the evidence fixes completely (-inf
-    when one of them is zero).
+    Returns a field over the free variables, in name order, holding the
+    reduced factors that keep a variable, in model order, and the log of
+    the product of those the evidence fixes completely (-inf when one of
+    them is zero). Only the junction tree, whose every factor has a home
+    clique, and importance sampling, which scores the full joint, reduce
+    factors their own way.
     """
     kept, fixed = [], []
     for f in model_factors(model):
@@ -356,7 +361,16 @@ def reduce_to_evidence(model: Model, evidence: Mapping[str, str]) -> tuple[list[
     log_offset = 0.0
     for table in fa.log_tables(fixed):
         log_offset += float(table)
-    return kept, log_offset
+    free = [v for n, v in sorted(model.variables.items()) if n not in evidence]
+    return MarkovRandomField(free, kept), log_offset
+
+
+def refuse_zero_evidence(log_offset: float) -> None:
+    """Raise ZeroEvidenceError when ``reduce_to_evidence``'s offset shows
+    the evidence has probability zero: the refusal of every engine that
+    answers with a distribution."""
+    if log_offset == -math.inf:
+        raise ZeroEvidenceError("the evidence has probability zero")
 
 
 def log_joint(model: Model, assignment: Mapping[str, str]) -> float:

@@ -29,10 +29,11 @@ from .graphs import topological_sort
 from .models import (
     BayesianNetwork,
     CompiledModel,
-    MarkovRandomField,
     Model,
     check_evidence,
     model_factors,
+    reduce_to_evidence,
+    refuse_zero_evidence,
 )
 
 CONDITIONAL_CACHE_CAP = 1 << 16
@@ -443,16 +444,17 @@ def _less_peak(logits: np.ndarray) -> np.ndarray:
 
 
 class _ConditionalSampler:
-    """Per-variable full conditionals, ``_less_peak`` of the site rows of
-    ``_site_tables``: ``tables`` holds them as arrays, for
-    ``conditional``, and ``cumulative`` their running sums as lists, for
-    the Gibbs sweep. Each is built on first use."""
+    """Per-variable full conditionals given the (checked) evidence,
+    ``_less_peak`` of the site rows of ``_site_tables``: ``tables`` holds
+    them as arrays, for ``conditional``, and ``cumulative`` their running
+    sums as lists, for the Gibbs sweep. Each is built on first use."""
 
     def __init__(self, model: Model, evidence: Mapping[str, str]):
-        self.free = [n for n in sorted(model.variables) if n not in evidence]
+        mrf, log_offset = reduce_to_evidence(model, evidence)
+        refuse_zero_evidence(log_offset)
+        self.free = list(mrf.variables)
         self.col_of = {n: k for k, n in enumerate(self.free)}
-        reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
-        self.plans = _site_plans(reduced, [model.variable(n) for n in self.free], self.col_of)
+        self.plans = _site_plans(mrf.factors, list(mrf.variables.values()), self.col_of)
 
     @cached_property
     def tables(self):
@@ -616,11 +618,8 @@ class GibbsSiteKernel:
     """Single-site conditional proposal; as an MH kernel it always accepts."""
 
     def __init__(self, model: Model, evidence: Mapping[str, str] | None = None):
-        evidence = check_evidence(model, evidence or {})
-        self._sampler = _ConditionalSampler(model, evidence)
-        self.variables = tuple(
-            model.variables[nm] for nm in self._sampler.free
-        )
+        self._sampler = _ConditionalSampler(model, check_evidence(model, evidence or {}))
+        self.variables = tuple(model.variables[nm] for nm in self._sampler.free)
 
     def propose(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         i = int(rng.integers(len(self.variables)))
@@ -661,8 +660,9 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     current state. A proposed move whose reverse density is zero makes the
     kernel unusable and raises, unless it leaves a zero-mass state.
 
-    Each state is scored by one ``CompiledModel`` over the evidence-reduced
-    factors, in model order, so a score is ``log_joint``'s bit for bit.
+    Each state is scored by one ``CompiledModel`` over the field of
+    ``reduce_to_evidence``, bit for bit its ``log_joint``; the fixed
+    factors' constant is left out (``ZeroEvidenceError`` when it is zero).
 
     The chain starts from the state ``gibbs`` would start from. If that
     state has zero mass and the joint fits the conditional cache cap, the
@@ -674,15 +674,16 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     has mass, wanders over zero-mass states).
     """
     evidence = check_evidence(model, evidence or {})
-    free = [nm for nm in sorted(model.variables) if nm not in evidence]
+    mrf, log_offset = reduce_to_evidence(model, evidence)
+    free = list(mrf.variables)
     kernel_names = tuple(v.name for v in kernel.variables)
     if kernel_names != tuple(free):
         raise InvalidKernelError(
             f"kernel covers {list(kernel_names)}, model needs {free}"
         )
+    refuse_zero_evidence(log_offset)
     names = sorted(model.variables)
-    reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
-    compiled = CompiledModel(MarkovRandomField([model.variable(nm) for nm in free], reduced))
+    compiled = CompiledModel(mrf)
 
     def log_ptilde(state_vec: np.ndarray) -> float:
         compiled.state = state_vec.tolist()
@@ -695,7 +696,7 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     if current_lp == -math.inf and size <= CONDITIONAL_CACHE_CAP:
         # start where the target has mass: at the MAP state of the full table
         grid = np.indices(cards).reshape(len(cards), size).T
-        lp_table = batch_log_unnormalized(reduced, free, grid)
+        lp_table = batch_log_unnormalized(mrf.factors, free, grid)
         top = int(np.argmax(lp_table))
         if lp_table[top] == -math.inf:
             raise ZeroEvidenceError(
@@ -753,13 +754,15 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
 def mh_transition_matrix(model: Model, kernel,
                          evidence: Mapping[str, str] | None = None
                          ) -> tuple[np.ndarray, list[dict[str, str]]]:
-    """Explicit MH kernel (proposal times acceptance), column-stochastic."""
+    """Explicit MH kernel (proposal times acceptance), column-stochastic,
+    scored as ``metropolis_hastings`` scores it."""
     evidence = check_evidence(model, evidence or {})
-    free = [nm for nm in sorted(model.variables) if nm not in evidence]
-    reduced = [fa.reduce_factor(f, evidence) for f in model_factors(model)]
+    mrf, log_offset = reduce_to_evidence(model, evidence)
+    refuse_zero_evidence(log_offset)
+    free = list(mrf.variables)
     _, vecs, labels = _free_states(model, evidence, free)
     size = len(vecs)
-    log_p = batch_log_unnormalized(reduced, free, vecs)
+    log_p = batch_log_unnormalized(mrf.factors, free, vecs)
     T = np.zeros((size, size))
     for x in range(size):
         for y in range(size):

@@ -19,6 +19,7 @@ from .models import (
     check_evidence,
     enumerate_inference,
     reduce_to_evidence,
+    refuse_zero_evidence,
 )
 
 _ENUMERABLE = 1 << 16
@@ -122,10 +123,8 @@ def elbo(model: Model, q: FactoredDistribution,
     (evidence-reduced) model; each expectation touches only one factor's
     variables.
     """
-    evidence = check_evidence(model, evidence or {})
-    free = [n for n in sorted(model.variables) if n not in evidence]
-    reduced, log_offset = reduce_to_evidence(model, evidence)
-    return _elbo(free, reduced, fa.log_tables(reduced), log_offset, q)
+    mrf, log_offset = reduce_to_evidence(model, check_evidence(model, evidence or {}))
+    return _elbo(list(mrf.variables), mrf.factors, fa.log_tables(mrf.factors), log_offset, q)
 
 
 def _elbo(free: Sequence[str], reduced: Sequence[Factor], logs: Sequence[np.ndarray],
@@ -181,12 +180,13 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
     either is not finite); each sweep ends with one full ``elbo``, which
     the sweep's last update value and the convergence test use. The
     reduced factors' logs are taken once per call, and every update and
-    full ``elbo`` reads them.
+    full ``elbo`` reads them. Evidence of probability zero that a factor it
+    fixes completely shows raises ZeroEvidenceError.
     """
     evidence = check_evidence(model, evidence or {})
-    free_names = [n for n in sorted(model.variables) if n not in evidence]
-    free_vars = [model.variables[n] for n in free_names]
-    reduced, log_offset = reduce_to_evidence(model, evidence)
+    mrf, log_offset = reduce_to_evidence(model, evidence)
+    refuse_zero_evidence(log_offset)
+    free_names, free_vars, reduced = list(mrf.variables), mrf.variables.values(), mrf.factors
     logs = fa.log_tables(reduced)
     touching = {
         n: [(f, logf) for f, logf in zip(reduced, logs) if n in f.names] for n in free_names
@@ -290,7 +290,9 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     synchronous schedule proposes both halves from the messages the
     iteration started with; the sequential one blends the factor half in
     before the variable half reads it. Products and sums run in the order
-    of the send step of tree BP and the junction tree.
+    of the send step of tree BP and the junction tree. Evidence of
+    probability zero that a factor it fixes completely shows raises
+    ZeroEvidenceError.
     """
     if schedule not in ("synchronous", "sequential"):
         raise ValueError("schedule must be 'synchronous' or 'sequential'")
@@ -347,9 +349,10 @@ class _StackedFactorGraph:
     """
 
     def __init__(self, model: Model, evidence: Mapping[str, str]):
-        reduced, _ = reduce_to_evidence(model, evidence)
-        reduced, _ = _exp_shifted(reduced)
-        self.variables = [v for n, v in sorted(model.variables.items()) if n not in evidence]
+        mrf, log_offset = reduce_to_evidence(model, evidence)
+        refuse_zero_evidence(log_offset)
+        reduced, _ = _exp_shifted(mrf.factors)
+        self.variables = list(mrf.variables.values())
         row = {v.name: i for i, v in enumerate(self.variables)}
         cards = [v.cardinality for v in self.variables]
         self.width = width = max(cards, default=1)

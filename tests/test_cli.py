@@ -199,6 +199,26 @@ class TestQuery:
             assert code == 3, engine
             assert capsys.readouterr().err == "error=the evidence has probability zero\n", engine
 
+    @pytest.mark.parametrize("engine", ["ve", "bp", "jtree", "loopy", "meanfield", "gibbs",
+                                        "mh", "enum"])
+    def test_evidence_a_fixed_factor_zeroes_exits_3_on_every_engine(self, tmp_path, capsys,
+                                                                    engine):
+        # f(a) = [0, 1]: the evidence a=0 fixes it to zero, and each engine
+        # refuses alike
+        from pgmkit.factors import Factor, Variable
+        from pgmkit.models import MarkovRandomField
+
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        mrf = MarkovRandomField([a, b], [Factor([a], [0.0, 1.0]),
+                                         Factor([a, b], [[1.0, 2.0], [3.0, 4.0]])])
+        path = tmp_path / "zeroed.json"
+        path.write_text(serialize_model(mrf))
+        code, out = run(["query", "--model", str(path), "--target", "b", "--evidence", "a=0",
+                         "--engine", engine, "--n", "50", "--burn-in", "5"])
+        assert code == 3
+        assert "p[" not in out
+        assert capsys.readouterr().err == "error=the evidence has probability zero\n"
+
     def test_meanfield_on_a_grid_beyond_int64(self, grid_path):
         code, out = run(["query", "--model", grid_path, "--target", "G34",
                          "--engine", "meanfield", "--max-iters", "2"])

@@ -182,7 +182,8 @@ class TestVariableElimination:
             mrf = random_mrf(rng, n=5, max_states=3)
             result = variable_elimination(mrf, [], semiring=MAX_PRODUCT)
             best = enumerate_inference(mrf, mode="map")[1]
-            assert float(result.factor.table) == pytest.approx(math.exp(best), rel=1e-12)
+            value = math.log(float(result.factor.table)) + result.log_normalizer
+            assert value == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_table_cap_is_checked_before_allocating(self, monkeypatch):
         # min_fill eliminates DIFFICULTY first, over {DIFFICULTY, INVESTMENT,
@@ -359,6 +360,10 @@ class TestMaxProductDecode:
         assignment, logp = max_product_decode(mrf)
         assert [int(assignment[x.name]) for x in xs] == path
         assert logp == pytest.approx(float(best.max()), rel=1e-12)
+        # VE's max value reads through its log normalizer, past float range too
+        top = variable_elimination(mrf, [], semiring=MAX_PRODUCT)
+        value = math.log(float(top.factor.table)) + top.log_normalizer
+        assert value == pytest.approx(float(best.max()), rel=1e-12)
 
 
 class TestJunctionTree:

@@ -48,10 +48,8 @@ def golden_grid():
 def reduced_grid():
     """The grid over its unobserved cells, reduced to EVIDENCE, as the
     CLI hands it to the MAP search engines."""
-    mrf = golden_grid()
-    kept, _ = reduce_to_evidence(mrf, EVIDENCE)
-    free = [v for n, v in mrf.variables.items() if n not in EVIDENCE]
-    return MarkovRandomField(free, kept)
+    mrf, _ = reduce_to_evidence(golden_grid(), EVIDENCE)
+    return mrf
 
 
 def labels(states):

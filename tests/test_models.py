@@ -247,9 +247,8 @@ class TestCompiledModel:
             # receive it
             names = sorted(original.variables)
             evidence = {names[1]: original.variable(names[1]).states[0]}
-            kept, _ = reduce_to_evidence(original, evidence)
-            free = [original.variables[n] for n in names if n not in evidence]
-            for model in (original, MarkovRandomField(free, kept)):
+            reduced, _ = reduce_to_evidence(original, evidence)
+            for model in (original, reduced):
                 self.check_scores(model, rng)
 
     def check_scores(self, model, rng):
