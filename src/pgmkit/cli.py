@@ -52,7 +52,6 @@ from .mapinf import (
 )
 from .models import (
     BayesianNetwork,
-    bn_to_mrf,
     check_evidence,
     enumerate_inference,
     log_joint,
@@ -121,6 +120,11 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _uniform_kernel(model, evidence) -> SingleSiteUniformKernel:
+    # over the unobserved variables; metropolis_hastings checks the evidence
+    return SingleSiteUniformKernel(v for n, v in model.variables.items() if n not in evidence)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -161,8 +165,7 @@ def _cmd_query(args, out) -> int:
             [batch.frequency(target, s) for s in var.states]
         )
     elif engine == "mh":
-        mrf, _ = reduce_to_evidence(model, evidence)
-        kernel = SingleSiteUniformKernel(mrf.variables.values())
+        kernel = _uniform_kernel(model, evidence)
         batch = metropolis_hastings(model, kernel, args.n, args.burn_in,
                                     make_rng(args.seed), evidence)
         values = np.array(
@@ -182,7 +185,7 @@ def _cmd_map(args, out) -> int:
     evidence = _parse_evidence(args.evidence)
     if args.export_lp:
         # a refusal leaves no file
-        text = export_map_ilp(bn_to_mrf(model) if isinstance(model, BayesianNetwork) else model)
+        text = export_map_ilp(model)
         with open(args.export_lp, "w") as handle:
             handle.write(text)
         print(f"lp_written={args.export_lp}", file=out)
@@ -241,8 +244,7 @@ def _cmd_sample(args, out) -> int:
     elif method == "gibbs":
         batch = gibbs(model, evidence, args.n, args.burn_in, rng)
     elif method == "mh":
-        mrf, _ = reduce_to_evidence(model, check_evidence(model, evidence))
-        kernel = SingleSiteUniformKernel(mrf.variables.values())
+        kernel = _uniform_kernel(model, evidence)
         batch = metropolis_hastings(model, kernel, args.n, args.burn_in, rng, evidence)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -178,7 +178,7 @@ def check_against_oracle(model, evidence):
     best = variable_elimination(model, [], evidence, semiring=MAX_PRODUCT)
     top = float(best.factor.table)
     best_logp = math.log(top) + best.log_normalizer if top > 0.0 else -math.inf
-    assert best_logp == pytest.approx(want_logp, rel=1e-12, abs=1e-12)
+    assert best_logp == pytest.approx(want_logp, rel=0, abs=1e-12)
     got, logp = max_product_decode(model, evidence)
     # the lexicographically-first argmax, ties included; under zero
     # evidence every assignment ties at -inf and the first one wins
