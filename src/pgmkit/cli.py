@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .errors import (
+    DegenerateUpdateError,
     EvidenceError,
     InsufficientDataError,
     NotATreeError,
@@ -75,7 +76,7 @@ INFERENCE_EXIT = 3
 _VALIDATION_ERRORS = (SchemaError, EvidenceError, ScopeError, ValueError,
                       InsufficientDataError)
 _INFERENCE_ERRORS = (ZeroEvidenceError, NotATreeError, TooLargeError,
-                     TrappedStateError)
+                     TrappedStateError, DegenerateUpdateError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,6 +222,10 @@ def _cmd_map(args, out) -> int:
             raise ValueError(f"unknown engine {engine!r}")
         assignment = {**evidence, **assignment}
         logp += log_offset
+        if log_offset == -np.inf:
+            # the evidence leaves no mass: answer the oracle's first assignment
+            assignment = {n: evidence.get(n, v.states[0])
+                          for n, v in model.variables.items()}
     for name in sorted(assignment):
         print(f"map[{name}]={assignment[name]}", file=out)
     print(f"logp={_float_fmt(logp)}", file=out)

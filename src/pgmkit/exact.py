@@ -491,7 +491,7 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
     every edge keeps the variable. Returns the graph, the free variables
     and the log of the factors the evidence fixes completely plus the
     shift taken out of the log-domain ones. Evidence of probability zero
-    that a fixed factor shows raises ZeroEvidenceError.
+    that ``reduce_to_evidence`` shows raises ZeroEvidenceError.
     """
     mrf, log_offset = reduce_to_evidence(model, evidence)
     refuse_zero_evidence(log_offset)

@@ -460,7 +460,7 @@ def dual_decomposition(
         best_bound = min(best_bound, bound)
         compiled.state[:] = node_states.tolist()
         objective = compiled.log_score()
-        if objective > best_objective:
+        if best_assignment is None or objective > best_objective:
             best_objective = objective
             best_assignment = compiled.assignment()
         at_nodes = node_states[ends]
@@ -478,7 +478,7 @@ def dual_decomposition(
         best_bound=best_bound,
         bounds=bounds,
         agreement=agreement,
-        assignment=best_assignment or {},
+        assignment=best_assignment,
         objective=best_objective,
         iterations=k,
     )

@@ -349,16 +349,22 @@ def reduce_to_evidence(model: Model, evidence: Mapping[str, str]
 
     Returns a field over the free variables, in name order, holding the
     reduced factors that keep a variable, in model order, and the log of
-    the product of those the evidence fixes completely (-inf when one of
-    them is zero). Only the junction tree, whose every factor has a home
-    clique, and importance sampling, which scores the full joint, reduce
-    factors their own way.
+    the product of those the evidence fixes completely. The offset is -inf
+    when one of those is zero, or when a factor the evidence reduces keeps
+    a variable but no positive entry: either way no state has mass. Only
+    the junction tree, whose every factor has a home clique, and
+    importance sampling, which scores the full joint, reduce factors their
+    own way.
     """
     kept, fixed = [], []
+    massless = False
     for f in model_factors(model):
         g = fa.reduce_factor(f, evidence)
         (kept if g.scope else fixed).append(g)
-    log_offset = 0.0
+        if g.scope and g is not f and not (
+                g.table.max() > -math.inf if g.domain == fa.LOG else np.count_nonzero(g.table)):
+            massless = True
+    log_offset = -math.inf if massless else 0.0
     for table in fa.log_tables(fixed):
         log_offset += float(table)
     free = [v for n, v in sorted(model.variables.items()) if n not in evidence]

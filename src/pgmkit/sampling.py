@@ -60,6 +60,10 @@ class SampleBatch:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
+    @cached_property
+    def col_of(self) -> dict[str, int]:
+        return {name: k for k, name in enumerate(self.names)}
+
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.names.index(name)]
 
@@ -97,6 +101,36 @@ def _categorical_rows(table_rows: np.ndarray, rng: np.random.Generator) -> np.nd
     return np.minimum(idx, table_rows.shape[1] - 1)
 
 
+def _draw(states: np.ndarray, table: np.ndarray, known: Sequence[int],
+          rng: np.random.Generator) -> np.ndarray:
+    """One draw per row of ``states`` from ``table``, whose leading axes
+    are the ``known`` columns of ``states`` and whose other axes are drawn:
+    each row's flat index over the drawn axes."""
+    cards = table.shape[:len(known)]
+    rows = states[:, known] @ fa.strides(cards)
+    return _categorical_rows(table.reshape(math.prod(cards), -1)[rows], rng)
+
+
+def _batch(model: Model, n: int, evidence: Mapping[str, str], metadata: dict,
+           free: Sequence[str] = (), states: np.ndarray | None = None) -> SampleBatch:
+    """n rows over the sorted variable names holding the evidence states and
+    the (n, len(free)) ``states`` of the ``free`` variables; zero elsewhere."""
+    names = sorted(model.variables)
+    batch = SampleBatch(tuple(model.variables[nm] for nm in names),
+                        np.zeros((n, len(names)), dtype=np.int64), metadata=metadata)
+    if free:
+        batch.states[:, [batch.col_of[nm] for nm in free]] = states
+    for name, state in evidence.items():
+        batch.states[:, batch.col_of[name]] = model.variable(name).index_of(state)
+    return batch
+
+
+def _all_states(cards: Sequence[int]) -> np.ndarray:
+    """Every joint state of variables of these cardinalities, as rows in
+    flat-index order."""
+    return np.indices(cards).reshape(len(cards), math.prod(cards)).T
+
+
 # ---------------------------------------------------------------------------
 # Forward sampling
 # ---------------------------------------------------------------------------
@@ -105,24 +139,14 @@ def _categorical_rows(table_rows: np.ndarray, rng: np.random.Generator) -> np.nd
 def forward_sample(bn: BayesianNetwork, n: int, rng: np.random.Generator) -> SampleBatch:
     """Ancestral sampling: one categorical draw per variable per sample,
     in topological order, all samples drawn vectorized per variable."""
-    order = topological_sort(bn.dag)
-    names = sorted(bn.variables)
-    col_of = {name: k for k, name in enumerate(names)}
-    states = np.zeros((n, len(names)), dtype=np.int64)
-    for name in order:
-        cpd = bn.cpds[name]
-        parents = list(cpd.names[1:])
-        child = bn.variables[name]
-        aligned = fa.align_to(cpd, parents + [name])
-        table = aligned.table.reshape(-1, child.cardinality)
-        if parents:
-            strides = fa.strides([bn.variables[p].cardinality for p in parents])
-            rows = states[:, [col_of[p] for p in parents]] @ strides
-        else:
-            rows = np.zeros(n, dtype=np.int64)
-        states[:, col_of[name]] = _categorical_rows(table[rows], rng)
-    variables = tuple(bn.variables[n] for n in names)
-    return SampleBatch(variables, states, metadata={"method": "forward"})
+    batch = _batch(bn, n, {}, {"method": "forward"})
+    col_of = batch.col_of
+    for name in topological_sort(bn.dag):
+        parents = list(bn.cpds[name].names[1:])
+        table = fa.align_to(bn.cpds[name], parents + [name]).table
+        batch.states[:, col_of[name]] = _draw(
+            batch.states, table, [col_of[p] for p in parents], rng)
+    return batch
 
 
 def jt_forward_sample(jt: JunctionTree, n: int, rng: np.random.Generator) -> SampleBatch:
@@ -134,13 +158,8 @@ def jt_forward_sample(jt: JunctionTree, n: int, rng: np.random.Generator) -> Sam
     """
     if not jt.calibrated:
         raise RuntimeError("calibrate the junction tree before sampling")
-    model = jt.model
-    names = sorted(model.variables)
-    col_of = {name: k for k, name in enumerate(names)}
-    states = np.zeros((n, len(names)), dtype=np.int64)
-    for name, state in jt.evidence.items():
-        states[:, col_of[name]] = model.variable(name).index_of(state)
-
+    batch = _batch(jt.model, n, jt.evidence, {"method": "jtree"})
+    col_of = batch.col_of
     # deterministic traversal: component roots in index order
     cliques = range(len(jt.cliques))
     order, _, _ = _tree_schedule(cliques, {i: jt.neighbors(i) for i in cliques})
@@ -151,22 +170,12 @@ def jt_forward_sample(jt: JunctionTree, n: int, rng: np.random.Generator) -> Sam
         new = [v for v in belief.names if v not in filled]
         if not new:
             continue
-        aligned = fa.align_to(belief, known + new)
-        new_cards = [model.variable(v).cardinality for v in new]
-        block = math.prod(new_cards)
-        table = aligned.table.reshape(-1, block)
-        if known:
-            strides = fa.strides([model.variable(v).cardinality for v in known])
-            rows = states[:, [col_of[v] for v in known]] @ strides
-        else:
-            rows = np.zeros(n, dtype=np.int64)
-        flat = _categorical_rows(table[rows], rng)
-        for pos, v in enumerate(new):
-            divisor = math.prod(new_cards[pos + 1:])
-            states[:, col_of[v]] = (flat // divisor) % new_cards[pos]
+        table = fa.align_to(belief, known + new).table
+        flat = _draw(batch.states, table, [col_of[v] for v in known], rng)
+        batch.states[:, [col_of[v] for v in new]] = np.column_stack(
+            np.unravel_index(flat, table.shape[len(known):]))
         filled.update(new)
-    variables = tuple(model.variables[n] for n in names)
-    return SampleBatch(variables, states, metadata={"method": "jtree"})
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +277,11 @@ class ImportanceResult:
 _SUPPORT_CHECK_CAP = 1 << 14
 
 
-def _with_evidence(bn, evidence, hidden, z) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``z`` of the ``hidden`` variables' states with the evidence
-    added, over the sorted variable names, and their log joint."""
-    names = sorted(bn.variables)
-    full = np.zeros((z.shape[0], len(names)), dtype=np.int64)
-    full[:, [names.index(v.name) for v in hidden]] = z
-    for name, state in evidence.items():
-        full[:, names.index(name)] = bn.variable(name).index_of(state)
-    return full, batch_log_unnormalized(model_factors(bn), names, full)
+def _scored_batch(bn, hidden, z, evidence, metadata) -> tuple[SampleBatch, np.ndarray]:
+    """The ``hidden`` states ``z`` beside the evidence, and each row's log
+    unnormalized joint."""
+    batch = _batch(bn, len(z), evidence, metadata, [v.name for v in hidden], z)
+    return batch, batch_log_unnormalized(model_factors(bn), batch.names, batch.states)
 
 
 def _check_proposal_support(bn, evidence, proposal, hidden) -> None:
@@ -285,11 +290,10 @@ def _check_proposal_support(bn, evidence, proposal, hidden) -> None:
     Exact by enumeration when the hidden joint is small; skipped above the
     cap, where the violation would surface as an infinite weight anyway.
     """
-    size = math.prod(v.cardinality for v in hidden)
-    if size > _SUPPORT_CHECK_CAP:
+    if math.prod(v.cardinality for v in hidden) > _SUPPORT_CHECK_CAP:
         return
-    grid = np.indices([v.cardinality for v in hidden]).reshape(len(hidden), size).T
-    _, log_p = _with_evidence(bn, evidence, hidden, grid)
+    grid = _all_states([v.cardinality for v in hidden])
+    _, log_p = _scored_batch(bn, hidden, grid, evidence, {})
     log_q = proposal.log_prob_batch(grid)
     if np.any(np.isneginf(log_q) & (log_p > -np.inf)):
         raise InfiniteWeightError(
@@ -319,22 +323,14 @@ def importance_estimate(bn: BayesianNetwork, evidence: Mapping[str, str],
         )
     _check_proposal_support(bn, evidence, proposal, hidden)
     z = proposal.sample_batch(n, rng)
-    names = sorted(bn.variables)
-    full, log_p = _with_evidence(bn, evidence, hidden, z)
-    log_q = proposal.log_prob_batch(z)
-    weights = np.exp(log_p - log_q)
-    batch = SampleBatch(
-        tuple(bn.variables[nm] for nm in names),
-        full,
-        weights=weights,
-        metadata={"method": "importance"},
-    )
+    batch, log_p = _scored_batch(bn, hidden, z, evidence, {"method": "importance"})
+    weights = batch.weights = np.exp(log_p - proposal.log_prob_batch(z))
     if not normalized:
         return ImportanceResult(float(np.mean(weights)), weights, n, False, batch)
     target = check_evidence(bn, target)
     mask = np.ones(n, dtype=bool)
     for name, state in target.items():
-        mask &= full[:, names.index(name)] == bn.variable(name).index_of(state)
+        mask &= batch.column(name) == bn.variable(name).index_of(state)
     denom = float(np.sum(weights))
     estimate = float(np.sum(weights[mask]) / denom) if denom > 0 else 0.0
     return ImportanceResult(estimate, weights, n, True, batch)
@@ -411,9 +407,8 @@ def _site_tables(plans: Sequence[_Site], view: Callable[[np.ndarray], Sequence]
     for plan in plans:
         cards = [v.cardinality for v in plan.blanket]
         strides = [math.prod(cards[k + 1:]) for k in range(len(cards))]
-        size = math.prod(cards)
-        if size * plan.variable.cardinality <= CONDITIONAL_CACHE_CAP:
-            rows = view(_site_logits(plan, np.indices(cards).reshape(len(cards), size).T)[0])
+        if math.prod(cards) * plan.variable.cardinality <= CONDITIONAL_CACHE_CAP:
+            rows = view(_site_logits(plan, _all_states(cards))[0])
         else:
             rows = _RowsAt(plan, strides, view)
         out.append((rows, list(zip(plan.cols, strides))))
@@ -502,7 +497,6 @@ def gibbs(model: Model, evidence: Mapping[str, str] | None,
     sampler = _ConditionalSampler(model, evidence)
     free = sampler.free
     state = _initial_state(model, evidence, rng, free).tolist()
-    names = sorted(model.variables)
     k_free = len(free)
     sites = sampler.cumulative
     kept = array("q")
@@ -531,17 +525,9 @@ def gibbs(model: Model, evidence: Mapping[str, str] | None,
                 state[i] = j
         if sweep >= burn_in:
             kept.extend(state)
-    out = np.zeros((n, len(names)), dtype=np.int64)
-    out[:, [names.index(nm) for nm in free]] = np.frombuffer(
-        kept, dtype=np.int64).reshape(n, k_free)
-    for name, state_label in evidence.items():
-        out[:, names.index(name)] = model.variable(name).index_of(state_label)
-    variables = tuple(model.variables[nm] for nm in names)
-    return SampleBatch(
-        variables,
-        out,
-        metadata={"method": "gibbs", "burn_in": burn_in, "scan": scan},
-    )
+    chain = np.frombuffer(kept, dtype=np.int64).reshape(n, k_free)
+    return _batch(model, n, evidence, {"method": "gibbs", "burn_in": burn_in, "scan": scan},
+                  free, chain)
 
 
 def gibbs_transition_matrix(model: Model, evidence: Mapping[str, str] | None = None
@@ -569,7 +555,7 @@ def _free_states(model: Model, evidence: Mapping[str, str], free: Sequence[str])
     """Every joint state of the free variables, in flat-index order: the
     strides, the states as rows and their labels with the evidence added."""
     cards = [model.variable(nm).cardinality for nm in free]
-    states = np.indices(cards).reshape(len(cards), math.prod(cards)).T
+    states = _all_states(cards)
     labels = [
         {**evidence, **{nm: model.variable(nm).states[k] for nm, k in zip(free, row)}}
         for row in states.tolist()
@@ -682,7 +668,6 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
             f"kernel covers {list(kernel_names)}, model needs {free}"
         )
     refuse_zero_evidence(log_offset)
-    names = sorted(model.variables)
     compiled = CompiledModel(mrf)
 
     def log_ptilde(state_vec: np.ndarray) -> float:
@@ -692,10 +677,9 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     state = _initial_state(model, evidence, rng, free)
     current_lp = log_ptilde(state)
     cards = [model.variable(nm).cardinality for nm in free]
-    size = math.prod(cards)
-    if current_lp == -math.inf and size <= CONDITIONAL_CACHE_CAP:
+    if current_lp == -math.inf and math.prod(cards) <= CONDITIONAL_CACHE_CAP:
         # start where the target has mass: at the MAP state of the full table
-        grid = np.indices(cards).reshape(len(cards), size).T
+        grid = _all_states(cards)
         lp_table = batch_log_unnormalized(mrf.factors, free, grid)
         top = int(np.argmax(lp_table))
         if lp_table[top] == -math.inf:
@@ -704,12 +688,7 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
             )
         state = grid[top]
         current_lp = float(lp_table[top])
-    out = np.zeros((n, len(names)), dtype=np.int64)
-    ev_cols = {
-        names.index(nm): model.variable(nm).index_of(st)
-        for nm, st in evidence.items()
-    }
-    free_cols = [names.index(nm) for nm in free]
+    chain = np.zeros((n, len(free)), dtype=np.int64)
     accepted = 0
     for step in range(burn_in + n):
         # with every variable observed there is no move to propose
@@ -735,20 +714,12 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
                 current_lp = prop_lp
                 accepted += 1
         if step >= burn_in:
-            row = out[step - burn_in]
-            row[free_cols] = state
-            for col, val in ev_cols.items():
-                row[col] = val
-    variables = tuple(model.variables[nm] for nm in names)
-    return SampleBatch(
-        variables,
-        out,
-        metadata={
-            "method": "mh",
-            "burn_in": burn_in,
-            "acceptance_rate": accepted / max(1, burn_in + n),
-        },
-    )
+            chain[step - burn_in] = state
+    return _batch(model, n, evidence, {
+        "method": "mh",
+        "burn_in": burn_in,
+        "acceptance_rate": accepted / max(1, burn_in + n),
+    }, free, chain)
 
 
 def mh_transition_matrix(model: Model, kernel,
@@ -828,68 +799,19 @@ def chain_analysis(T: np.ndarray, p0: np.ndarray | None = None,
         p = nxt
     pi = p / p.sum()
 
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     adj = T.T > 0.0  # adj[i, j]: state i can move to state j
-    components = _strongly_connected_components(adj)
-    irreducible = len(components) == 1
-    aperiodic = all(_period_is_one(adj, comp) for comp in components)
-    residual = 0.0
-    for i in range(d):
-        for j in range(d):
-            residual = max(residual, abs(pi[j] * T[i, j] - pi[i] * T[j, i]))
-    return ChainDiagnostics(pi, converged, iterations, irreducible, aperiodic, residual)
-
-
-def _strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Strongly connected components by double DFS (small matrices only),
-    each a sorted list of states."""
-    d = adj.shape[0]
-    unassigned = set(range(d))
-    components = []
-    while unassigned:
-        s = min(unassigned)
-        fwd = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                v = int(v)
-                if v in unassigned and v not in fwd:
-                    fwd.add(v)
-                    stack.append(v)
-        bwd = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[:, u])[0]:
-                v = int(v)
-                if v in unassigned and v not in bwd:
-                    bwd.add(v)
-                    stack.append(v)
-        comp = fwd & bwd
-        components.append(sorted(comp))
-        unassigned -= comp
-    return components
-
-
-def _period_is_one(adj: np.ndarray, comp: list[int]) -> bool:
-    """Whether the cycles within one strongly connected component have
-    period 1; a single state with or without a self-loop passes."""
-    if len(comp) == 1:
-        return True
-    members = set(comp)
-    level = {comp[0]: 0}
-    queue = [comp[0]]
-    while queue:
-        u = queue.pop(0)
-        for v in np.nonzero(adj[u])[0]:
-            v = int(v)
-            if v in members and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for u in comp:
-        for v in np.nonzero(adj[u])[0]:
-            v = int(v)
-            if v in members:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return g == 1
+    n_classes, labels = connected_components(adj, connection="strong")
+    # a class's period is the gcd of level(u) + 1 - level(v) over its moves
+    # u -> v, with BFS levels from any one member; 0 means no cycle
+    periods = []
+    for c in range(n_classes):
+        members = np.flatnonzero(labels == c)
+        within = adj[np.ix_(members, members)]
+        level = shortest_path(within, unweighted=True, indices=0).astype(np.int64)
+        u, v = np.nonzero(within)
+        periods.append(np.gcd.reduce(level[u] + 1 - level[v]))
+    residual = float(np.abs(T * pi - (T * pi).T).max())
+    return ChainDiagnostics(pi, converged, iterations, n_classes == 1,
+                            all(g <= 1 for g in periods), residual)

@@ -180,8 +180,8 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
     either is not finite); each sweep ends with one full ``elbo``, which
     the sweep's last update value and the convergence test use. The
     reduced factors' logs are taken once per call, and every update and
-    full ``elbo`` reads them. Evidence of probability zero that a factor it
-    fixes completely shows raises ZeroEvidenceError.
+    full ``elbo`` reads them. Evidence of probability zero that
+    ``reduce_to_evidence`` shows raises ZeroEvidenceError.
     """
     evidence = check_evidence(model, evidence or {})
     mrf, log_offset = reduce_to_evidence(model, evidence)
@@ -281,7 +281,8 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     new. Convergence means the largest single message change fell below
     tol; on loopy graphs this may never happen, which is reported rather
     than raised. Beliefs are exact on trees. Where a message or belief
-    sums to zero, loopy BP takes the uniform one instead.
+    sums to zero, loopy BP takes the uniform one instead; impossible
+    evidence is refused before that fallback applies.
 
     Both schedules run on the stacked arrays of :class:`_StackedFactorGraph`,
     in two half-steps: every factor-to-variable message, then every
@@ -291,8 +292,9 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     iteration started with; the sequential one blends the factor half in
     before the variable half reads it. Products and sums run in the order
     of the send step of tree BP and the junction tree. Evidence of
-    probability zero that a factor it fixes completely shows raises
-    ZeroEvidenceError.
+    probability zero that ``reduce_to_evidence`` shows (a factor it fixes
+    completely is zero, or one it reduces keeps no positive entry) raises
+    ZeroEvidenceError before any message is sent.
     """
     if schedule not in ("synchronous", "sequential"):
         raise ValueError("schedule must be 'synchronous' or 'sequential'")

@@ -62,6 +62,23 @@ def grid_path(tmp_path):
     return str(path)
 
 
+def write_mrf(tmp_path, name, tables):
+    """A field over binary variables, one factor per (scope, table) pair."""
+    from pgmkit.factors import Factor, Variable
+    from pgmkit.models import MarkovRandomField
+
+    var = {n: Variable(n, ("0", "1")) for scope, _ in tables for n in scope}
+    factors = [Factor([var[n] for n in scope], table) for scope, table in tables]
+    path = tmp_path / name
+    path.write_text(serialize_model(MarkovRandomField(list(var.values()), factors)))
+    return str(path)
+
+
+# b=1 leaves f(a, b) with no positive entry, so the evidence has
+# probability zero although no factor is fixed completely
+REDUCED_TO_ZERO = [("ab", [[1.0, 0.0], [0.0, 0.0]]), ("ac", [[1.0, 2.0], [3.0, 4.0]])]
+
+
 def run(argv):
     buffer = stdio.StringIO()
     code = main(argv, out=buffer)
@@ -219,6 +236,25 @@ class TestQuery:
         assert "p[" not in out
         assert capsys.readouterr().err == "error=the evidence has probability zero\n"
 
+    @pytest.mark.parametrize("engine", ["ve", "bp", "jtree", "loopy", "meanfield", "gibbs",
+                                        "mh", "enum"])
+    def test_evidence_a_reduced_factor_zeroes_exits_3_on_every_engine(self, tmp_path, capsys,
+                                                                      engine):
+        path = write_mrf(tmp_path, "reduced.json", REDUCED_TO_ZERO)
+        code, out = run(["query", "--model", path, "--target", "c", "--evidence", "b=1",
+                         "--engine", engine, "--n", "50", "--burn-in", "5"])
+        assert code == 3
+        assert "p[" not in out
+        assert capsys.readouterr().err == "error=the evidence has probability zero\n"
+
+    def test_meanfield_degenerate_update_exits_3(self, tmp_path, capsys):
+        # a uniform q over the XOR support sends every expected log to -inf
+        path = write_mrf(tmp_path, "xor.json", [("ab", [[0.0, 1.0], [1.0, 0.0]])])
+        code, out = run(["query", "--model", path, "--target", "a", "--engine", "meanfield"])
+        assert code == 3
+        assert "p[" not in out
+        assert capsys.readouterr().err == "error=every state of 'a' has zero expected mass\n"
+
     def test_meanfield_on_a_grid_beyond_int64(self, grid_path):
         code, out = run(["query", "--model", grid_path, "--target", "G34",
                          "--engine", "meanfield", "--max-iters", "2"])
@@ -325,6 +361,42 @@ class TestMap:
                 assert float(grep(out, "logp")) == pytest.approx(want, rel=1e-5), engine
                 if engine == "dualdecomp":
                     assert float(grep(out, "bound")) >= want - 1e-5
+
+    @pytest.mark.parametrize("engine", ["enum", "maxprod", "graphcut", "dualdecomp",
+                                        "localsearch", "anneal"])
+    def test_every_engine_answers_the_first_assignment_when_none_has_mass(self, tmp_path,
+                                                                         capsys, engine):
+        fixed = write_mrf(tmp_path, "fixed.json",
+                          [("a", [0.0, 1.0]), ("ab", [[1.0, 2.0], [3.0, 4.0]])])
+        code, out = run(["map", "--model", fixed, "--engine", engine, "--evidence", "a=0"])
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith(("map[", "logp="))] == [
+            "map[a]=0", "map[b]=0", "logp=-inf"]
+        reduced = write_mrf(tmp_path, "reduced.json", REDUCED_TO_ZERO)
+        code, out = run(["map", "--model", reduced, "--engine", engine, "--evidence", "b=1"])
+        if engine == "graphcut":
+            assert code == 2
+            assert capsys.readouterr().err == "error=zero potential entries have infinite energy\n"
+            return
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith(("map[", "logp="))] == [
+            "map[a]=0", "map[b]=1", "map[c]=0", "logp=-inf"]
+
+    @pytest.mark.parametrize("engine", ["localsearch", "anneal"])
+    def test_a_search_stuck_at_minus_inf_prints_the_state_it_scored(self, tmp_path, engine):
+        # seed 0 starts at (1, 1), where every single-site move scores -inf,
+        # while (0, 0) has mass: the answer must agree with its logp
+        from pgmkit.io import parse_model
+        from pgmkit.models import log_joint
+
+        path = write_mrf(tmp_path, "stuck.json", [("ab", [[1.0, 0.0], [0.0, 0.0]])])
+        code, out = run(["map", "--model", path, "--engine", engine, "--seed", "0"])
+        assert code == 0
+        assignment = {n: grep(out, f"map[{n}]") for n in "ab"}
+        assert assignment == {"a": "1", "b": "1"}
+        with open(path) as handle:
+            model = parse_model(handle.read())
+        assert log_joint(model, assignment) == float(grep(out, "logp")) == -math.inf
 
     def test_lp_export(self, voting_path, tmp_path):
         lp_path = tmp_path / "map.lp"
@@ -444,6 +516,25 @@ class TestLearning:
                          "--model", student_path])
         assert code == 0
         assert out.count("edge=") == 4  # spanning tree over 5 variables
+
+    @pytest.mark.parametrize("method", ["chowliu", "hillclimb", "pc"])
+    def test_learn_structure_dot_names_every_printed_edge(self, tmp_path, method):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(forward_sample(student_network(), 3000, make_rng(4)).to_csv())
+        dot_path = tmp_path / "learned.dot"
+        code, out = run(["learn-structure", "--data", str(data_path), "--method", method,
+                         "--dot", str(dot_path)])
+        assert code == 0
+        edges = [grep(line, "edge") for line in out.splitlines() if line.startswith("edge=")]
+        assert edges
+        dot = dot_path.read_text()
+        for edge in edges:
+            if "->" in edge:
+                u, v = edge.split("->")
+                assert f'"{u}" -> "{v}";' in dot, edge
+            else:
+                u, v = edge.split("-")
+                assert f'"{u}" -> "{v}" [dir=none];' in dot, edge
 
     def test_learn_structure_pc_oracleish(self, tmp_path):
         # strongly coupled y-structure data, bare CSV (variables inferred)

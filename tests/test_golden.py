@@ -10,11 +10,24 @@ import math
 import numpy as np
 import pytest
 
+from pgmkit.exact import build_junction_tree, jt_calibrate
 from pgmkit.factors import LOG, Factor, Variable
 from pgmkit.mapinf import dual_decomposition, local_search_map, simulated_annealing_map
 from pgmkit.models import MarkovRandomField, reduce_to_evidence
-from pgmkit.sampling import gibbs, make_rng
+from pgmkit.sampling import (
+    FactoredProposal,
+    GibbsSiteKernel,
+    UniformProposal,
+    chain_analysis,
+    forward_sample,
+    gibbs,
+    importance_estimate,
+    jt_forward_sample,
+    make_rng,
+    metropolis_hastings,
+)
 from pgmkit.variational import loopy_bp, mean_field
+from pgmkit.zoo import periodic_chain, reducible_chain, student_network
 
 EVIDENCE = {"g11": "s0", "g32": "s1"}
 
@@ -198,3 +211,80 @@ def test_loopy_bp_marginals_iterations_and_residual(schedule, pinned):
     result = loopy_bp(golden_grid(), EVIDENCE, schedule=schedule)
     assert (result.iterations, result.final_residual, result.converged) == (iterations, residual, True)
     assert {n: f.values.tolist() for n, f in result.marginals.items()} == marginals
+
+
+# The student network's samplers, recorded before the samplers moved onto
+# one draw step and one row layout. Columns are DIFFICULTY, GRADE,
+# INVESTMENT, LETTER, SAT.
+STUDENT_EVIDENCE = {"LETTER": "l0", "SAT": "s1"}
+
+
+def student_hidden():
+    bn = student_network()
+    return bn, [bn.variables[v] for v in sorted(bn.variables) if v not in STUDENT_EVIDENCE]
+
+
+def test_forward_sample_states():
+    batch = forward_sample(student_network(), 8, make_rng(3))
+    assert rows(batch) == [
+        "00111", "00111", "02000", "10111", "12001", "10011", "12000", "02000",
+    ]
+
+
+def test_jt_forward_sample_states_with_evidence():
+    jt = jt_calibrate(build_junction_tree(student_network()), STUDENT_EVIDENCE)
+    batch = jt_forward_sample(jt, 8, make_rng(4))
+    assert rows(batch) == [
+        "10101", "12001", "12101", "10101", "11101", "12101", "10101", "12101",
+    ]
+
+
+def test_importance_unnormalized_weights():
+    bn, hidden = student_hidden()
+    result = importance_estimate(bn, STUDENT_EVIDENCE, UniformProposal(hidden), 6, make_rng(5))
+    assert result.estimate == 0.07071600000000001
+    assert result.weights.tolist() == [
+        0.016800000000000013, 0.0008400000000000011, 0.15552000000000007,
+        0.13824000000000003, 0.05759999999999999, 0.05529600000000001,
+    ]
+    assert rows(result.batch) == ["11001", "10001", "00101", "11101", "10101", "01101"]
+
+
+def test_importance_normalized_weights():
+    bn, hidden = student_hidden()
+    tables = {"DIFFICULTY": [0.5, 0.5], "GRADE": [0.2, 0.3, 0.5], "INVESTMENT": [0.25, 0.75]}
+    result = importance_estimate(
+        bn, STUDENT_EVIDENCE, FactoredProposal(hidden, tables), 6, make_rng(5),
+        target={"GRADE": "g1"}, normalized=True,
+    )
+    assert result.estimate == 0.11232799775343999
+    assert result.weights.tolist() == [
+        0.1024, 0.101376, 0.099792, 0.099792, 0.1024, 0.06399999999999996,
+    ]
+    assert rows(result.batch) == ["11101", "12101", "02001", "02001", "11101", "10101"]
+
+
+def test_metropolis_hastings_gibbs_kernel_with_evidence():
+    bn = student_network()
+    kernel = GibbsSiteKernel(bn, STUDENT_EVIDENCE)
+    batch = metropolis_hastings(bn, kernel, 8, 2, make_rng(6), evidence=STUDENT_EVIDENCE)
+    assert rows(batch) == [
+        "01101", "11101", "12101", "12101", "12101", "12101", "12101", "02101",
+    ]
+    assert batch.metadata["acceptance_rate"] == 1.0
+
+
+def test_chain_analysis_periodic_chain():
+    d = chain_analysis(periodic_chain())
+    assert d.stationary.tolist() == [0.5, 0.5]
+    assert (d.converged, d.iterations, d.irreducible, d.aperiodic) == (True, 1, True, False)
+    assert d.detailed_balance_residual == 0.0
+
+
+def test_chain_analysis_reducible_chain():
+    d = chain_analysis(reducible_chain())
+    assert d.stationary.tolist() == [
+        0.3124999999996419, 0.31250000000035855, 0.0, 0.3749999999999996,
+    ]
+    assert (d.converged, d.iterations, d.irreducible, d.aperiodic) == (True, 117, False, True)
+    assert d.detailed_balance_residual == 6.449840661559847e-13

@@ -317,6 +317,14 @@ class TestDualDecomposition:
         assert state.bound == pytest.approx(math.log(0.5))
         assert state.assignment == {"a": "1"}
 
+    def test_keeps_the_first_decode_when_every_state_scores_minus_inf(self):
+        a, c = Variable("a", ("0", "1")), Variable("c", ("0", "1"))
+        mrf = MarkovRandomField([a, c], [Factor([a], [0.0, 0.0]),
+                                         Factor([a, c], [[1.0, 2.0], [3.0, 4.0]])])
+        state = dual_decomposition(mrf, max_iters=5)
+        assert state.assignment == {"a": "0", "c": "0"}
+        assert state.objective == -math.inf
+
     def test_frustrated_cycle_bound_dominates(self, rng):
         vs = [Variable(n, ("0", "1")) for n in "abc"]
         anti = np.array([[0.1, 1.0], [1.0, 0.1]])

@@ -607,3 +607,24 @@ class TestChainAnalysis:
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValueError):
             chain_analysis(np.array([[0.5, 0.5], [0.4, 0.5]]))
+
+    def test_class_structure_matches_walk_counting(self, rng):
+        # reference: A^k[i, j] says whether a k-step walk leads from i to j;
+        # a state on a cycle has the gcd of its closed-walk lengths as period
+        for _ in range(300):
+            d = int(rng.integers(1, 7))
+            T = rng.random((d, d)) * (rng.random((d, d)) < 0.3)
+            perm = rng.permutation(d)
+            T[perm, np.arange(d)] += rng.random() < 0.5  # often a cycle cover
+            T[0, T.sum(axis=0) == 0] = 1.0
+            T /= T.sum(axis=0)
+            adj = (T.T > 0).astype(np.int64)
+            walks, reach, period = np.eye(d, dtype=np.int64), np.eye(d, dtype=bool), [0] * d
+            for k in range(1, d * d + d + 1):
+                walks = np.minimum(walks @ adj, 1)
+                reach |= walks.astype(bool)
+                for i in np.flatnonzero(np.diag(walks)):
+                    period[i] = math.gcd(period[i], k)
+            result = chain_analysis(T, max_iters=50)
+            assert result.irreducible == bool(reach.all())
+            assert result.aperiodic == all(p <= 1 for p in period)

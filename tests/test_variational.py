@@ -290,20 +290,21 @@ class TestLoopyBp:
             )
 
     def test_all_zero_message_falls_back_to_uniform(self):
-        # b=1 zeroes f(a, b): calibration refuses, loopy BP sends a uniform
-        # message from f and answers from g alone
+        # b=1 zeroes f(a, b): the conditioning step refuses it for every
+        # engine, loopy BP included
         a, b, c = (Variable(n, ("0", "1")) for n in "abc")
-        mrf = MarkovRandomField(
-            [a, b, c],
-            [Factor([a, b], [[1.0, 0.0], [0.0, 0.0]]),
-             Factor([a, c], [[1.0, 2.0], [3.0, 4.0]])],
-        )
-        result = loopy_bp(mrf, {"b": "1"}, damping=1.0, max_iters=5)
+        g = Factor([a, c], [[1.0, 2.0], [3.0, 4.0]])
+        mrf = MarkovRandomField([a, b, c], [Factor([a, b], [[1.0, 0.0], [0.0, 0.0]]), g])
+        for engine in (loopy_bp, tree_bp):
+            with pytest.raises(ZeroEvidenceError):
+                engine(mrf, {"b": "1"})
+        # with no evidence the all-zero f(a) sends a uniform message, and
+        # loopy BP answers from g alone
+        twin = MarkovRandomField([a, c], [Factor([a], [0.0, 0.0]), g])
+        result = loopy_bp(twin, damping=1.0, max_iters=5)
         assert result.converged
         assert np.allclose(result.marginals["a"].values, [0.3, 0.7], rtol=0, atol=1e-15)
         assert np.allclose(result.marginals["c"].values, [0.4, 0.6], rtol=0, atol=1e-15)
-        with pytest.raises(ZeroEvidenceError):
-            tree_bp(mrf, {"b": "1"})
 
 
 def test_loopy_bp_builds_no_message_graph(monkeypatch, rng):
