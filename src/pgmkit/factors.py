@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateDistributionError,
@@ -279,6 +278,7 @@ def eliminate(f: Factor, variables: Iterable[str], semiring: Semiring = SUM_PROD
     keep = [v for v in f.scope if v.name not in drop]
     if f.domain == LOG:
         if semiring.kind == "sum_product":
+            from scipy.special import logsumexp
             table = logsumexp(f.table, axis=axes) if f.table.size else f.table
         elif semiring.kind == "max_product":
             table = np.amax(f.table, axis=axes)

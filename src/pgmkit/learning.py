@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, gammaln, logsumexp
 
 from . import factors as fa
 from .errors import InsufficientDataError, ScopeError
@@ -241,6 +240,7 @@ def _family_loglik(dataset: Dataset, child: str, parents: tuple[str, ...]) -> fl
 
 def _family_bd(dataset: Dataset, child: str, parents: tuple[str, ...],
                prior_count: float) -> float:
+    from scipy.special import gammaln
     table = counts(dataset, list(parents) + [child]).counts
     card = dataset.variable(child).cardinality
     table = table.reshape(-1, card)
@@ -500,6 +500,7 @@ def ci_test(source, x: str, y: str, z: Iterable[str] = (),
     expected counts and terms are computed at once from the (z, x, y)
     count table; empty strata add nothing.
     """
+    from scipy.special import chdtrc
     z = sorted(set(z))
     if x == y or x in z or y in z:
         raise ValueError("x, y, z must be distinct")
@@ -849,6 +850,7 @@ def pseudo_likelihood(mrf: MarkovRandomField, dataset: Dataset,
     variable no state of positive mass has probability zero: the value is
     -inf, and that row's conditional counts as zero in the gradients.
     """
+    from scipy.special import logsumexp
     if dataset.n == 0:
         raise InsufficientDataError("empty dataset")
     if theta is None:
@@ -1076,6 +1078,7 @@ def em_gmm(data: np.ndarray, k: int, rng: np.random.Generator | None = None,
 
 
 def _em_once(data, k, rng, tol, max_iters, jitter_scale) -> GmmResult:
+    from scipy.special import logsumexp
     n, d = data.shape
     means = _kmeanspp_means(data, k, rng)
     global_cov = np.cov(data.T).reshape(d, d) + np.eye(d) * 1e-6

@@ -389,6 +389,8 @@ def dual_decomposition(
     ``np.argmax``. The bound adds the node maxima, then the edge maxima,
     as Python floats in edges order.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     names, unary, edges = _pairwise_parts(mrf)
     if step_size is None:
         step = lambda k: 1.0 / math.sqrt(k)

@@ -734,17 +734,17 @@ def mh_transition_matrix(model: Model, kernel,
     _, vecs, labels = _free_states(model, evidence, free)
     size = len(vecs)
     log_p = batch_log_unnormalized(mrf.factors, free, vecs)
+    # log_q[x][y] = log Q(y | x), each ordered pair scored once; staying put
+    # is the remainder of the column
+    log_q = [[-math.inf if x == y else kernel.log_density(a, b)
+              for y, b in enumerate(vecs)] for x, a in enumerate(vecs)]
     T = np.zeros((size, size))
     for x in range(size):
-        for y in range(size):
-            if x == y:
-                continue
-            log_q_fwd = kernel.log_density(vecs[x], vecs[y])
+        for y, log_q_fwd in enumerate(log_q[x]):
             if log_q_fwd == -math.inf:
                 continue
-            log_q_rev = kernel.log_density(vecs[y], vecs[x])
             log_alpha = min(
-                0.0, log_p[y] + log_q_rev - log_p[x] - log_q_fwd
+                0.0, log_p[y] + log_q[y][x] - log_p[x] - log_q_fwd
             ) if log_p[x] > -np.inf else 0.0
             T[y, x] = math.exp(log_q_fwd) * math.exp(log_alpha)
         T[x, x] = max(0.0, 1.0 - T[:, x].sum() + T[x, x])

@@ -398,6 +398,13 @@ class TestMap:
             model = parse_model(handle.read())
         assert log_joint(model, assignment) == float(grep(out, "logp")) == -math.inf
 
+    @pytest.mark.parametrize("max_iters", ["0", "-1"])
+    def test_dualdecomp_with_no_iterations_exits_2(self, voting_path, capsys, max_iters):
+        code, _ = run(["map", "--model", voting_path, "--engine", "dualdecomp",
+                       "--max-iters", max_iters])
+        assert code == 2
+        assert "max_iters must be at least 1" in capsys.readouterr().err
+
     def test_lp_export(self, voting_path, tmp_path):
         lp_path = tmp_path / "map.lp"
         code, out = run(["map", "--model", voting_path, "--engine", "enum",

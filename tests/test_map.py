@@ -325,6 +325,13 @@ class TestDualDecomposition:
         assert state.assignment == {"a": "0", "c": "0"}
         assert state.objective == -math.inf
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iterations_is_refused(self, max_iters):
+        a, c = Variable("a", ("0", "1")), Variable("c", ("0", "1"))
+        mrf = MarkovRandomField([a, c], [Factor([a, c], [[1.0, 2.0], [3.0, 4.0]])])
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            dual_decomposition(mrf, max_iters=max_iters)
+
     def test_frustrated_cycle_bound_dominates(self, rng):
         vs = [Variable(n, ("0", "1")) for n in "abc"]
         anti = np.array([[0.1, 1.0], [1.0, 0.1]])

@@ -463,6 +463,50 @@ class TestMetropolisHastings:
                 for j in range(len(pi)):
                     assert pi[j] * T[i, j] == pytest.approx(pi[i] * T[j, i], abs=1e-10)
 
+    @staticmethod
+    def pairwise_mh_matrix(model, kernel, evidence):
+        """The kernel matrix with both densities scored inside the pair loop."""
+        from pgmkit.models import check_evidence, reduce_to_evidence
+
+        evidence = check_evidence(model, evidence)
+        mrf, _ = reduce_to_evidence(model, evidence)
+        free = list(mrf.variables)
+        _, vecs, _ = sampling._free_states(model, evidence, free)
+        size = len(vecs)
+        log_p = batch_log_unnormalized(mrf.factors, free, vecs)
+        T = np.zeros((size, size))
+        for x in range(size):
+            for y in range(size):
+                if x == y:
+                    continue
+                log_q_fwd = kernel.log_density(vecs[x], vecs[y])
+                if log_q_fwd == -math.inf:
+                    continue
+                log_q_rev = kernel.log_density(vecs[y], vecs[x])
+                log_alpha = min(
+                    0.0, log_p[y] + log_q_rev - log_p[x] - log_q_fwd
+                ) if log_p[x] > -np.inf else 0.0
+                T[y, x] = math.exp(log_q_fwd) * math.exp(log_alpha)
+            T[x, x] = max(0.0, 1.0 - T[:, x].sum() + T[x, x])
+        return T
+
+    def test_explicit_kernel_scores_each_ordered_pair_once(self, rng):
+        vs = [Variable(n, ("0", "1", "2")) for n in "abc"]
+        factors = [Factor([v], rng.random(3) + 0.2) for v in vs]
+        factors.append(Factor([vs[0], vs[1]], rng.random((3, 3)) + 0.2))
+        factors.append(Factor([vs[1], vs[2]], rng.random((3, 3)) + 0.2))
+        mrf = MarkovRandomField(vs, factors)
+        for evidence in ({}, {"b": "2"}):
+            free = [v for n, v in sorted(mrf.variables.items()) if n not in evidence]
+            for kernel in (SingleSiteUniformKernel(free), GibbsSiteKernel(mrf, evidence)):
+                expected = self.pairwise_mh_matrix(mrf, kernel, evidence)
+                calls = []
+                score = kernel.log_density
+                kernel.log_density = lambda a, b: calls.append(1) or score(a, b)
+                T, labels = mh_transition_matrix(mrf, kernel, evidence)
+                assert np.array_equal(T, expected)
+                assert len(calls) == len(labels) * (len(labels) - 1)
+
     def test_log_domain_factors_give_the_same_kernel(self, rng):
         mrf = self.three_var_mrf(rng)
         logged = MarkovRandomField(
