@@ -184,12 +184,10 @@ def _cmd_query(args, out) -> int:
 def _cmd_map(args, out) -> int:
     model = _read_model(args.model)
     evidence = _parse_evidence(args.evidence)
-    if args.export_lp:
-        # a refusal leaves no file
-        text = export_map_ilp(model)
-        with open(args.export_lp, "w") as handle:
-            handle.write(text)
-        print(f"lp_written={args.export_lp}", file=out)
+    # the export is written, and every line printed, only once the engine
+    # has answered, so a refusal leaves no file and no partial output
+    text = export_map_ilp(model) if args.export_lp else None
+    lines: list[str] = []
     engine = args.engine
     if engine == "enum":
         assignment, logp = enumerate_inference(model, mode="map", evidence=evidence)
@@ -207,12 +205,12 @@ def _cmd_map(args, out) -> int:
                 for name, value in labels.items()
             }
             logp = log_joint(mrf, assignment)
-            print(f"energy={_float_fmt(energy)}", file=out)
+            lines.append(f"energy={_float_fmt(energy)}")
         elif engine == "dualdecomp":
             state = dual_decomposition(mrf, max_iters=args.max_iters)
             assignment, logp = state.assignment, state.objective
-            print(f"agreement={str(state.agreement).lower()}", file=out)
-            print(f"bound={_float_fmt(state.best_bound + log_offset)}", file=out)
+            lines.append(f"agreement={str(state.agreement).lower()}")
+            lines.append(f"bound={_float_fmt(state.best_bound + log_offset)}")
         elif engine == "localsearch":
             assignment, logp = local_search_map(mrf, seed=args.seed,
                                                 max_sweeps=args.max_iters)
@@ -226,6 +224,12 @@ def _cmd_map(args, out) -> int:
             # the evidence leaves no mass: answer the oracle's first assignment
             assignment = {n: evidence.get(n, v.states[0])
                           for n, v in model.variables.items()}
+    if text is not None:
+        with open(args.export_lp, "w") as handle:
+            handle.write(text)
+        print(f"lp_written={args.export_lp}", file=out)
+    for line in lines:
+        print(line, file=out)
     for name in sorted(assignment):
         print(f"map[{name}]={assignment[name]}", file=out)
     print(f"logp={_float_fmt(logp)}", file=out)

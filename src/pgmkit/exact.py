@@ -68,30 +68,50 @@ def _greedy_order(adj: dict[str, set[str]], cards: Mapping[str, int],
     costs sit in a lazy heap: an elimination re-costs only the nodes whose
     cost it can change (its neighbours, and for min_fill their neighbours
     too), and heap entries whose cost is out of date are skipped.
+
+    Node ``i`` is the ``i``-th name in sorted order, so ``(cost, i)`` breaks
+    ties as ``(cost, name)`` does, and its neighbours are the set bits of
+    the Python int ``bits[i]``. With ``b = bits[i]``, min_neighbors costs
+    ``b.bit_count()``; min_fill counts the missing neighbour pairs as
+    ``sum((b & ~bits[j]).bit_count() - 1 for j in b) // 2`` (each ``j`` is
+    in ``b`` but not in ``bits[j]``, and each missing pair counts twice);
+    eliminating ``i`` sets ``bits[j] = (bits[j] | b) & ~(1 << j) & ~(1 << i)``
+    for each neighbour ``j``.
     """
-    adj = {n: set(nbrs) for n, nbrs in adj.items()}
-
-    def cost(n: str) -> int:
-        nbrs = adj[n]
-        if heuristic == "min_neighbors":
-            return len(nbrs)
-        if heuristic == "min_weight":
-            out = cards[n]
-            for m in nbrs:
-                out *= cards[m]
-            return out
-        if heuristic == "min_fill":
-            nbrs = list(nbrs)
-            return sum(
-                1
-                for i in range(len(nbrs))
-                for j in range(i + 1, len(nbrs))
-                if nbrs[j] not in adj[nbrs[i]]
-            )
+    if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
+    names = sorted(adj)
+    index = {n: i for i, n in enumerate(names)}
+    bits = [sum(1 << index[m] for m in adj[n]) for n in names]
+    card = [cards[n] for n in names]
 
-    current = {n: cost(n) for n in adj if n not in targets}
-    heap = [(c, n) for n, c in current.items()]
+    def members(b: int) -> list[int]:
+        out = []
+        while b:
+            low = b & -b
+            out.append(low.bit_length() - 1)
+            b ^= low
+        return out
+
+    def cost(i: int) -> int:
+        b = bits[i]
+        if heuristic == "min_neighbors":
+            return b.bit_count()
+        if heuristic == "min_weight":
+            out = card[i]
+            for j in members(b):
+                out *= card[j]
+            return out
+        missing = -b.bit_count()
+        rest = b
+        while rest:
+            low = rest & -rest
+            missing += (b & ~bits[low.bit_length() - 1]).bit_count()
+            rest ^= low
+        return missing // 2
+
+    current: dict[int, int] = {i: cost(i) for i, n in enumerate(names) if n not in targets}
+    heap = [(c, i) for i, c in current.items()]
     heapq.heapify(heap)
     order: list[str] = []
     width = 0
@@ -100,32 +120,22 @@ def _greedy_order(adj: dict[str, set[str]], cards: Mapping[str, int],
         if current.get(best) != c:
             continue
         del current[best]
-        order.append(best)
-        nbrs = _eliminate_node(adj, best)
-        width = max(width, len(nbrs))
-        touched = set(nbrs)
-        if heuristic == "min_fill":
-            for m in nbrs:
-                touched |= adj[m]
-        for m in touched:
+        order.append(names[best])
+        b = bits[best]
+        bits[best] = 0
+        width = max(width, b.bit_count())
+        touched = b
+        for j in members(b):
+            bits[j] = (bits[j] | b) & ~(1 << j) & ~(1 << best)
+            if heuristic == "min_fill":
+                touched |= bits[j]
+        for m in members(touched):
             if m in current:
                 c = cost(m)
                 if c != current[m]:
                     current[m] = c
                     heapq.heappush(heap, (c, m))
     return order, width
-
-
-def _eliminate_node(adj: dict[str, set[str]], node: str) -> set[str]:
-    """Remove ``node`` from the graph, joining its neighbours pairwise;
-    returns the neighbours it had."""
-    nbrs = adj.pop(node)
-    for m in nbrs:
-        links = adj[m]
-        links.discard(node)
-        links.update(nbrs)
-        links.discard(m)
-    return nbrs
 
 
 def choose_ordering(model: Model, heuristic: str = "min_fill",
@@ -136,9 +146,15 @@ def choose_ordering(model: Model, heuristic: str = "min_fill",
     Query and evidence variables are excluded from the ordering (queries
     stay, evidence is removed by factor reduction before elimination).
     """
+    return _graph_ordering(model, interaction_graph(model), heuristic, query, evidence)
+
+
+def _graph_ordering(model: Model, graph: UndirectedGraph, heuristic: str,
+                    query: Iterable[str] = (),
+                    evidence: Iterable[str] = ()) -> EliminationOrdering:
+    """:func:`choose_ordering` on the model's interaction graph, given."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"heuristic must be one of {HEURISTICS}")
-    graph = interaction_graph(model)
     evidence = set(evidence)
     adj = {
         n: {m for m in graph.neighbors(n) if m not in evidence}
@@ -395,15 +411,25 @@ class _MessageGraph:
         """The base of ``node`` times every message into it except the one
         from ``target``, summed down to what the edge to ``target`` keeps;
         with no target, the whole product (the node's belief). The table
-        is returned unnormalized."""
-        out = self.base[node]
+        is returned unnormalized.
+
+        The first product goes into a fresh array of the base's shape (an
+        array even when the scope is empty) and every later message is
+        multiplied into it in place, so no base table or message is
+        written, and each entry's products run in neighbour order.
+        """
+        out = base = self.base[node]
         for nb in self.neighbors[node]:
             if nb != target:
                 order, shape = self.into[(nb, node)]
                 message = messages[(nb, node)]
                 if order is not None:
                     message = message.transpose(order)
-                out = out * message.reshape(shape)
+                message = message.reshape(shape)
+                if out is base:
+                    out = np.multiply(base, message, out=np.empty(base.shape))
+                else:
+                    np.multiply(out, message, out=out)
         # C order fixes the summation order of the reductions that follow
         out = np.ascontiguousarray(out)
         axes = self.summed[(node, target)] if target is not None else ()
@@ -716,8 +742,8 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     would later shrink it.
     """
     graph = interaction_graph(model)
-    ordering = choose_ordering(model, heuristic).order
-    # choose_ordering excludes nothing here, so this is a full permutation
+    ordering = _graph_ordering(model, graph, heuristic).order
+    # nothing is excluded here, so this is a full permutation
     chordal, elim_cliques = triangulate(graph, ordering)
     cliques = max_cliques(chordal, elim_cliques)
     if not cliques:

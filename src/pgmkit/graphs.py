@@ -322,14 +322,24 @@ def triangulate(
 def max_cliques(
     chordal: UndirectedGraph, elim_cliques: Sequence[frozenset[str]]
 ) -> list[frozenset[str]]:
-    """Maximal cliques of a chordal graph, from its elimination cliques."""
+    """Maximal cliques of a chordal graph, from its elimination cliques.
+
+    Candidates are taken largest first, and one is kept unless a kept
+    clique strictly contains it. Such a clique holds every variable of the
+    candidate, so only the kept cliques holding one of its variables are
+    compared.
+    """
     for c in elim_cliques:
         if not chordal.is_clique(sorted(c)):
             raise ValueError(f"elimination set {sorted(c)} is not a clique")
     out: list[frozenset[str]] = []
+    holding: dict[str, list[frozenset[str]]] = {}
     for c in sorted(set(elim_cliques), key=lambda s: (-len(s), tuple(sorted(s)))):
-        if not any(c < kept for kept in out):
+        pool = holding.get(next(iter(c)), ()) if c else out
+        if not any(c < kept for kept in pool):
             out.append(c)
+            for v in c:
+                holding.setdefault(v, []).append(c)
     out.sort(key=lambda s: tuple(sorted(s)))
     return out
 

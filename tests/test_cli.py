@@ -413,6 +413,24 @@ class TestMap:
         text = lp_path.read_text()
         assert "Maximize" in text and "Subject To" in text and "Binary" in text
 
+    def test_lp_export_is_not_written_when_the_engine_refuses(self, voting_path, tmp_path,
+                                                              capsys):
+        lp_path = tmp_path / "map.lp"
+        code, out = run(["map", "--model", voting_path, "--engine", "dualdecomp",
+                         "--max-iters", "0", "--export-lp", str(lp_path)])
+        assert code == 2
+        assert "max_iters must be at least 1" in capsys.readouterr().err
+        assert not lp_path.exists()
+        assert "lp_written=" not in out
+
+    def test_lp_export_line_comes_first(self, voting_path, tmp_path):
+        lp_path = tmp_path / "map.lp"
+        code, out = run(["map", "--model", voting_path, "--engine", "dualdecomp",
+                         "--export-lp", str(lp_path)])
+        assert code == 0 and lp_path.exists()
+        lines = out.splitlines()
+        assert lines[lines.index(f"lp_written={lp_path}") + 1].startswith("agreement=")
+
     def test_lp_export_of_a_model_with_no_variables_exits_2(self, tmp_path, capsys):
         from pgmkit.models import MarkovRandomField
 

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 
 import numpy as np
@@ -540,6 +541,62 @@ class TestJunctionTree:
                 jt_marginal(jt, name, evidence)
         assert sizes and max(sizes) == cap
 
+    def test_calibration_writes_into_no_base_table_or_message(self, monkeypatch):
+        gen = np.random.default_rng(1)
+        names = [f"W{k:02d}" for k in range(40)]
+        dag = DirectedGraph(names, [(p, names[k]) for k in range(1, 40)
+                                    for p in gen.choice(names[:k], size=min(k, 3), replace=False)])
+        wide = random_cpds([Variable(n, ("s0", "s1", "s2")) for n in names], dag, gen)
+        send = exact._MessageGraph.send
+        for model, evidence in [(student_network(), {"GRADE": "g2"}),
+                                (wide, {"W07": "s0", "W23": "s1", "W36": "s2"})]:
+            graph, _ = exact._clique_graph(build_junction_tree(model), evidence)
+            bases = {node: table.copy() for node, table in graph.base.items()}
+            first_seen = {}
+
+            def checked_send(self, messages, node, target=None):
+                for edge, message in messages.items():
+                    kept = first_seen.setdefault(edge, message.copy())
+                    assert message.tobytes() == kept.tobytes(), edge
+                return send(self, messages, node, target)
+
+            with monkeypatch.context() as m:
+                m.setattr(exact._MessageGraph, "send", checked_send)
+                cal = exact._calibrate(graph)
+            assert len(first_seen) > len(graph.nodes)
+            for node, table in graph.base.items():
+                assert table.tobytes() == bases[node].tobytes(), node
+            for edge, kept in first_seen.items():
+                assert cal.messages[edge].table.tobytes() == kept.tobytes(), edge
+
+    def test_clique_with_an_empty_reduced_scope_calibrates(self):
+        # the clique {a, b} joins the other two and has no variable left
+        # under the evidence, so its tables are 0-d
+        a, b, c, d = (Variable(n, ("0", "1")) for n in "abcd")
+        mrf = MarkovRandomField([a, b, c, d], [Factor([a, b], [[1.0, 2.0], [3.0, 4.0]]),
+                                               Factor([b, c], [[5.0, 1.0], [2.0, 7.0]]),
+                                               Factor([b, d], [[1.0, 3.0], [2.0, 2.0]])])
+        evidence = {"a": "1", "b": "0"}
+        jt = build_junction_tree(mrf)
+        hub = jt.cliques.index(frozenset("ab"))
+        assert len(jt.neighbors(hub)) == 2
+        calibrated = jt_calibrate(build_junction_tree(mrf), evidence)
+        assert calibrated.beliefs[hub].table.shape == ()
+        for name in "cd":
+            want = enumerate_inference(mrf, [name], evidence).table
+            np.testing.assert_allclose(jt_query(calibrated, name).table, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jt_marginal(jt, name, evidence).table, want,
+                                       rtol=0, atol=1e-12)
+        assert calibrated.log_partition == pytest.approx(math.log(3.0 * 6.0 * 4.0))
+
+    def test_build_makes_the_interaction_graph_once(self, monkeypatch):
+        graphs = []
+        make = exact.interaction_graph
+        monkeypatch.setattr(exact, "interaction_graph", lambda model: graphs.append(model)
+                            or make(model))
+        jt = build_junction_tree(student_network())
+        assert graphs == [jt.model]
+
     def test_dot_export(self, rng):
         jt = build_junction_tree(student_network())
         dot = jt.to_dot()
@@ -677,6 +734,57 @@ def reference_greedy_order(adj, cards, targets, heuristic):
     return order, width
 
 
+def set_based_greedy_order(adj, cards, targets, heuristic):
+    """The lazy-heap greedy elimination on adjacency sets, as it stood
+    before the bitset version."""
+    adj = {n: set(nbrs) for n, nbrs in adj.items()}
+
+    def cost(n):
+        nbrs = adj[n]
+        if heuristic == "min_neighbors":
+            return len(nbrs)
+        if heuristic == "min_weight":
+            out = cards[n]
+            for m in nbrs:
+                out *= cards[m]
+            return out
+        nbrs = list(nbrs)
+        return sum(
+            1
+            for i in range(len(nbrs))
+            for j in range(i + 1, len(nbrs))
+            if nbrs[j] not in adj[nbrs[i]]
+        )
+
+    current = {n: cost(n) for n in adj if n not in targets}
+    heap = [(c, n) for n, c in current.items()]
+    heapq.heapify(heap)
+    order, width = [], 0
+    while heap:
+        c, best = heapq.heappop(heap)
+        if current.get(best) != c:
+            continue
+        del current[best]
+        order.append(best)
+        nbrs = adj.pop(best)
+        for m in nbrs:
+            adj[m].discard(best)
+            adj[m].update(nbrs)
+            adj[m].discard(m)
+        width = max(width, len(nbrs))
+        touched = set(nbrs)
+        if heuristic == "min_fill":
+            for m in nbrs:
+                touched |= adj[m]
+        for m in touched:
+            if m in current:
+                c = cost(m)
+                if c != current[m]:
+                    current[m] = c
+                    heapq.heappush(heap, (c, m))
+    return order, width
+
+
 def reference_tree_edges(cliques):
     """Kruskal on the complete clique graph, zero-weight pairs included."""
     labels = [f"c{i}" for i in range(len(cliques))]
@@ -741,6 +849,24 @@ class TestFastPathsMatchReferences:
             for heuristic in ("min_neighbors", "min_weight", "min_fill"):
                 got = _greedy_order(adj, cards, targets, heuristic)
                 assert got == reference_greedy_order(adj, cards, targets, heuristic)
+
+    def test_greedy_order_matches_the_set_based_version(self, rng):
+        sizes = [1, 2, 63, 64, 65, 150, *(int(k) for k in rng.integers(1, 151, size=94))]
+        for n in sizes:
+            names = [f"n{k}" for k in rng.permutation(n)]
+            adj = {a: set() for a in names}
+            linked = names[: int(rng.integers(0, n + 1))]   # the rest stay isolated
+            p = float(rng.uniform(0.0, min(1.0, 6.0 / max(len(linked), 1))))
+            for i in range(len(linked)):
+                for j in range(i + 1, len(linked)):
+                    if rng.random() < p:
+                        adj[linked[i]].add(linked[j])
+                        adj[linked[j]].add(linked[i])
+            cards = {a: int(rng.integers(1, 4)) for a in names}
+            targets = {a for a in names if rng.random() < 0.1}
+            for heuristic in ("min_neighbors", "min_weight", "min_fill"):
+                got = _greedy_order(adj, cards, targets, heuristic)
+                assert got == set_based_greedy_order(adj, cards, targets, heuristic), (n, heuristic)
 
     def test_orderings_and_clique_trees_match_references(self, rng):
         disconnected = 0

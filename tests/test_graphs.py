@@ -182,6 +182,16 @@ def brute_max_cliques(g):
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
+def scan_max_cliques(elim_cliques):
+    """Keep each elimination clique, largest first, that no kept clique
+    strictly contains, comparing it with every kept clique."""
+    out = []
+    for c in sorted(set(elim_cliques), key=lambda s: (-len(s), tuple(sorted(s)))):
+        if not any(c < kept for kept in out):
+            out.append(c)
+    return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
 class TestMaxCliques:
     def test_textbook_graph(self):
         g = UndirectedGraph(
@@ -222,13 +232,16 @@ class TestMaxCliques:
     def test_matches_networkx_on_random_chordal(self):
         nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(5)
-        for _ in range(30):
-            g = random_undirected(rng, int(rng.integers(1, 16)), p=float(rng.uniform(0.1, 0.5)))
+        for _ in range(60):
+            n = int(rng.integers(1, 61))
+            g = random_undirected(rng, n, p=float(rng.uniform(0.0, min(0.5, 4.0 / n))))
             order = [g.nodes[k] for k in rng.permutation(len(g.nodes))]
             chordal, elim = triangulate(g, order)
             graph = nx.Graph(list(chordal.edges))
             graph.add_nodes_from(chordal.nodes)
-            assert set(max_cliques(chordal, elim)) == set(nx.chordal_graph_cliques(graph))
+            got = max_cliques(chordal, elim)
+            assert set(got) == set(nx.chordal_graph_cliques(graph))
+            assert got == scan_max_cliques(elim)
 
 
 class TestDSeparation:
