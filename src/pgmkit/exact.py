@@ -345,11 +345,11 @@ class MessageStore:
     """Directed messages keyed by (source, target) node labels.
 
     Factor nodes are labelled ``("f", index)`` and variable nodes
-    ``("v", name)``. Exactly two messages traverse every factor-graph edge
-    after a full run.
+    ``("v", name)``. Exactly two messages, each a normalized array over its
+    edge's variable, traverse every factor-graph edge after a full run.
     """
 
-    messages: dict[tuple, Factor] = field(default_factory=dict)
+    messages: dict[tuple, np.ndarray] = field(default_factory=dict)
     sends: int = 0
 
 
@@ -374,9 +374,9 @@ class _Calibration:
 
 
 class _MessageGraph:
-    """Nodes holding base tables, joined by edges that each keep some of
-    the sender's variables; the one send step of tree BP and the junction
-    tree.
+    """Nodes, in ``scope`` order, each with a base table unless it would be
+    all ones, joined by edges that each keep some of the sender's
+    variables; the one send step of tree BP and the junction tree.
 
     A message is a plain array over its edge's kept variables, in the
     sender's order. Every edge's broadcast plan is worked out once, here:
@@ -386,13 +386,13 @@ class _MessageGraph:
     every variable an incoming edge keeps).
     """
 
-    def __init__(self, nodes: Sequence, neighbors: Mapping[object, Sequence],
-                 base: Mapping[object, Factor],
+    def __init__(self, neighbors: Mapping[object, Sequence],
+                 scope: Mapping[object, Sequence[Variable]], base: Mapping[object, np.ndarray],
                  keep: Mapping[tuple, Iterable[str]]):
-        self.nodes = list(nodes)
+        self.nodes = list(scope)
         self.neighbors = neighbors
-        self.scope = {node: f.scope for node, f in base.items()}
-        self.base = {node: f.table for node, f in base.items()}
+        self.scope = scope
+        self.base = base
         self.kept, self.summed, self.into = {}, {}, {}
         for edge, names in keep.items():
             names = set(names)
@@ -413,12 +413,12 @@ class _MessageGraph:
         with no target, the whole product (the node's belief). The table
         is returned unnormalized.
 
-        The first product goes into a fresh array of the base's shape (an
+        The first product goes into a fresh array of the node's shape (an
         array even when the scope is empty) and every later message is
         multiplied into it in place, so no base table or message is
         written, and each entry's products run in neighbour order.
         """
-        out = base = self.base[node]
+        out = base = self.base.get(node)
         for nb in self.neighbors[node]:
             if nb != target:
                 order, shape = self.into[(nb, node)]
@@ -426,10 +426,15 @@ class _MessageGraph:
                 if order is not None:
                     message = message.transpose(order)
                 message = message.reshape(shape)
-                if out is base:
-                    out = np.multiply(base, message, out=np.empty(base.shape))
-                else:
+                if out is not base:
                     np.multiply(out, message, out=out)
+                elif base is not None:
+                    out = np.multiply(base, message, out=np.empty(base.shape))
+                else:               # no base: a copy of the message, as 1 * x = x
+                    out = np.empty([v.cardinality for v in self.scope[node]])
+                    out[...] = message
+        if out is None:     # no base and no message in
+            out = np.ones([v.cardinality for v in self.scope[node]])
         # C order fixes the summation order of the reductions that follow
         out = np.ascontiguousarray(out)
         axes = self.summed[(node, target)] if target is not None else ()
@@ -502,7 +507,6 @@ def _calibrate(graph: _MessageGraph, root=None) -> _Calibration:
     for node in nodes if root is None else [root]:
         table, belief_scales[node] = combine(node)
         beliefs[node] = Factor(graph.scope[node], table, _trusted=True)
-    messages = {edge: Factor(graph.kept[edge], t, _trusted=True) for edge, t in messages.items()}
     return _Calibration(messages, scales, beliefs, belief_scales, roots)
 
 
@@ -510,9 +514,9 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
                   ) -> tuple[_MessageGraph, list[Variable], float]:
     """The factor graph of the model reduced to the (checked) evidence.
 
-    Variable nodes ``("v", name)`` come first, in name order, each with a
-    base of ones; factor nodes ``("f", i)`` follow, each with its reduced
-    factor, made linear by :func:`_exp_shifted`, as base. A factor's
+    Variable nodes ``("v", name)`` come first, in name order, with no
+    base; factor nodes ``("f", i)`` follow, each with its reduced factor,
+    made linear by :func:`_exp_shifted`, as base. A factor's
     neighbours are in its scope order, a variable's in factor order, and
     every edge keeps the variable. Returns the graph, the free variables
     and the log of the factors the evidence fixes completely plus the
@@ -523,17 +527,16 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
     refuse_zero_evidence(log_offset)
     reduced, scalar_log = _exp_shifted(mrf.factors, log_offset)
     variables = list(mrf.variables.values())
-    nodes = [("v", v.name) for v in variables] + [("f", i) for i in range(len(reduced))]
-    neighbors: dict[tuple, list[tuple]] = {node: [] for node in nodes}
-    base: dict[tuple, Factor] = {("v", v.name): fa.ones_like([v]) for v in variables}
+    scope = {("v", v.name): [v] for v in variables} | {("f", i): f.scope for i, f in enumerate(reduced)}
+    neighbors: dict[tuple, list[tuple]] = {node: [] for node in scope}
     keep: dict[tuple, tuple[str]] = {}
     for i, f in enumerate(reduced):
-        base[("f", i)] = f
         for name in f.names:
             neighbors[("f", i)].append(("v", name))
             neighbors[("v", name)].append(("f", i))
             keep[(("f", i), ("v", name))] = keep[(("v", name), ("f", i))] = (name,)
-    return _MessageGraph(nodes, neighbors, base, keep), variables, scalar_log
+    base = {("f", i): f.table for i, f in enumerate(reduced)}
+    return _MessageGraph(neighbors, scope, base, keep), variables, scalar_log
 
 
 def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpResult:
@@ -634,7 +637,7 @@ class JunctionTree:
     sepsets: dict[tuple[int, int], frozenset[str]]
     assignment_of_factor: list[int]
     evidence: dict[str, str] = field(default_factory=dict)
-    messages: dict[tuple[int, int], Factor] = field(default_factory=dict)
+    messages: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     message_log_scale: dict[tuple[int, int], float] = field(default_factory=dict)
     beliefs: list[Factor] | None = None
     belief_log_scale: list[float] | None = None
@@ -838,27 +841,22 @@ def _clique_graph(jt: JunctionTree, evidence: Mapping[str, str]
     first home factor; the others are multiplied in, in model order and in
     place. Every entry is then bit for bit that of the clique's potential
     (which starts from ones, and 1 * x = x) sliced at the evidence, and no
-    table spans an observed variable. A clique with no home factor holds
-    ones. Returns the graph and the log of the scale the shift took out.
+    table spans an observed variable. A clique with no home factor has no
+    table. Returns the graph and the log of the scale the shift took out.
     """
     reduced, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(jt.model))
-    base = {}
+    scope, base = {}, {}
     for i, (clique, homed) in enumerate(zip(jt.cliques, jt._homed(reduced))):
-        scope = [jt.model.variable(n) for n in sorted(clique.difference(evidence))]
+        scope[i] = [jt.model.variable(n) for n in sorted(clique.difference(evidence))]
         # every home factor's scope lies in the clique
-        out = np.empty(tuple(v.cardinality for v in scope))
-        out[...] = fa._broadcast_to_scope(homed[0], scope) if homed else 1.0
-        for f in homed[1:]:
-            np.multiply(out, fa._broadcast_to_scope(f, scope), out=out)
-        base[i] = Factor(scope, out, _trusted=True)
-    nodes = range(len(jt.cliques))
-    graph = _MessageGraph(
-        nodes,
-        {i: jt.neighbors(i) for i in nodes},
-        base,
-        {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()},
-    )
-    return graph, log_shift
+        if homed:
+            out = base[i] = np.empty(tuple(v.cardinality for v in scope[i]))
+            out[...] = fa._broadcast_to_scope(homed[0], scope[i])
+            for f in homed[1:]:
+                np.multiply(out, fa._broadcast_to_scope(f, scope[i]), out=out)
+    neighbors = {i: jt.neighbors(i) for i in scope}
+    keep = {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()}
+    return _MessageGraph(neighbors, scope, base, keep), log_shift
 
 
 def jt_query(jt: JunctionTree, variable: str) -> Factor:

@@ -51,6 +51,30 @@ def random_mrf(rng, n=5, max_states=3, n_factors=None, max_scope=3, positive=Tru
     return MarkovRandomField(variables, factors)
 
 
+def hmm_chain(rng, steps, hidden=3, emitted=4):
+    """An HMM-shaped Bayesian network with Dirichlet-random tables: hidden
+    states H000, H001, ... in a chain, each with one emitted child O000,
+    O001, ...; and one uniform draw of every emission, as evidence."""
+    hs = [Variable(f"H{t:03d}", tuple(f"s{k}" for k in range(hidden))) for t in range(steps)]
+    obs = [Variable(f"O{t:03d}", tuple(f"s{k}" for k in range(emitted))) for t in range(steps)]
+    edges = [(hs[t - 1].name, hs[t].name) for t in range(1, steps)]
+    edges += [(h.name, o.name) for h, o in zip(hs, obs)]
+    bn = random_cpds(hs + obs, DirectedGraph([v.name for v in hs + obs], edges), rng)
+    return bn, {o.name: o.states[int(rng.integers(emitted))] for o in obs}
+
+
+def wide_network():
+    """A random ternary network of 40 variables with up to 3 parents each,
+    and evidence under which two of its junction tree's cliques hold no
+    factor."""
+    gen = np.random.default_rng(1)
+    names = [f"W{k:02d}" for k in range(40)]
+    dag = DirectedGraph(names, [(p, names[k]) for k in range(1, 40)
+                                for p in gen.choice(names[:k], size=min(k, 3), replace=False)])
+    wide = random_cpds([Variable(n, ("s0", "s1", "s2")) for n in names], dag, gen)
+    return wide, {"W07": "s0", "W23": "s1", "W36": "s2"}
+
+
 def random_tree_mrf(rng, n=5, max_states=3):
     """Pairwise MRF whose skeleton is a uniformly drawn labelled tree."""
     variables = make_variables(n, max_states, rng)

@@ -25,7 +25,9 @@ with tempfile.TemporaryDirectory() as tmp:
     for argv in (["query", "--target", "LETTER", "--engine", "ve"],
                  ["query", "--target", "LETTER", "--engine", "bp"],
                  ["query", "--target", "LETTER", "--engine", "jtree"],
-                 ["map", "--engine", "maxprod"]):
+                 ["query", "--target", "LETTER", "--engine", "enum"],
+                 ["map", "--engine", "maxprod"],
+                 ["map", "--engine", "enum"]):
         assert cli.main([*argv, "--model", path], out=io.StringIO()) == 0, argv
 print("loaded", *sorted(m for m in ("scipy", "numpy.testing") if m in sys.modules))
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bn, random_mrf, random_tree_mrf
+from conftest import hmm_chain, random_bn, random_mrf, random_tree_mrf
 from pgmkit import exact, factors as fa
 from pgmkit.errors import NotATreeError, OrderingError, TooLargeError, ZeroEvidenceError
 from pgmkit.exact import (
@@ -567,7 +567,7 @@ class TestJunctionTree:
             for node, table in graph.base.items():
                 assert table.tobytes() == bases[node].tobytes(), node
             for edge, kept in first_seen.items():
-                assert cal.messages[edge].table.tobytes() == kept.tobytes(), edge
+                assert cal.messages[edge].tobytes() == kept.tobytes(), edge
 
     def test_clique_with_an_empty_reduced_scope_calibrates(self):
         # the clique {a, b} joins the other two and has no variable left
@@ -911,3 +911,32 @@ class TestFastPathsMatchReferences:
         assert result.messages.sends == 2 * edges == 2 * 1199
         want = variable_elimination(bn, ["x599"]).normalized()
         assert np.allclose(result.marginal("x599").values, want.values, atol=1e-12)
+
+
+def test_message_passing_builds_no_factor_per_message(monkeypatch):
+    # a count, the same on any machine: tree BP builds a Factor per reduced
+    # factor and per returned belief, the junction tree's single marginal
+    # the reduced factors and a constant, and neither one per message
+    counts = [0]
+    init = Factor.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts[-1] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Factor, "__init__", counted_init)
+    built = {}
+    for steps in (150, 600):
+        bn, evidence = hmm_chain(np.random.default_rng(3), steps)
+        jt = build_junction_tree(bn)
+        # every emission table is reduced to a new Factor; nothing else is
+        reduced = steps
+        counts.append(0)
+        result = tree_bp(bn, evidence)
+        assert counts[-1] == reduced + len(result.marginals) + len(result.factor_beliefs)
+        counts.append(0)
+        jt_marginal(jt, f"H{steps // 2:03d}", evidence)
+        assert counts[-1] - reduced <= 3
+        built[steps] = counts[-2:]
+    for small, large in zip(built[150], built[600]):
+        assert large <= 4.1 * small

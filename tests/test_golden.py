@@ -1,8 +1,10 @@
-"""Seeded outputs of the approximate engines, pinned bit for bit.
+"""Seeded outputs of the approximate engines, and of the exact engines'
+message passing, pinned bit for bit.
 
-The values were recorded from the engines before they moved onto the
-compiled blanket tables; any change to a draw order, a summation order or
-a log convention shows up here.
+The approximate engines' values were recorded before they moved onto the
+compiled blanket tables, the exact engines' (as ``float.hex``) before
+their messages became plain arrays; any change to a draw order, a
+summation order or a log convention shows up here.
 """
 
 import math
@@ -10,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from pgmkit.exact import build_junction_tree, jt_calibrate
+from conftest import hmm_chain, wide_network
+from pgmkit.exact import build_junction_tree, jt_calibrate, jt_marginal, tree_bp
 from pgmkit.factors import LOG, Factor, Variable
 from pgmkit.mapinf import dual_decomposition, local_search_map, simulated_annealing_map
 from pgmkit.models import MarkovRandomField, reduce_to_evidence
@@ -288,3 +291,39 @@ def test_chain_analysis_reducible_chain():
     ]
     assert (d.converged, d.iterations, d.irreducible, d.aperiodic) == (True, 117, False, True)
     assert d.detailed_balance_residual == 6.449840661559847e-13
+
+
+# tree_bp on a 6-step ternary HMM under its emissions, and the junction
+# tree of wide_network() under its evidence, where cliques 9 and 10 hold
+# no factor
+TREE_BP_MARGINALS = {
+    "H000": ["0x1.ec9a486b73a7fp-5", "0x1.74b9d3f0b2e28p-1", "0x1.b1f21e22578bfp-3"],
+    "H001": ["0x1.4a7f5474d6128p-5", "0x1.39717661e052dp-1", "0x1.63cd28ada497fp-2"],
+    "H002": ["0x1.5c173b5c474fcp-2", "0x1.48756068055ecp-1", "0x1.2fe03d3adf2cap-6"],
+    "H003": ["0x1.9c24fc738b9ccp-2", "0x1.fed33dd84e194p-3", "0x1.647164a04d56cp-2"],
+    "H004": ["0x1.56013a048ac04p-5", "0x1.6f4796cfab1b3p-3", "0x1.8ece06abcc8d2p-1"],
+    "H005": ["0x1.917d203a40ffcp-3", "0x1.1f724513dd2c0p-1", "0x1.f0b9cb764a503p-3"],
+}
+JT_MARGINALS = {
+    "W20": ["0x1.686015f8ecf80p-2", "0x1.2b46150eeedbap-2", "0x1.6c59d4f8242c7p-2"],
+    "W33": ["0x1.1df495bc2bcacp-2", "0x1.11b32ec1a1678p-2", "0x1.d0583b8232cdep-2"],
+}
+
+
+def hexes(factor):
+    return [x.hex() for x in factor.table.tolist()]
+
+
+def test_tree_bp_marginals_and_log_partition():
+    bn, evidence = hmm_chain(np.random.default_rng(7), 6)
+    result = tree_bp(bn, evidence)
+    assert {n: hexes(f) for n, f in result.marginals.items()} == TREE_BP_MARGINALS
+    assert result.log_partition.hex() == "-0x1.38ce3ca3fc548p+3"
+
+
+def test_junction_tree_log_partition_and_marginals():
+    wide, evidence = wide_network()
+    jt = build_junction_tree(wide)
+    assert jt_calibrate(build_junction_tree(wide), evidence).log_partition.hex() == \
+        "-0x1.e7969723fdd30p+1"
+    assert {n: hexes(jt_marginal(jt, n, evidence)) for n in JT_MARGINALS} == JT_MARGINALS

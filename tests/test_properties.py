@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import wide_network
 from pgmkit import exact, sampling
 from pgmkit.errors import NotATreeError, ZeroEvidenceError
 from pgmkit.exact import (
@@ -222,13 +223,17 @@ def with_float_tables(model, seed):
 
 def check_clique_tables(model, evidence):
     """Every clique's evidence-first table is, bit for bit, its full
-    potential sliced at the evidence."""
+    potential sliced at the evidence; a clique with no table has an
+    all-ones potential."""
     jt = build_junction_tree(model)
     graph, _ = exact._clique_graph(jt, evidence)
     for i, potential in enumerate(jt.potentials):
         want = reduce_factor(potential, evidence)
         assert tuple(v.name for v in graph.scope[i]) == want.names
-        assert np.array_equal(graph.base[i], want.table)
+        if i in graph.base:
+            assert np.array_equal(graph.base[i], want.table)
+        else:
+            assert np.all(want.table == 1.0)
 
 
 @SETTINGS
@@ -238,6 +243,12 @@ def test_clique_tables_are_sliced_potentials(data):
     model = with_float_tables(model, data.draw(st.integers(0, 2**32 - 1)))
     for evidence in ({}, data.draw(evidence_for(model))):
         check_clique_tables(model, evidence)
+
+
+def test_clique_tables_of_the_wide_network():
+    # under this evidence two cliques hold no factor, and so no table
+    wide, evidence = wide_network()
+    check_clique_tables(wide, evidence)
 
 
 def oracle_conditional(model, name, given):
