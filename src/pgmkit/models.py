@@ -17,6 +17,10 @@ from .factors import Factor, Variable
 from .graphs import DirectedGraph, UndirectedGraph, is_dag, moralize
 
 ENUMERATION_CAP = 2**22  # joint-table entries
+# Log scores this close to the oracle's largest (relative to 1 + its size)
+# tie: states whose factor products tie exactly can differ in the last bits
+# of their summed logs.
+MAP_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -446,14 +450,18 @@ class CompiledModel:
 
 
 def _joint_factor(model: Model, cap: int = ENUMERATION_CAP) -> Factor:
+    """The log joint over every variable in name order: each factor's log
+    table added into zeros, in model order and in place. That is the order
+    in which ``log_joint`` adds its terms, so every entry is ``log_joint``
+    at its state, bit for bit, and no score leaves float range."""
     size = model.joint_size()
     if size > cap:
         raise TooLargeError(f"joint table of {size} entries exceeds the cap of {cap}")
     ordered = [model.variables[n] for n in sorted(model.variables)]
-    joint = fa.ones_like(ordered)
+    joint = np.zeros([v.cardinality for v in ordered])
     for f in model_factors(model):
-        joint = fa.product(joint, f.to_linear())
-    return fa.align_to(joint, sorted(model.variables))
+        joint += fa._broadcast_to_scope(f.to_log(), ordered)
+    return Factor(ordered, joint, domain=fa.LOG, _trusted=True)
 
 
 def random_cpds(variables: Sequence[Variable], dag: DirectedGraph,
@@ -474,14 +482,18 @@ def random_cpds(variables: Sequence[Variable], dag: DirectedGraph,
 def enumerate_inference(model: Model, query: Iterable[str] = (),
                         evidence: Mapping[str, str] | None = None,
                         mode: str = "marginal", cap: int = ENUMERATION_CAP):
-    """Ground-truth answers by summing the full joint table.
+    """Ground-truth answers from the full joint table, held as logs.
 
-    mode="marginal" returns the normalized factor p(query | evidence);
-    mode="partition" returns the scalar sum over the evidence-reduced
-    joint (Z for MRFs, p(evidence) for Bayesian networks); mode="map"
-    returns (assignment, log value) maximizing the evidence-reduced joint,
-    taking the lexicographically-first argmax (variables in name order) on
-    ties.
+    mode="marginal" returns the normalized factor p(query | evidence),
+    summed from the evidence-reduced joint shifted by its largest entry
+    and exponentiated; evidence is refused only when every reduced entry
+    is -inf. mode="log_partition" returns the log of the sum over the
+    evidence-reduced joint (Z for MRFs, p(evidence) for Bayesian
+    networks), -inf under zero-probability evidence, and
+    mode="partition" its exp. mode="map" returns (assignment, log value)
+    maximizing the evidence-reduced joint, taking the
+    lexicographically-first argmax (variables in name order) on ties,
+    scores within ``MAP_TIE_RTOL`` of the largest counting as tied.
     """
     evidence = check_evidence(model, evidence or {})
     query = list(query)
@@ -489,23 +501,29 @@ def enumerate_inference(model: Model, query: Iterable[str] = (),
         model.variable(q)
         if q in evidence:
             raise EvidenceError(f"query variable {q!r} is also evidence")
-    joint = _joint_factor(model, cap)
-    reduced = fa.reduce_factor(joint, evidence)
-    if mode == "partition":
-        return float(np.sum(reduced.table))
-    if mode == "marginal":
-        keep = set(query)
-        marg = fa.eliminate(reduced, [n for n in reduced.names if n not in keep])
-        if float(np.sum(marg.table)) <= 0.0:
-            raise ZeroEvidenceError("the evidence has probability zero")
-        marg, _ = fa.normalize(marg)
-        return fa.align_to(marg, sorted(query)) if query else marg
+    if mode not in ("marginal", "partition", "log_partition", "map"):
+        raise ValueError(f"unknown mode {mode!r}")
+    reduced = fa.reduce_factor(_joint_factor(model, cap), evidence)
+    top = float(np.max(reduced.table))
     if mode == "map":
-        flat = np.argmax(reduced.table)  # first maximum = lexicographic-first
+        # the first state in C order (the lexicographic-first) that ties
+        flat = np.argmax(reduced.table >= top - MAP_TIE_RTOL * (1.0 + abs(top)))
         idx = np.unravel_index(flat, reduced.table.shape)
         assignment = dict(evidence)
         assignment.update(
             {v.name: v.states[i] for v, i in zip(reduced.scope, idx)}
         )
-        return assignment, log_joint(model, assignment)
-    raise ValueError(f"unknown mode {mode!r}")
+        return assignment, float(reduced.table[idx])
+    if top == -math.inf:
+        if mode == "marginal":
+            raise ZeroEvidenceError("the evidence has probability zero")
+        return -math.inf if mode == "log_partition" else 0.0
+    shifted = reduced.table - top
+    np.exp(shifted, out=shifted)
+    if mode == "marginal":
+        keep = set(query)
+        marg = fa.eliminate(Factor(reduced.scope, shifted, _trusted=True),
+                            [n for n in reduced.names if n not in keep])
+        return fa.normalize(marg)[0]
+    log_z = top + math.log(float(np.sum(shifted)))
+    return log_z if mode == "log_partition" else math.exp(log_z)

@@ -241,9 +241,7 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
             trace.converged = True
             break
     if _enumerable(model):
-        log_z = math.log(
-            enumerate_inference(model, mode="partition", evidence=evidence)
-        )
+        log_z = enumerate_inference(model, mode="log_partition", evidence=evidence)
         trace.final_gap = log_z - current
     return q, trace
 

@@ -9,6 +9,7 @@ from pgmkit.errors import EvidenceError, TooLargeError
 from pgmkit.exact import (
     build_junction_tree,
     jt_calibrate,
+    jt_marginal,
     jt_query,
     max_product_decode,
     tree_bp,
@@ -392,3 +393,75 @@ class TestLogDomainTwins:
         assert got.objective == pytest.approx(expected.objective, abs=1e-12)
         assert np.allclose(got.bounds, expected.bounds, rtol=0, atol=1e-12)
         assert got.best_bound >= got.objective - 1e-12
+
+
+class TestLogSpaceOracle:
+    """The oracle holds its joint as logs, so it answers models whose
+    scores lie far outside exp's range as the engines that shift log
+    tables do."""
+
+    @staticmethod
+    def exact_answers(model, ev):
+        """Each exact engine's marginal of every free variable, log
+        partition and MAP assignment with its log score."""
+        free = [n for n in sorted(model.variables) if n not in ev]
+        jt = build_junction_tree(model)
+        calibrated = jt_calibrate(build_junction_tree(model), ev)
+        bp = tree_bp(model, ev)
+        answers = {
+            "enum": ([enumerate_inference(model, [n], ev) for n in free],
+                     enumerate_inference(model, mode="log_partition", evidence=ev)),
+            "ve": ([variable_elimination(model, [n], ev).normalized() for n in free],
+                   variable_elimination(model, [], ev).log_normalizer),
+            "bp": ([bp.marginal(n) for n in free], bp.log_partition),
+            "jtree": ([jt_query(calibrated, n) for n in free], calibrated.log_partition),
+            "jt_marginal": ([jt_marginal(jt, n, ev) for n in free], calibrated.log_partition),
+        }
+        maps = {"enum": enumerate_inference(model, mode="map", evidence=ev),
+                "maxprod": max_product_decode(model, ev)}
+        return answers, maps
+
+    def test_a_score_of_minus_800_under_evidence(self):
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        mrf = MarkovRandomField([a, b], [Factor([a], [0.0, -800.0], domain="log"),
+                                         Factor([a, b], [[0.0, 0.0], [0.0, 1.0]], domain="log")])
+        ev = {"a": "1"}
+        want = np.array([1.0, math.e]) / (1.0 + math.e)
+        answers, maps = self.exact_answers(mrf, ev)
+        for engine, (marginals, log_z) in answers.items():
+            assert np.allclose(marginals[0].values, want, rtol=0, atol=1e-15), engine
+            assert log_z == pytest.approx(-800.0 + math.log1p(math.e), rel=1e-15), engine
+        for engine, (assignment, logp) in maps.items():
+            assert (assignment, logp) == ({"a": "1", "b": "1"}, -799.0), engine
+        # the linear partition is below float range; its log is not
+        assert enumerate_inference(mrf, mode="partition", evidence=ev) == 0.0
+        _, trace = mean_field(mrf, ev)
+        assert abs(trace.final_gap) < 1e-9
+
+    @pytest.mark.parametrize("lift", [-2000.0, -800.0, 800.0, 2000.0])
+    def test_lifted_twins_of_integer_log_tables(self, rng, lift):
+        # every score is an integer, so the lift moves each by exactly
+        # `lift` and keeps every tie of the MAP
+        tree = random_tree_mrf(rng, n=6, max_states=3)
+        base = MarkovRandomField(list(tree.variables.values()), [
+            Factor(f.scope, rng.integers(-3, 4, size=f.table.shape).astype(float), domain="log")
+            for f in tree.factors
+        ])
+        first, *rest = base.factors
+        lifted = MarkovRandomField(list(base.variables.values()),
+                                   [Factor(first.scope, first.table + lift, domain="log"), *rest])
+        for ev in ({}, {"v0": "s1"}):
+            want = enumerate_inference(base, mode="log_partition", evidence=ev)
+            want_map, want_logp = enumerate_inference(base, mode="map", evidence=ev)
+            answers, maps = self.exact_answers(lifted, ev)
+            marginals, _ = self.exact_answers(base, ev)[0]["enum"]
+            for engine, (got, log_z) in answers.items():
+                for g, w in zip(got, marginals):
+                    assert g.names == w.names
+                    assert np.allclose(g.values, w.values, rtol=0, atol=1e-12), engine
+                assert log_z == pytest.approx(want + lift, rel=1e-15, abs=1e-12), engine
+            assert maps["enum"] == (want_map, want_logp + lift)
+            # max-product multiplies exponentiated tables, where a tie may
+            # round apart; its answer is an argmax all the same
+            assignment, logp = maps["maxprod"]
+            assert logp == log_joint(lifted, assignment) == want_logp + lift
