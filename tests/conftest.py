@@ -65,8 +65,8 @@ def hmm_chain(rng, steps, hidden=3, emitted=4):
 
 def wide_network():
     """A random ternary network of 40 variables with up to 3 parents each,
-    and evidence under which two of its junction tree's cliques hold no
-    factor."""
+    whose junction tree has two cliques that are home to no factor, and
+    three evidence variables that leave those cliques 3^11 entries each."""
     gen = np.random.default_rng(1)
     names = [f"W{k:02d}" for k in range(40)]
     dag = DirectedGraph(names, [(p, names[k]) for k in range(1, 40)

@@ -917,26 +917,22 @@ def test_message_passing_builds_no_factor_per_message(monkeypatch):
     # a count, the same on any machine: tree BP builds a Factor per reduced
     # factor and per returned belief, the junction tree's single marginal
     # the reduced factors and a constant, and neither one per message
-    counts = [0]
+    built = []
     init = Factor.__init__
-
-    def counted_init(self, *args, **kwargs):
-        counts[-1] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Factor, "__init__", counted_init)
-    built = {}
+    monkeypatch.setattr(Factor, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    counts = {}
     for steps in (150, 600):
         bn, evidence = hmm_chain(np.random.default_rng(3), steps)
         jt = build_junction_tree(bn)
-        # every emission table is reduced to a new Factor; nothing else is
-        reduced = steps
-        counts.append(0)
+        reduced = steps  # every emission table is reduced to a new Factor; nothing else is
+        built.clear()
         result = tree_bp(bn, evidence)
-        assert counts[-1] == reduced + len(result.marginals) + len(result.factor_beliefs)
-        counts.append(0)
+        assert len(built) == reduced + len(result.marginals) + len(result.factor_beliefs)
+        bp = len(built)
+        built.clear()
         jt_marginal(jt, f"H{steps // 2:03d}", evidence)
-        assert counts[-1] - reduced <= 3
-        built[steps] = counts[-2:]
-    for small, large in zip(built[150], built[600]):
+        assert len(built) - reduced <= 3
+        counts[steps] = (bp, len(built))
+    for small, large in zip(counts[150], counts[600]):
         assert large <= 4.1 * small

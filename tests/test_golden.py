@@ -294,8 +294,8 @@ def test_chain_analysis_reducible_chain():
 
 
 # tree_bp on a 6-step ternary HMM under its emissions, and the junction
-# tree of wide_network() under its evidence, where cliques 9 and 10 hold
-# no factor
+# tree of wide_network() under its evidence, where cliques 9 and 10 are
+# home to no factor
 TREE_BP_MARGINALS = {
     "H000": ["0x1.ec9a486b73a7fp-5", "0x1.74b9d3f0b2e28p-1", "0x1.b1f21e22578bfp-3"],
     "H001": ["0x1.4a7f5474d6128p-5", "0x1.39717661e052dp-1", "0x1.63cd28ada497fp-2"],

@@ -246,7 +246,7 @@ def test_clique_tables_are_sliced_potentials(data):
 
 
 def test_clique_tables_of_the_wide_network():
-    # under this evidence two cliques hold no factor, and so no table
+    # two of its cliques are home to no factor, and so hold no table
     wide, evidence = wide_network()
     check_clique_tables(wide, evidence)
 
