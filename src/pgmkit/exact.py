@@ -19,6 +19,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import (
+    IncompatibleVariableError,
     NotATreeError,
     OrderingError,
     ScopeError,
@@ -191,7 +192,11 @@ def variable_elimination(model: Model, query: Iterable[str],
     evidence raises ZeroEvidenceError. With max_product the factor times
     exp(``log_normalizer``) is the max-marginal (the max value is
     log(table) + ``log_normalizer``, -inf under zero-probability evidence).
+    Other semirings raise ValueError: the elimination multiplies tables.
     """
+    if semiring.kind not in ("sum_product", "max_product"):
+        raise ValueError(f"variable elimination takes sum_product or max_product, "
+                         f"not {semiring.kind}")
     evidence = check_evidence(model, evidence or {})
     query = list(dict.fromkeys(query))
     for q in query:
@@ -209,43 +214,40 @@ def variable_elimination(model: Model, query: Iterable[str],
     mrf, log_offset = reduce_to_evidence(model, evidence)
     if semiring.kind == "sum_product":
         refuse_zero_evidence(log_offset)
-    factors, log_shift = _exp_shifted(mrf.factors, log_offset)
-    rest, log_norm, widest, _ = _bucket_eliminate(factors, ordering, semiring)
-    log_norm += log_shift
-    max_scope = max([widest, *(len(f.scope) for f in factors)])
-
-    ones = fa.ones_like([model.variable(q) for q in query])
-    result = fa.product_all(rest) if rest else ones
-    max_scope = max(max_scope, len(result.scope))
-    if query:
-        result = fa.align_to(fa.product(result, ones), sorted(query))
-    table, log_total = _rescaled(result.table, semiring)
-    return VeResult(Factor(result.scope, table, _trusted=True), log_norm + log_total, max_scope)
+    pairs, log_shift = _exp_shifted(mrf.factors, log_offset)
+    rest, log_norm, widest, _ = _bucket_eliminate(pairs, ordering, semiring)
+    scope = [model.variable(q) for q in sorted(query)]
+    table, log_total = _rescaled(fa._product_into(scope, rest), semiring)
+    max_scope = max([widest, len(scope), *(len(s) for s, _ in pairs)])
+    return VeResult(Factor(scope, table, _trusted=True), log_norm + log_shift + log_total, max_scope)
 
 
-def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
-                      semiring: Semiring):
+def _bucket_eliminate(pairs: Sequence[tuple[Sequence[Variable], np.ndarray]],
+                      ordering: Sequence[str], semiring: Semiring):
     """Eliminate the variables of ``ordering``, in that order, from the
-    product of ``factors`` under ``semiring``.
+    product of the (scope, table) ``pairs`` under sum- or max-product.
 
-    Every factor, given or produced, waits in the bucket of its first
-    variable in the ordering, behind those that joined before it. A step
-    multiplies its bucket, aggregates the variable out of the product's
-    table and rescales the result by :func:`_rescaled`. The steps are first
-    walked on scopes alone, so TooLargeError is raised before any table is
-    built when a product would hold more than ``TABLE_CAP`` entries.
+    Every table, given or produced, waits in the bucket of its first
+    variable in the ordering, behind those that joined before it. The
+    steps are first walked on scopes alone, recording each product's scope,
+    so TooLargeError is raised before any table is built when a product
+    would hold more than ``TABLE_CAP`` entries. A step then multiplies its
+    bucket into that scope (:func:`factors._product_into`), dropping each
+    table as it goes, aggregates the variable out of the product and
+    rescales the result by :func:`_rescaled`.
 
-    Returns the factors over no eliminated variable, the log of the scale
-    pulled out, the scope size of the largest product, and, under
-    max-product, each variable's back-pointers: None for an empty bucket,
-    else the product's other names and its argmax along the variable's
-    axis (the lowest state index on ties).
+    Returns the (scope, table) pairs over no eliminated variable, the log
+    of the scale pulled out, the scope size of the largest product, and,
+    under max-product, each variable's back-pointers (none for an empty
+    bucket): the product's other names and its argmax along the
+    variable's axis (the lowest state index on ties).
     """
     position = {var: i for i, var in enumerate(ordering)}
     last = len(ordering)
     buckets: list[list[int]] = [[] for _ in ordering]
     rest: list[int] = []
-    scopes = [f.scope for f in factors]
+    scopes = [scope for scope, _ in pairs]
+    products: dict[str, tuple[Variable, ...]] = {}
 
     def place(k: int) -> None:
         first = min([position.get(v.name, last) for v in scopes[k]], default=last)
@@ -253,7 +255,6 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
 
     for k in range(len(scopes)):
         place(k)
-    widest = 0
     for var, bucket in zip(ordering, buckets):
         if bucket:
             union = {v.name: v for k in bucket for v in scopes[k]}
@@ -263,65 +264,73 @@ def _bucket_eliminate(factors: Sequence[Factor], ordering: Sequence[str],
                     f"variable elimination needs a table of {entries} entries when it "
                     f"eliminates {var!r}, over the cap of {TABLE_CAP}"
                 )
-            widest = max(widest, len(union))
+            products[var] = tuple(union.values())
             del union[var]
             scopes.append(tuple(union.values()))
             place(len(scopes) - 1)
 
-    tables = dict(enumerate(factors))
-    key = len(factors)
+    tables = {k: table for k, (_, table) in enumerate(pairs)}
+    key = len(pairs)
     log_norm = 0.0
-    pointers: dict[str, tuple | None] = {}
+    pointers: dict[str, tuple] = {}
     for var, bucket in zip(ordering, buckets):
         if not bucket:
-            pointers[var] = None
             continue
-        combined = fa.product_all([tables.pop(k) for k in bucket])
-        axis = combined.axis(var)
+        combined = fa._product_into(products[var], [(scopes[k], tables.pop(k)) for k in bucket])
+        names = [v.name for v in products[var]]
+        axis = names.index(var)
         if semiring.kind == "max_product":
-            rest_names = combined.names[:axis] + combined.names[axis + 1:]
-            pointers[var] = (rest_names, np.argmax(combined.table, axis=axis))
-        table, log_total = _rescaled(semiring.aggregate(combined.table, axis=axis), semiring)
+            pointers[var] = (names[:axis] + names[axis + 1:], np.argmax(combined, axis=axis))
+        tables[key], log_total = _rescaled(semiring.aggregate(combined, axis=axis), semiring)
         log_norm += log_total
-        scope = combined.scope[:axis] + combined.scope[axis + 1:]
-        tables[key] = Factor(scope, table, _trusted=True)  # the key the walk above gave it
-        key += 1
-    return [tables[k] for k in rest], log_norm, widest, pointers
+        key += 1   # the key the walk above gave the result
+    widest = max(map(len, products.values()), default=0)
+    return [(scopes[k], tables[k]) for k in rest], log_norm, widest, pointers
 
 
 def _exp_shifted(factors: Iterable[Factor], log_shift: float = 0.0
-                 ) -> tuple[list[Factor], float]:
-    """The factors in the linear domain, for the engines that multiply
-    tables, and ``log_shift`` plus the log of the scale taken out of them.
+                 ) -> tuple[list[tuple[tuple[Variable, ...], np.ndarray]], float]:
+    """Each factor as a (scope, table) pair in the linear domain, for the
+    engines that multiply tables, and ``log_shift`` plus the log of the
+    scale taken out of them; no ``Factor`` is built.
 
     A log-domain table is exponentiated after subtracting its largest
     finite entry, so scores past exp's range stay finite, and that entry is
-    added to the log shift. Linear-domain factors pass through as they are.
+    added to the log shift. A linear-domain table passes through as it is.
+    Two factors that give one variable different states raise
+    IncompatibleVariableError, the refusal of every engine that multiplies
+    tables.
     """
-    out = []
+    seen: dict[str, Variable] = {}
+    pairs = []
     for f in factors:
+        for v in f.scope:
+            first = seen.setdefault(v.name, v)
+            if first is not v and first.states != v.states:
+                raise IncompatibleVariableError(
+                    f"variable {v.name!r} has states {list(first.states)} in one factor "
+                    f"and {list(v.states)} in another"
+                )
+        table = f.table
         if f.domain == fa.LOG:
-            finite = f.table[np.isfinite(f.table)]
+            finite = table[np.isfinite(table)]
             shift = float(finite.max()) if finite.size else 0.0
-            f = Factor(f.scope, np.exp(f.table - shift), _trusted=True)
+            table = np.exp(table - shift)
             log_shift += shift
-        out.append(f)
-    return out, log_shift
+        pairs.append((f.scope, table))
+    return pairs, log_shift
 
 
 def _rescaled(table: np.ndarray, semiring: Semiring = SUM_PRODUCT) -> tuple[np.ndarray, float]:
     """The table rescaled, and the log of the scale pulled out: under
-    sum-product to sum to 1, under max-product by 2**-e, e the exponent of
-    its largest finite entry (exact, so every comparison keeps its
-    outcome); other semirings leave it as it is."""
+    max-product by 2**-e, e the exponent of its largest finite entry
+    (exact, so every comparison keeps its outcome), else to sum to 1."""
     if semiring.kind == "max_product":
         top = table.max()
         if not top < math.inf:   # an entry overflowed: take the largest finite one
             top = table[np.isfinite(table)].max(initial=0.0)
         e = math.frexp(top)[1]
         return np.ldexp(table, -e), e * math.log(2.0)
-    if semiring.kind != "sum_product":
-        return table, 0.0
     total = float(np.sum(table))
     if total <= 0.0:
         raise ZeroEvidenceError("the evidence has probability zero")
@@ -525,17 +534,17 @@ def _factor_graph(model: Model, evidence: Mapping[str, str]
     """
     mrf, log_offset = reduce_to_evidence(model, evidence)
     refuse_zero_evidence(log_offset)
-    reduced, scalar_log = _exp_shifted(mrf.factors, log_offset)
+    pairs, scalar_log = _exp_shifted(mrf.factors, log_offset)
     variables = list(mrf.variables.values())
-    scope = {("v", v.name): [v] for v in variables} | {("f", i): f.scope for i, f in enumerate(reduced)}
+    scope = {("v", v.name): [v] for v in variables} | {("f", i): s for i, (s, _) in enumerate(pairs)}
     neighbors: dict[tuple, list[tuple]] = {node: [] for node in scope}
     keep: dict[tuple, tuple[str]] = {}
-    for i, f in enumerate(reduced):
-        for name in f.names:
+    for i, (s, _) in enumerate(pairs):
+        for name in (v.name for v in s):
             neighbors[("f", i)].append(("v", name))
             neighbors[("v", name)].append(("f", i))
             keep[(("f", i), ("v", name))] = keep[(("v", name), ("f", i))] = (name,)
-    base = {("f", i): f.table for i, f in enumerate(reduced)}
+    base = {("f", i): table for i, (_, table) in enumerate(pairs)}
     return _MessageGraph(neighbors, scope, base, keep), variables, scalar_log
 
 
@@ -587,13 +596,13 @@ def max_product_decode(model: Model, evidence: Mapping[str, str] | None = None):
     evidence = check_evidence(model, evidence or {})
     mrf, _ = reduce_to_evidence(model, evidence)
     names = list(mrf.variables)
-    factors, _ = _exp_shifted(mrf.factors)
-    *_, pointers = _bucket_eliminate(factors, names[::-1], MAX_PRODUCT)
+    pairs, _ = _exp_shifted(mrf.factors)
+    *_, pointers = _bucket_eliminate(pairs, names[::-1], MAX_PRODUCT)
     # traceback in name order (reverse of elimination)
     assignment = dict(evidence)
     for var in names:
         states = model.variable(var).states
-        if pointers[var] is None:
+        if var not in pointers:
             assignment[var] = states[0]
             continue
         rest, argmax = pointers[var]
@@ -654,23 +663,23 @@ class JunctionTree:
 
     @property
     def potentials(self) -> list[Factor]:
-        """Each clique's potential over its variables in name order: a ones
-        table times its home factors, in model order and in the linear
-        domain. Built anew on each access and read by no engine; the tables
-        they calibrate on are these potentials sliced at the evidence, bit
-        for bit."""
-        homed = self._homed(f.to_linear() for f in model_factors(self.model))
-        return [
-            fa.product_all([fa.ones_like([self.model.variable(n) for n in sorted(c)]), *fs])
-            for c, fs in zip(self.cliques, homed)
-        ]
+        """Each clique's potential over its variables in name order: its
+        home factors, in model order and in the linear domain, multiplied
+        into ones by :func:`factors._product_into`. Built anew on each
+        access and read by no engine; the tables they calibrate on are
+        these potentials sliced at the evidence, bit for bit."""
+        homed = self._homed((f.scope, f.to_linear().table) for f in model_factors(self.model))
+        scopes = [[self.model.variable(n) for n in sorted(c)] for c in self.cliques]
+        return [Factor(s, fa._product_into(s, pairs), _trusted=True)
+                for s, pairs in zip(scopes, homed)]
 
-    def _homed(self, factors: Iterable[Factor]) -> list[list[Factor]]:
-        """The model's factors, in model order (each possibly reduced or
-        made linear), grouped by their home clique."""
-        homed: list[list[Factor]] = [[] for _ in self.cliques]
-        for f, home in zip(factors, self.assignment_of_factor):
-            homed[home].append(f)
+    def _homed(self, pairs: Iterable[tuple]) -> list[list[tuple]]:
+        """The model's factors as (scope, table) pairs, in model order
+        (each possibly reduced or made linear), grouped by their home
+        clique."""
+        homed: list[list[tuple]] = [[] for _ in self.cliques]
+        for pair, home in zip(pairs, self.assignment_of_factor):
+            homed[home].append(pair)
         return homed
 
     def neighbors(self, i: int) -> list[int]:
@@ -835,25 +844,21 @@ def _clique_graph(jt: JunctionTree, evidence: Mapping[str, str]
                   ) -> tuple[_MessageGraph, float]:
     """The clique tree with its tables for the (checked) evidence.
 
-    Every model factor is reduced to the evidence and made linear by
-    :func:`_exp_shifted` before any product is taken. Each clique's table,
-    over its unobserved variables in name order, starts as a copy of its
-    first home factor; the others are multiplied in, in model order and in
-    place. Every entry is then bit for bit that of the clique's potential
-    (which starts from ones, and 1 * x = x) sliced at the evidence, and no
-    table spans an observed variable. A clique with no home factor has no
-    table. Returns the graph and the log of the scale the shift took out.
+    Every model factor is reduced to the evidence and made a linear
+    (scope, table) pair by :func:`_exp_shifted` before any product is
+    taken. Each clique's table, over its unobserved variables in name
+    order, is its home pairs multiplied in model order by
+    :func:`factors._product_into`, as the clique's potential is: every
+    entry is bit for bit that of the potential sliced at the evidence, and
+    no table spans an observed variable. A clique with no home factor has
+    no table. Returns the graph and the log of the scale the shift took out.
     """
-    reduced, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(jt.model))
+    pairs, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(jt.model))
     scope, base = {}, {}
-    for i, (clique, homed) in enumerate(zip(jt.cliques, jt._homed(reduced))):
+    for i, (clique, homed) in enumerate(zip(jt.cliques, jt._homed(pairs))):
         scope[i] = [jt.model.variable(n) for n in sorted(clique.difference(evidence))]
-        # every home factor's scope lies in the clique
-        if homed:
-            out = base[i] = np.empty(tuple(v.cardinality for v in scope[i]))
-            out[...] = fa._broadcast_to_scope(homed[0], scope[i])
-            for f in homed[1:]:
-                np.multiply(out, fa._broadcast_to_scope(f, scope[i]), out=out)
+        if homed:   # every home factor's scope lies in the clique
+            base[i] = fa._product_into(scope[i], homed)
     neighbors = {i: jt.neighbors(i) for i in scope}
     keep = {edge: sep.difference(evidence) for edge, sep in jt.sepsets.items()}
     return _MessageGraph(neighbors, scope, base, keep), log_shift

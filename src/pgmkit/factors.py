@@ -223,9 +223,8 @@ def product_all(factors: Iterable[Factor]) -> Factor:
 
     The scope is the first factor's order followed by every unseen
     variable in order of appearance, and each step of the fold is checked
-    as :func:`product` checks it. Each factor is then multiplied (added,
-    in the log domain) into the table in turn, so every entry is that of
-    the pairwise fold.
+    as :func:`product` checks it. The table is :func:`_product_into` that
+    scope, so every entry is that of the pairwise fold.
     """
     factors = list(factors)
     if not factors:
@@ -244,21 +243,29 @@ def product_all(factors: Iterable[Factor]) -> Factor:
                 seen.add(v.name)
                 scope.append(v)
     op = np.add if first.domain == LOG else np.multiply
-    out = np.empty(tuple(v.cardinality for v in scope))
-    op(_broadcast_to_scope(first, scope), _broadcast_to_scope(factors[1], scope), out=out)
-    for g in factors[2:]:
-        op(out, _broadcast_to_scope(g, scope), out=out)
-    return Factor(scope, out, domain=first.domain, _trusted=True)
+    table = _product_into(scope, [(f.scope, f.table) for f in factors], op)
+    return Factor(scope, table, domain=first.domain, _trusted=True)
 
 
-def _broadcast_to_scope(f: Factor, scope: Sequence[Variable]) -> np.ndarray:
-    """View of f's table expanded (size-1 axes) to the given scope order."""
+def _product_into(scope: Sequence[Variable],
+                  pairs: Iterable[tuple[Sequence[Variable], np.ndarray]],
+                  op=np.multiply) -> np.ndarray:
+    """The one table product: a fresh C-ordered table over ``scope`` that
+    starts as ``op``'s identity (ones for multiply, zeros for add) and has
+    each (scope, table) pair applied to it in order, in place.
+
+    Every pair's scope lies within ``scope``; its table is transposed to
+    ``scope``'s order and given size-1 axes for the variables it lacks.
+    As 1 * x = x, a product holds the bits of the pairwise left fold.
+    """
     names = [v.name for v in scope]
-    src = f.table
-    order = [f.names.index(n) for n in names if n in f.names]
-    src = np.transpose(src, order) if order else src
-    shape = [v.cardinality if v.name in f.names else 1 for v in scope]
-    return src.reshape(shape)
+    out = np.full([v.cardinality for v in scope], 1.0 if op is np.multiply else 0.0)
+    for own, table in pairs:
+        own = [v.name for v in own]
+        order = [own.index(n) for n in names if n in own]
+        shape = [v.cardinality if v.name in own else 1 for v in scope]
+        op(out, table.transpose(order).reshape(shape), out=out)
+    return out
 
 
 def eliminate(f: Factor, variables: Iterable[str], semiring: Semiring = SUM_PRODUCT) -> Factor:
@@ -324,20 +331,11 @@ def divide(f: Factor, g: Factor) -> Factor:
             f"divisor scope {list(g.names)} not contained in {list(f.names)}"
         )
     _check_shared_variables(f.scope, g.scope)
-    denom = _broadcast_to_scope(g, f.scope)
-    denom = np.broadcast_to(denom, f.table.shape)
+    denom = _product_into(f.scope, [(g.scope, g.table)])
     zero_denom = denom == 0.0
     if np.any(zero_denom & (f.table != 0.0)):
         raise FactorDivisionError("nonzero entry divided by zero")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(zero_denom, 0.0, f.table / np.where(zero_denom, 1.0, denom))
-    return Factor(f.scope, out)
-
-
-def ones_like(scope: Sequence[Variable], domain: str = LINEAR) -> Factor:
-    shape = tuple(v.cardinality for v in scope)
-    fill = 0.0 if domain == LOG else 1.0
-    return Factor(scope, np.full(shape, fill), domain=domain, _trusted=True)
+    return Factor(f.scope, np.divide(f.table, denom, out=np.zeros(denom.shape), where=~zero_denom))
 
 
 def align_to(f: Factor, scope_order: Sequence[str]) -> Factor:

@@ -451,17 +451,17 @@ class CompiledModel:
 
 def _joint_factor(model: Model, cap: int = ENUMERATION_CAP) -> Factor:
     """The log joint over every variable in name order: each factor's log
-    table added into zeros, in model order and in place. That is the order
-    in which ``log_joint`` adds its terms, so every entry is ``log_joint``
-    at its state, bit for bit, and no score leaves float range."""
+    table added into zeros by ``factors._product_into``, in model order.
+    That is the order in which ``log_joint`` adds its terms, so every entry
+    is ``log_joint`` at its state, bit for bit, and no score leaves float
+    range."""
     size = model.joint_size()
     if size > cap:
         raise TooLargeError(f"joint table of {size} entries exceeds the cap of {cap}")
     ordered = [model.variables[n] for n in sorted(model.variables)]
-    joint = np.zeros([v.cardinality for v in ordered])
-    for f in model_factors(model):
-        joint += fa._broadcast_to_scope(f.to_log(), ordered)
-    return Factor(ordered, joint, domain=fa.LOG, _trusted=True)
+    factors = model_factors(model)
+    pairs = [(f.scope, table) for f, table in zip(factors, fa.log_tables(factors))]
+    return Factor(ordered, fa._product_into(ordered, pairs, np.add), domain=fa.LOG, _trusted=True)
 
 
 def random_cpds(variables: Sequence[Variable], dag: DirectedGraph,

@@ -70,11 +70,8 @@ class FactoredDistribution:
         return out
 
     def joint_factor(self, variables: Sequence[Variable]) -> Factor:
-        out = None
-        for v in sorted(variables, key=lambda v: v.name):
-            f = Factor([v], self.tables[v.name])
-            out = f if out is None else fa.product(out, f)
-        return out
+        return fa.product_all(Factor([v], self.tables[v.name])
+                              for v in sorted(variables, key=lambda v: v.name))
 
     @staticmethod
     def uniform(variables: Sequence[Variable]) -> "FactoredDistribution":
@@ -351,18 +348,18 @@ class _StackedFactorGraph:
     def __init__(self, model: Model, evidence: Mapping[str, str]):
         mrf, log_offset = reduce_to_evidence(model, evidence)
         refuse_zero_evidence(log_offset)
-        reduced, _ = _exp_shifted(mrf.factors)
+        pairs, _ = _exp_shifted(mrf.factors)
         self.variables = list(mrf.variables.values())
         row = {v.name: i for i, v in enumerate(self.variables)}
         cards = [v.cardinality for v in self.variables]
         self.width = width = max(cards, default=1)
         edge_var: list[int] = []
         by_shape: dict[tuple, tuple[list, list]] = {}
-        for f in reduced:
-            tables, edges = by_shape.setdefault(f.table.shape, ([], []))
-            tables.append(f.table)
-            edges.append(range(len(edge_var), len(edge_var) + len(f.names)))
-            edge_var += [row[n] for n in f.names]
+        for scope, table in pairs:
+            tables, edges = by_shape.setdefault(table.shape, ([], []))
+            tables.append(table)
+            edges.append(range(len(edge_var), len(edge_var) + len(scope)))
+            edge_var += [row[v.name] for v in scope]
         self.n_edges = n = len(edge_var)
         # (tables (G, *shape), edge index per slot (G, r), shape)
         self.groups = [(np.stack(tables), np.array(edges, dtype=np.intp), shape)

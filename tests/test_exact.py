@@ -7,7 +7,13 @@ import pytest
 
 from conftest import hmm_chain, random_bn, random_mrf, random_tree_mrf
 from pgmkit import exact, factors as fa
-from pgmkit.errors import NotATreeError, OrderingError, TooLargeError, ZeroEvidenceError
+from pgmkit.errors import (
+    IncompatibleVariableError,
+    NotATreeError,
+    OrderingError,
+    TooLargeError,
+    ZeroEvidenceError,
+)
 from pgmkit.exact import (
     MAX_PRODUCT,
     _greedy_order,
@@ -24,7 +30,7 @@ from pgmkit.exact import (
     tree_bp,
     variable_elimination,
 )
-from pgmkit.factors import Factor, Variable
+from pgmkit.factors import MIN_SUM, OR_AND, Factor, Variable
 from pgmkit.graphs import DirectedGraph, UndirectedGraph, induced_width, max_weight_spanning_tree
 from pgmkit.models import (
     BayesianNetwork,
@@ -34,6 +40,7 @@ from pgmkit.models import (
     random_cpds,
     to_factor_graph,
 )
+from pgmkit.variational import loopy_bp
 from pgmkit.zoo import asia_dag, student_network
 
 
@@ -193,7 +200,7 @@ class TestVariableElimination:
         want = variable_elimination(bn, ["LETTER"])
         monkeypatch.setattr(exact, "TABLE_CAP", 11)
         with monkeypatch.context() as m:
-            m.setattr(fa, "product_all", no_tables)
+            m.setattr(fa, "_product_into", no_tables)
             with pytest.raises(TooLargeError, match="needs a table of 12 entries when it "
                                "eliminates 'DIFFICULTY', over the cap of 11"):
                 variable_elimination(bn, ["LETTER"])
@@ -201,6 +208,21 @@ class TestVariableElimination:
         got = variable_elimination(bn, ["LETTER"])
         assert np.array_equal(got.factor.table, want.factor.table)
         assert got.max_intermediate_scope == 3
+
+    def test_only_sum_and_max_product_are_eliminated(self):
+        # the elimination multiplies tables: on f(a) = [2, 3] and
+        # g(a, b) = [[1, 5], [4, 0.5]] it would answer [2, 1.5] under
+        # min-sum (the energies give [3, 3.5]) and [10, 12] under or-and
+        a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+        g = Factor([a, b], [[1.0, 5.0], [4.0, 0.5]])
+        mrf = MarkovRandomField([a, b], [Factor([a], [2.0, 3.0]), g])
+        for semiring in (MIN_SUM, OR_AND):
+            # refused before the (bad) evidence is even looked at
+            with pytest.raises(ValueError, match="sum_product or max_product, not "):
+                variable_elimination(mrf, ["a"], {"c": "0"}, semiring=semiring)
+        # a single elimination still takes all four semirings
+        assert fa.eliminate(g, ["b"], MIN_SUM).values.tolist() == [1.0, 0.5]
+        assert fa.eliminate(g, ["b"], OR_AND).values.tolist() == [5.0, 4.0]
 
 
 class TestTreeBp:
@@ -487,7 +509,7 @@ class TestJunctionTree:
         bn = student_network()
         monkeypatch.setattr(exact, "TABLE_CAP", 11)
         with monkeypatch.context() as m:
-            m.setattr(fa, "product_all", no_tables)
+            m.setattr(fa, "_product_into", no_tables)
             with pytest.raises(TooLargeError, match=r"12 entries for the clique "
                                r"\['DIFFICULTY', 'GRADE', 'INVESTMENT'\], over the cap of 11"):
                 build_junction_tree(bn)
@@ -933,6 +955,35 @@ def test_message_passing_builds_no_factor_per_message(monkeypatch):
         built.clear()
         jt_marginal(jt, f"H{steps // 2:03d}", evidence)
         assert len(built) - reduced <= 3
-        counts[steps] = (bp, len(built))
+        jt_count = len(built)
+        # nor does elimination build one per step: VE builds its answer,
+        # the decoder nothing past the reduced factors
+        built.clear()
+        variable_elimination(bn, [f"H{steps // 2:03d}"], evidence)
+        assert len(built) - reduced <= 1
+        ve = len(built)
+        built.clear()
+        max_product_decode(bn, evidence)
+        assert len(built) - reduced <= 1
+        counts[steps] = (bp, jt_count, ve, len(built))
     for small, large in zip(counts[150], counts[600]):
         assert large <= 4.1 * small
+
+
+@pytest.mark.parametrize("engine", [
+    lambda m: variable_elimination(m, ["b"]),
+    max_product_decode,
+    tree_bp,
+    lambda m: jt_marginal(build_junction_tree(m), "b"),
+    lambda m: jt_calibrate(build_junction_tree(m)),
+    loopy_bp,
+], ids=["ve", "maxprod", "bp", "jt_marginal", "jt_calibrate", "loopy"])
+def test_factors_that_disagree_on_a_variable_are_refused(engine):
+    # two factors give `a` different states: every engine that multiplies
+    # tables refuses the model, rather than pairing states by position
+    a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
+    other_a = Variable("a", ("x", "y"))
+    mrf = MarkovRandomField([a, b], [Factor([a], [2.0, 3.0]),
+                                     Factor([other_a, b], [[1.0, 5.0], [4.0, 0.5]])])
+    with pytest.raises(IncompatibleVariableError, match="variable 'a' has states"):
+        engine(mrf)

@@ -62,7 +62,7 @@ class TestProduct:
     def test_identity_factor(self):
         rng = np.random.default_rng(1)
         f = random_factor(rng, [A, G])
-        ones = fa.ones_like([A, G])
+        ones = Factor([A, G], np.ones((A.cardinality, G.cardinality)))
         assert np.allclose(product(f, ones).table, f.table)
 
     def test_against_nested_loop_oracle(self):

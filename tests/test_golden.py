@@ -1,10 +1,10 @@
 """Seeded outputs of the approximate engines, and of the exact engines'
-message passing, pinned bit for bit.
+message passing and elimination, pinned bit for bit.
 
 The approximate engines' values were recorded before they moved onto the
 compiled blanket tables, the exact engines' (as ``float.hex``) before
-their messages became plain arrays; any change to a draw order, a
-summation order or a log convention shows up here.
+their messages and intermediate tables became plain arrays; any change to
+a draw order, a summation order or a log convention shows up here.
 """
 
 import math
@@ -13,10 +13,17 @@ import numpy as np
 import pytest
 
 from conftest import hmm_chain, wide_network
-from pgmkit.exact import build_junction_tree, jt_calibrate, jt_marginal, tree_bp
-from pgmkit.factors import LOG, Factor, Variable
+from pgmkit.exact import (
+    build_junction_tree,
+    jt_calibrate,
+    jt_marginal,
+    max_product_decode,
+    tree_bp,
+    variable_elimination,
+)
+from pgmkit.factors import LOG, MAX_PRODUCT, Factor, Variable
 from pgmkit.mapinf import dual_decomposition, local_search_map, simulated_annealing_map
-from pgmkit.models import MarkovRandomField, reduce_to_evidence
+from pgmkit.models import ChainCRF, MarkovRandomField, reduce_to_evidence
 from pgmkit.sampling import (
     FactoredProposal,
     GibbsSiteKernel,
@@ -327,3 +334,53 @@ def test_junction_tree_log_partition_and_marginals():
     assert jt_calibrate(build_junction_tree(wide), evidence).log_partition.hex() == \
         "-0x1.e7969723fdd30p+1"
     assert {n: hexes(jt_marginal(jt, n, evidence)) for n in JT_MARGINALS} == JT_MARGINALS
+
+
+# variable elimination and max-product decoding, recorded before their
+# intermediate tables became plain arrays: VE of H002 on the 6-step HMM
+# under its emissions (sum- and max-product), of W20 on wide_network()
+# under its evidence, and of y3 on a log-domain chain CRF whose node scores
+# are in the hundreds, so every factor passes through the max shift
+VE_HMM = {
+    "sum_product": (["0x1.5c173b5c474fbp-2", "0x1.48756068055edp-1", "0x1.2fe03d3adf2c9p-6"],
+                    "-0x1.38ce3ca3fc548p+3"),
+    "max_product": (["0x1.1b5f526ff57aep-2", "0x1.6639b9431cdbbp-1", "0x1.82d3b09d0cdc1p-6"],
+                    "-0x1.791272ee9dd8ep+3"),
+}
+
+
+def test_variable_elimination_on_the_hmm():
+    bn, evidence = hmm_chain(np.random.default_rng(7), 6)
+    for semiring in (None, MAX_PRODUCT):
+        kw = {} if semiring is None else {"semiring": semiring}
+        result = variable_elimination(bn, ["H002"], evidence, **kw)
+        got = (hexes(result.normalized()), result.log_normalizer.hex())
+        assert got == VE_HMM["sum_product" if semiring is None else "max_product"]
+
+
+def test_max_product_decode_on_the_hmm():
+    bn, evidence = hmm_chain(np.random.default_rng(7), 6)
+    assignment, score = max_product_decode(bn, evidence)
+    hidden = {n: s for n, s in assignment.items() if n.startswith("H")}
+    assert hidden == {"H000": "s1", "H001": "s1", "H002": "s1", "H003": "s0",
+                      "H004": "s2", "H005": "s1"}
+    assert {n: s for n, s in assignment.items() if n in evidence} == evidence
+    assert score.hex() == "-0x1.84cb041643de1p+3"
+
+
+def test_variable_elimination_on_the_wide_network():
+    wide, evidence = wide_network()
+    result = variable_elimination(wide, ["W20"], evidence)
+    assert hexes(result.normalized()) == [
+        "0x1.686015f8ecf81p-2", "0x1.2b46150eeedb9p-2", "0x1.6c59d4f8242c6p-2"]
+    assert result.log_normalizer.hex() == "-0x1.e7969723fdd16p+1"
+
+
+def test_variable_elimination_on_a_log_domain_chain():
+    rng = np.random.default_rng(5)
+    crf = ChainCRF(["a", "b", "c"], 2, lambda x, t: np.eye(2)[x[t]],
+                   node_weights=rng.normal(size=(3, 2)) * 300, trans_weights=rng.normal(size=(3, 3)))
+    result = variable_elimination(crf.to_mrf([0, 1, 1, 0, 1, 0, 0, 1]), ["y3"], {"y0": "b"})
+    assert hexes(result.normalized()) == [
+        "0x1.e5b2ab1cae8ebp-839", "0x1.0d8bcbc2690eap-599", "0x1.0000000000000p+0"]
+    assert result.log_normalizer.hex() == "0x1.6b7cc4441ff8cp+10"
