@@ -292,35 +292,29 @@ def _cmd_learn_params(args, out) -> int:
 def _cmd_learn_structure(args, out) -> int:
     text = _read_text(args.data)
     dataset = load_dataset(text, _read_model(args.model) if args.model else None)
-    if args.method == "chowliu":
-        learned = chow_liu(dataset, root=args.root)
-        graph = learned.dag
-        for u, v in sorted(graph.edges):
-            print(f"edge={u}->{v}", file=out)
-        print(f"score={_float_fmt(score(graph, dataset, args.score))}", file=out)
-        if args.dot:
-            export_dot(graph, args.dot)
-    elif args.method == "hillclimb":
-        result = hill_climb(dataset, args.score, restarts=args.restarts,
-                            max_indegree=args.max_indegree,
-                            rng=make_rng(args.seed))
-        for u, v in sorted(result.graph.edges):
-            print(f"edge={u}->{v}", file=out)
-        print(f"score={_float_fmt(result.score)}", file=out)
-        if args.dot:
-            export_dot(result.graph, args.dot)
-    elif args.method == "pc":
-        cpdag = pc(dataset, alpha=args.alpha,
-                   max_cond_size=args.max_cond_size)
-        for u, v in sorted(cpdag.directed):
-            print(f"edge={u}->{v}", file=out)
-        for e in sorted(cpdag.undirected, key=sorted):
-            u, v = sorted(e)
-            print(f"edge={u}-{v}", file=out)
-        if args.dot:
-            export_dot(cpdag, args.dot)
+    lines = []
+    if args.method == "pc":
+        learned = pc(dataset, alpha=args.alpha, max_cond_size=args.max_cond_size)
+        lines += [f"edge={u}->{v}" for u, v in sorted(learned.directed)]
+        lines += ["edge={}-{}".format(*sorted(e))
+                  for e in sorted(learned.undirected, key=sorted)]
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        if args.method == "chowliu":
+            learned = chow_liu(dataset, root=args.root).dag
+            value = score(learned, dataset, args.score)
+        elif args.method == "hillclimb":
+            result = hill_climb(dataset, args.score, restarts=args.restarts,
+                                max_indegree=args.max_indegree,
+                                rng=make_rng(args.seed))
+            learned, value = result.graph, result.score
+        else:
+            raise ValueError(f"unknown method {args.method!r}")
+        lines += [f"edge={u}->{v}" for u, v in sorted(learned.edges)]
+        lines.append(f"score={_float_fmt(value)}")
+    for line in lines:
+        print(line, file=out)
+    if args.dot:
+        export_dot(learned, args.dot)
     return 0
 
 

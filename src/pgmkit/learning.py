@@ -380,7 +380,10 @@ def hill_climb(dataset: Dataset, score_kind: str = "bic", restarts: int = 1,
     The first run starts from the empty graph; further restarts start from
     random DAGs. Family scores are cached, so only touched families are
     rescored per move. Returns the best-scoring graph over all restarts.
+    ``max_indegree``, when given, must not be negative.
     """
+    if max_indegree is not None and max_indegree < 0:
+        raise ValueError("max_indegree must not be negative")
     names = list(dataset.names)
     cache: dict = {}
     best_graph, best_score = None, -math.inf
@@ -498,8 +501,10 @@ def ci_test(source, x: str, y: str, z: Iterable[str] = (),
     summed over the strata of z, against a chi-squared reference with
     (|x|-1)(|y|-1) * prod |z| degrees of freedom. Every stratum's margins,
     expected counts and terms are computed at once from the (z, x, y)
-    count table; empty strata add nothing.
+    count table; empty strata add nothing. ``alpha`` must lie in (0, 1).
     """
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     from scipy.special import chdtrc
     z = sorted(set(z))
     if x == y or x in z or y in z:
@@ -551,16 +556,7 @@ class Cpdag:
         )
 
     def neighbors(self, v: str) -> set[str]:
-        out = set()
-        for e in self.undirected:
-            if v in e:
-                out |= set(e) - {v}
-        for a, b in self.directed:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return {u for u in self.nodes if u != v and self.adjacent(u, v)}
 
     def skeleton(self) -> UndirectedGraph:
         edges = [tuple(sorted(e)) for e in self.undirected]
@@ -589,68 +585,41 @@ class Cpdag:
 
 
 def _meek_closure(cpdag: Cpdag) -> None:
-    """Apply the four standard orientation propagation rules to a fixed point."""
+    """Orient edges by Meek's rules R1-R4 until none applies.
 
-    def orient(a, b):
-        cpdag.undirected.discard(frozenset((a, b)))
-        cpdag.directed.add((a, b))
+    One edge is oriented at a time: the first undirected edge, in sorted
+    order and lower name first, that a rule orients. The search then
+    starts over. On a pattern that no DAG extends, the rules can disagree,
+    and this order fixes which orientation the output keeps.
+    """
+    directed, undirected, adjacent = cpdag.directed, cpdag.undirected, cpdag.adjacent
 
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(cpdag.undirected, key=sorted):
-            a, b = sorted(e)
-            for x, y in ((a, b), (b, a)):
-                # R1: z -> x, x - y, z and y nonadjacent  =>  x -> y
-                if any(
-                    (z, x) in cpdag.directed and not cpdag.adjacent(z, y)
-                    for z in cpdag.nodes
-                    if z not in (x, y)
-                ):
-                    orient(x, y)
-                    changed = True
-                    break
-                # R2: x -> z -> y and x - y  =>  x -> y
-                if any(
-                    (x, z) in cpdag.directed and (z, y) in cpdag.directed
-                    for z in cpdag.nodes
-                    if z not in (x, y)
-                ):
-                    orient(x, y)
-                    changed = True
-                    break
-                # R3: x - z1, x - z2, z1 -> y, z2 -> y, z1/z2 nonadjacent  =>  x -> y
-                spokes = [
-                    z
-                    for z in cpdag.nodes
-                    if z not in (x, y)
-                    and frozenset((x, z)) in cpdag.undirected
-                    and (z, y) in cpdag.directed
-                ]
-                if any(
-                    not cpdag.adjacent(z1, z2)
-                    for i, z1 in enumerate(spokes)
-                    for z2 in spokes[i + 1:]
-                ):
-                    orient(x, y)
-                    changed = True
-                    break
-                # R4: x - z, z -> w, w -> y, z/y nonadjacent, x/w adjacent  =>  x -> y
-                if any(
-                    frozenset((x, z)) in cpdag.undirected
-                    and (z, w) in cpdag.directed
-                    and (w, y) in cpdag.directed
-                    and not cpdag.adjacent(z, y)
-                    and cpdag.adjacent(x, w)
-                    for z in cpdag.nodes
-                    for w in cpdag.nodes
-                    if len({x, y, z, w}) == 4
-                ):
-                    orient(x, y)
-                    changed = True
-                    break
-            if changed:
-                break
+    def fires(x, y):
+        """Whether a rule orients the undirected edge x - y as x -> y."""
+        others = [z for z in cpdag.nodes if z not in (x, y)]
+        links = [z for z in others if frozenset((x, z)) in undirected]
+        return (
+            # R1: z -> x - y, z and y nonadjacent
+            any((z, x) in directed and not adjacent(z, y) for z in others)
+            # R2: x -> z -> y
+            or any((x, z) in directed and (z, y) in directed for z in others)
+            # R3: x - z1 -> y, x - z2 -> y, z1 and z2 nonadjacent
+            or any(not adjacent(z1, z2) for z1, z2 in itertools.combinations(
+                [z for z in links if (z, y) in directed], 2))
+            # R4: x - z -> w -> y, z and y nonadjacent, x and w adjacent
+            or any((z, w) in directed and (w, y) in directed
+                   and not adjacent(z, y) and adjacent(x, w)
+                   for z in links for w in others if w != z)
+        )
+
+    while True:
+        ordered = [sorted(e) for e in sorted(undirected, key=sorted)]
+        edge = next(((x, y) for a, b in ordered for x, y in ((a, b), (b, a))
+                     if fires(x, y)), None)
+        if edge is None:
+            return
+        undirected.discard(frozenset(edge))
+        directed.add(edge)
 
 
 def pc(source, variables: Sequence[str] | None = None, alpha: float = 0.05,
@@ -662,8 +631,13 @@ def pc(source, variables: Sequence[str] | None = None, alpha: float = 0.05,
     recording separating sets. Phase 2 orients unshielded triples a - c - b
     as v-structures when c is outside the recorded separating set. Phase 3
     closes under the Meek rules. Conflicting v-structure orientations are
-    recorded and the edges left undirected.
+    recorded and the edges left undirected. ``alpha`` must lie in (0, 1)
+    and ``max_cond_size``, when given, must not be negative.
     """
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if max_cond_size is not None and max_cond_size < 0:
+        raise ValueError("max_cond_size must not be negative")
     if variables is None:
         if isinstance(source, DirectedGraph):
             variables = source.nodes
@@ -674,11 +648,6 @@ def pc(source, variables: Sequence[str] | None = None, alpha: float = 0.05,
         tuple(names),
         {frozenset((a, b)) for i, a in enumerate(names) for b in names[i + 1:]},
         set(),
-    )
-    test = (
-        (lambda x, y, z: ci_test(source, x, y, z).independent)
-        if isinstance(source, DirectedGraph)
-        else (lambda x, y, z: ci_test(source, x, y, z, alpha).independent)
     )
 
     level = 0
@@ -692,14 +661,11 @@ def pc(source, variables: Sequence[str] | None = None, alpha: float = 0.05,
                 if len(candidates) < level:
                     continue
                 any_big_enough = True
-                found = False
-                for subset in itertools.combinations(candidates, level):
-                    if test(x, y, list(subset)):
-                        cpdag.undirected.discard(e)
-                        cpdag.separating_sets[e] = subset
-                        found = True
-                        break
-                if found:
+                sep = next((subset for subset in itertools.combinations(candidates, level)
+                            if ci_test(source, x, y, subset, alpha).independent), None)
+                if sep is not None:
+                    cpdag.undirected.discard(e)
+                    cpdag.separating_sets[e] = sep
                     break
         if not any_big_enough:
             break
@@ -1059,8 +1025,10 @@ def em_gmm(data: np.ndarray, k: int, rng: np.random.Generator | None = None,
     jitter_scale * trace / d on the diagonal), and mixing weights equal to
     average responsibilities. The log-likelihood trace never decreases; a
     collapsing component is reseeded and logged. Best of ``restarts``
-    seeded runs is returned.
+    seeded runs is returned. ``max_iters`` must be at least 1.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]

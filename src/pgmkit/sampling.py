@@ -74,6 +74,8 @@ class SampleBatch:
         ]
 
     def frequency(self, name: str, state: str) -> float:
+        if not len(self):
+            raise ValueError("an empty batch has no frequencies")
         var = self.variables[self.names.index(name)]
         return float(np.mean(self.column(name) == var.index_of(state)))
 
@@ -491,6 +493,8 @@ def gibbs(model: Model, evidence: Mapping[str, str] | None,
     ``rng.random(k)`` for the k site updates; update j takes the first
     state whose cumulative conditional reaches draw j times the total.
     """
+    if burn_in < 0:
+        raise ValueError("burn_in must not be negative")
     evidence = check_evidence(model, evidence or {})
     if scan not in ("systematic", "random"):
         raise ValueError("scan must be 'systematic' or 'random'")
@@ -659,6 +663,8 @@ def metropolis_hastings(model: Model, kernel, n: int, burn_in: int,
     is accepted, so the chain walks into the support (or, when no state
     has mass, wanders over zero-mass states).
     """
+    if burn_in < 0:
+        raise ValueError("burn_in must not be negative")
     evidence = check_evidence(model, evidence or {})
     mrf, log_offset = reduce_to_evidence(model, evidence)
     free = list(mrf.variables)

@@ -285,6 +285,20 @@ class TestQuery:
         assert value == pytest.approx(0.502336, abs=0.02)
 
 
+    @pytest.mark.parametrize("engine", ["gibbs", "mh"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--burn-in", "-5"], "burn_in must not be negative"),
+        (["--n", "0"], "an empty batch has no frequencies"),
+    ], ids=["negative_burn_in", "no_samples"])
+    def test_sampler_arguments_that_leave_no_sample_exit_2(self, student_path, capsys,
+                                                            engine, flags, message):
+        code, out = run(["query", "--model", student_path, "--target", "LETTER",
+                         "--engine", engine, "--n", "10", *flags])
+        assert code == 2
+        assert "p[" not in out
+        assert capsys.readouterr().err == f"error={message}\n"
+
+
 class TestMap:
     def test_student_map_enum(self, student_path):
         code, out = run(["map", "--model", student_path, "--engine", "enum"])
@@ -505,6 +519,14 @@ class TestSample:
         assert outputs["mh"] == outputs["gibbs"] == [
             "DIFFICULTY,GRADE,INVESTMENT,LETTER,SAT", *["d1,g2,i0,l1,s0"] * 4]
 
+    @pytest.mark.parametrize("method", ["forward", "jtree", "gibbs", "mh"])
+    def test_no_samples_prints_the_header(self, student_path, method):
+        code, out = run(["sample", "--model", student_path, "--method", method,
+                         "--n", "0"])
+        assert code == 0
+        assert [l for l in out.splitlines() if not l.startswith("config.")] == [
+            "DIFFICULTY,GRADE,INVESTMENT,LETTER,SAT"]
+
     def test_stdout_csv(self, student_path):
         code, out = run(["sample", "--model", student_path, "--n", "3", "--seed", "7"])
         assert code == 0
@@ -612,6 +634,20 @@ class TestLearning:
             assert code == 2, method
             assert capsys.readouterr().err == f"error={message}\n", method
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "pc", "--alpha", "2"], r"alpha must lie in (0, 1)"),
+        (["--method", "pc", "--alpha", "0"], r"alpha must lie in (0, 1)"),
+        (["--method", "pc", "--max-cond-size", "-1"], "max_cond_size must not be negative"),
+        (["--method", "hillclimb", "--max-indegree", "-1"], "max_indegree must not be negative"),
+    ], ids=["pc_alpha_2", "pc_alpha_0", "pc_max_cond_size_-1", "hillclimb_max_indegree_-1"])
+    def test_meaningless_structure_parameters_exit_2(self, tmp_path, capsys, flags, message):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(forward_sample(student_network(), 500, make_rng(4)).to_csv())
+        code, out = run(["learn-structure", "--data", str(data_path), *flags])
+        assert code == 2
+        assert "edge=" not in out
+        assert capsys.readouterr().err == f"error={message}\n"
+
     def test_score_command(self, student_path, tmp_path):
         batch = forward_sample(student_network(), 2000, make_rng(5))
         data_path = tmp_path / "d.csv"
@@ -648,6 +684,17 @@ class TestLearning:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+
+    @pytest.mark.parametrize("max_iters", ["0", "-1"])
+    def test_em_gmm_with_no_iterations_exits_2(self, tmp_path, capsys, max_iters):
+        data_path = tmp_path / "g.csv"
+        data_path.write_text("x\n" + "\n".join(f"{x:.6f}" for x in make_rng(2).normal(size=20)))
+        code, out = run(["em-gmm", "--data", str(data_path), "--k", "2",
+                         "--max-iters", max_iters])
+        assert code == 2
+        assert "loglik=" not in out
+        assert capsys.readouterr().err == "error=max_iters must be at least 1\n"
 
 
 class TestJtree:

@@ -697,6 +697,142 @@ class TestCiTest:
         assert result.independent
 
 
+def reference_meek_closure(cpdag):
+    """Meek's rules as they stood before the one-predicate rewrite: each
+    orientation restarts the sweep over the sorted undirected edges."""
+
+    def orient(a, b):
+        cpdag.undirected.discard(frozenset((a, b)))
+        cpdag.directed.add((a, b))
+
+    changed = True
+    while changed:
+        changed = False
+        for e in sorted(cpdag.undirected, key=sorted):
+            a, b = sorted(e)
+            for x, y in ((a, b), (b, a)):
+                # R1: z -> x, x - y, z and y nonadjacent  =>  x -> y
+                if any(
+                    (z, x) in cpdag.directed and not cpdag.adjacent(z, y)
+                    for z in cpdag.nodes
+                    if z not in (x, y)
+                ):
+                    orient(x, y)
+                    changed = True
+                    break
+                # R2: x -> z -> y and x - y  =>  x -> y
+                if any(
+                    (x, z) in cpdag.directed and (z, y) in cpdag.directed
+                    for z in cpdag.nodes
+                    if z not in (x, y)
+                ):
+                    orient(x, y)
+                    changed = True
+                    break
+                # R3: x - z1, x - z2, z1 -> y, z2 -> y, z1/z2 nonadjacent  =>  x -> y
+                spokes = [
+                    z
+                    for z in cpdag.nodes
+                    if z not in (x, y)
+                    and frozenset((x, z)) in cpdag.undirected
+                    and (z, y) in cpdag.directed
+                ]
+                if any(
+                    not cpdag.adjacent(z1, z2)
+                    for i, z1 in enumerate(spokes)
+                    for z2 in spokes[i + 1:]
+                ):
+                    orient(x, y)
+                    changed = True
+                    break
+                # R4: x - z, z -> w, w -> y, z/y nonadjacent, x/w adjacent  =>  x -> y
+                if any(
+                    frozenset((x, z)) in cpdag.undirected
+                    and (z, w) in cpdag.directed
+                    and (w, y) in cpdag.directed
+                    and not cpdag.adjacent(z, y)
+                    and cpdag.adjacent(x, w)
+                    for z in cpdag.nodes
+                    for w in cpdag.nodes
+                    if len({x, y, z, w}) == 4
+                ):
+                    orient(x, y)
+                    changed = True
+                    break
+            if changed:
+                break
+
+
+class RecordingSet(set):
+    """A set that records the order of its additions."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.added = []
+
+    def add(self, item):
+        self.added.append(item)
+        super().add(item)
+
+
+def random_pattern(rng):
+    """A partially directed pattern over 3-8 nodes; its directed edges point
+    either way, so some patterns hold a directed cycle and no DAG extends
+    them."""
+    names = [f"n{k}" for k in range(int(rng.integers(3, 9)))]
+    undirected, directed = set(), set()
+    p, q = rng.uniform(0.2, 0.9), rng.uniform(0.0, 0.6)
+    for a, b in itertools.combinations(names, 2):
+        if rng.random() < p:
+            if rng.random() < q:
+                directed.add((a, b) if rng.random() < 0.5 else (b, a))
+            else:
+                undirected.add(frozenset((a, b)))
+    return Cpdag(tuple(names), undirected, directed)
+
+
+class TestMeekOrder:
+    def closures(self, pattern):
+        """The orientations of the reference and of _meek_closure, in order,
+        and the two closed patterns."""
+        out = []
+        for closure in (reference_meek_closure, learning._meek_closure):
+            cpdag = Cpdag(pattern.nodes, set(pattern.undirected),
+                          RecordingSet(pattern.directed))
+            closure(cpdag)
+            out.append((cpdag.directed.added, cpdag.directed, cpdag.undirected))
+        return out
+
+    def test_closure_matches_the_restarting_reference(self, rng):
+        cyclic = oriented = 0
+        for _ in range(600):
+            pattern = random_pattern(rng)
+            want, got = self.closures(pattern)
+            assert got == want, pattern
+            oriented += bool(want[0])
+            # Meek's rules are sound on a pattern some DAG extends, so a
+            # directed cycle after closure marks one that no DAG extends
+            cyclic += not is_dag(DirectedGraph(pattern.nodes, sorted(want[1])))
+        assert cyclic >= 50 and oriented >= 300
+
+    def test_orientation_order_on_a_pattern_no_dag_extends(self):
+        # the undirected 4-cycle n0 - n2 - n3 - n4 - n0 has no chord, so every
+        # acyclic orientation of it adds a v-structure. R1 orients n4 -> n0
+        # first; restarting from the first edge, the chain of R2 and R1 steps
+        # closes the cycle n4 -> n0 -> n2 -> n3 -> n4, where a sweep that
+        # carried on past n4 -> n0 would orient n4 -> n3 next.
+        pattern = Cpdag(
+            ("n0", "n1", "n2", "n3", "n4"),
+            {frozenset(e) for e in (("n0", "n2"), ("n0", "n4"), ("n2", "n3"), ("n3", "n4"))},
+            {("n1", "n4")},
+        )
+        want, got = self.closures(pattern)
+        assert got == want
+        order, directed, undirected = got
+        assert order == [("n4", "n0"), ("n0", "n2"), ("n2", "n3"), ("n3", "n4")]
+        assert directed == {("n1", "n4"), *order} and undirected == set()
+
+
 class TestPc:
     def test_y_structure_oracle(self):
         cpdag = pc(y_structure_dag())
@@ -756,6 +892,38 @@ class TestPc:
         data = Dataset.from_batch(forward_sample(bn, 50_000, gen))
         cpdag = pc(data, alpha=0.01)
         assert cpdag.directed == {("A", "C"), ("B", "C"), ("C", "D")}
+
+
+class TestStructureParameters:
+    """Meaningless search parameters are refused before any test or move."""
+
+    @staticmethod
+    def forbid(monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        monkeypatch.setattr(learning, name, refuse)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, math.nan])
+    def test_alpha_outside_the_unit_interval_is_refused(self, alpha, monkeypatch):
+        data = Dataset.from_batch(forward_sample(student_network(), 200, make_rng(1)))
+        for source, x, y in ((data, "GRADE", "SAT"), (y_structure_dag(), "A", "B")):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                ci_test(source, x, y, alpha=alpha)
+        self.forbid(monkeypatch, "ci_test")
+        for source in (data, y_structure_dag()):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                pc(source, alpha=alpha)
+
+    def test_negative_max_cond_size_is_refused(self, monkeypatch):
+        self.forbid(monkeypatch, "ci_test")
+        with pytest.raises(ValueError, match="max_cond_size must not be negative"):
+            pc(y_structure_dag(), max_cond_size=-1)
+
+    def test_negative_max_indegree_is_refused(self, monkeypatch):
+        data = Dataset.from_batch(forward_sample(student_network(), 200, make_rng(1)))
+        self.forbid(monkeypatch, "_family_score")
+        with pytest.raises(ValueError, match="max_indegree must not be negative"):
+            hill_climb(data, max_indegree=-1)
 
 
 class TestFitMrf:
@@ -1080,6 +1248,12 @@ class TestChainCrf:
 
 
 class TestEmGmm:
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iterations_is_refused(self, max_iters):
+        data = make_rng(2).normal(size=(20, 1))
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            em_gmm(data, 2, max_iters=max_iters)
+
     def test_k1_closed_form(self):
         gen = make_rng(64)
         data = gen.normal(size=(300, 2)) @ np.array([[1.0, 0.4], [0.0, 0.8]])

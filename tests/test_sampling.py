@@ -398,6 +398,24 @@ class TestGibbsKernel:
         assert np.allclose(T.sum(axis=0), 1.0, atol=1e-12)
 
 
+class TestSamplerArguments:
+    @pytest.mark.parametrize("method", ["gibbs", "mh"])
+    def test_negative_burn_in_is_refused(self, method):
+        bn = student_network()
+        kernel = SingleSiteUniformKernel(list(bn.variables.values()))
+        with pytest.raises(ValueError, match="burn_in must not be negative"):
+            if method == "gibbs":
+                gibbs(bn, None, 10, -5, make_rng(0))
+            else:
+                metropolis_hastings(bn, kernel, 10, -5, make_rng(0))
+
+    def test_an_empty_batch_has_no_frequency(self):
+        batch = gibbs(student_network(), None, 0, 5, make_rng(0))
+        assert len(batch) == 0
+        with pytest.raises(ValueError, match="an empty batch has no frequencies"):
+            batch.frequency("LETTER", "l1")
+
+
 class TestMetropolisHastings:
     def three_var_mrf(self, rng):
         vs = [Variable(n, ("0", "1")) for n in "abc"]
