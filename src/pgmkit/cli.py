@@ -42,7 +42,7 @@ from .io import (
     parse_model,
     serialize_model,
 )
-from .learning import chow_liu, em_gmm, hill_climb, mle_bn, pc, score
+from .learning import SCORE_KINDS, chow_liu, em_gmm, hill_climb, mle_bn, pc, score
 from .mapinf import (
     dual_decomposition,
     export_map_ilp,
@@ -57,7 +57,6 @@ from .models import (
     enumerate_inference,
     log_joint,
     reduce_to_evidence,
-    validate,
 )
 from .sampling import (
     SingleSiteUniformKernel,
@@ -121,6 +120,14 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _read_structure(args, task: str):
+    """The Bayesian network of ``--structure``, and ``--data`` over its variables."""
+    structure = _read_model(args.structure)
+    if not isinstance(structure, BayesianNetwork):
+        raise ValueError(f"{task} needs a Bayesian network structure")
+    return structure, load_dataset(_read_text(args.data), structure)
+
+
 def _uniform_kernel(model, evidence) -> SingleSiteUniformKernel:
     # over the unobserved variables; metropolis_hastings checks the evidence
     return SingleSiteUniformKernel(v for n, v in model.variables.items() if n not in evidence)
@@ -160,18 +167,14 @@ def _cmd_query(args, out) -> int:
         print(f"converged={str(trace.converged).lower()}", file=out)
         print(f"elbo={_float_fmt(trace.values[-1])}", file=out)
         values = q.prob(target)
-    elif engine == "gibbs":
-        batch = gibbs(model, evidence, args.n, args.burn_in, make_rng(args.seed))
-        values = np.array(
-            [batch.frequency(target, s) for s in var.states]
-        )
-    elif engine == "mh":
-        kernel = _uniform_kernel(model, evidence)
-        batch = metropolis_hastings(model, kernel, args.n, args.burn_in,
-                                    make_rng(args.seed), evidence)
-        values = np.array(
-            [batch.frequency(target, s) for s in var.states]
-        )
+    elif engine in ("gibbs", "mh"):
+        rng = make_rng(args.seed)
+        if engine == "gibbs":
+            batch = gibbs(model, evidence, args.n, args.burn_in, rng)
+        else:
+            kernel = _uniform_kernel(model, evidence)
+            batch = metropolis_hastings(model, kernel, args.n, args.burn_in, rng, evidence)
+        values = np.array([batch.frequency(target, s) for s in var.states])
     else:
         raise ValueError(f"unknown engine {engine!r}")
     print(
@@ -183,10 +186,13 @@ def _cmd_query(args, out) -> int:
 
 def _cmd_map(args, out) -> int:
     model = _read_model(args.model)
-    evidence = _parse_evidence(args.evidence)
-    # the export is written, and every line printed, only once the engine
-    # has answered, so a refusal leaves no file and no partial output
-    text = export_map_ilp(model) if args.export_lp else None
+    evidence = check_evidence(model, _parse_evidence(args.evidence))
+    # The field of the unobserved variables: the export encodes it, and every
+    # engine but enum and maxprod searches it. The export is written, and every
+    # line printed, only once the engine has answered, so a refusal leaves no
+    # file and no partial output.
+    mrf, log_offset = reduce_to_evidence(model, evidence)
+    text = export_map_ilp(mrf) if args.export_lp else None
     lines: list[str] = []
     engine = args.engine
     if engine == "enum":
@@ -194,9 +200,6 @@ def _cmd_map(args, out) -> int:
     elif engine == "maxprod":
         assignment, logp = max_product_decode(model, evidence)
     else:
-        # These engines search the field of the unobserved variables; the
-        # factors the evidence fixes completely add to every score.
-        mrf, log_offset = reduce_to_evidence(model, check_evidence(model, evidence))
         if engine == "graphcut":
             energy_model = mrf_to_energy_model(mrf)
             labels, energy = graphcut_map(energy_model)
@@ -219,7 +222,7 @@ def _cmd_map(args, out) -> int:
         else:
             raise ValueError(f"unknown engine {engine!r}")
         assignment = {**evidence, **assignment}
-        logp += log_offset
+        logp += log_offset      # the factors the evidence fixes completely
         if log_offset == -np.inf:
             # the evidence leaves no mass: answer the oracle's first assignment
             assignment = {n: evidence.get(n, v.states[0])
@@ -269,14 +272,12 @@ def _cmd_sample(args, out) -> int:
 
 
 def _cmd_learn_params(args, out) -> int:
-    structure_model = _read_model(args.structure)
-    if not isinstance(structure_model, BayesianNetwork):
-        raise ValueError("parameter learning needs a Bayesian network structure")
-    dataset = load_dataset(_read_text(args.data), structure_model)
-    pseudocount = args.pseudocount
-    if args.dirichlet is not None:
-        pseudocount = args.dirichlet
-    learned = mle_bn(structure_model.dag, dataset, pseudocount)
+    flag, prior = (("--pseudocount", args.pseudocount) if args.dirichlet is None
+                   else ("--dirichlet", args.dirichlet))
+    if prior < 0:
+        raise ValueError(f"{flag} must be nonnegative")
+    structure_model, dataset = _read_structure(args, "parameter learning")
+    learned = mle_bn(structure_model.dag, dataset, prior)
     text = serialize_model(learned)
     if args.out:
         with open(args.out, "w") as handle:
@@ -351,22 +352,16 @@ def _cmd_em_gmm(args, out) -> int:
 
 
 def _cmd_score(args, out) -> int:
-    structure_model = _read_model(args.structure)
-    if not isinstance(structure_model, BayesianNetwork):
-        raise ValueError("scoring needs a Bayesian network structure")
-    dataset = load_dataset(_read_text(args.data), structure_model)
+    structure_model, dataset = _read_structure(args, "scoring")
     value = score(structure_model.dag, dataset, args.score)
     print(f"score={_float_fmt(value)}", file=out)
     return 0
 
 
 def _cmd_validate(args, out) -> int:
-    model = _read_model(args.model)
-    problems = validate(model)
-    for p in problems:
-        print(f"violation={p}", file=out)
-    print(f"valid={str(not problems).lower()}", file=out)
-    return 0 if not problems else VALIDATION_EXIT
+    _read_model(args.model)   # parse_model refuses a model with any violation
+    print("valid=true", file=out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +414,10 @@ def build_parser() -> _Parser:
     lp = sub.add_parser("learn-params", help="fit CPTs to data")
     lp.add_argument("--structure", required=True)
     lp.add_argument("--data", required=True)
-    lp.add_argument("--pseudocount", type=float, default=0.0)
-    lp.add_argument("--dirichlet", type=float, default=None,
-                    help="symmetric prior count; reports the posterior mean")
+    prior = lp.add_mutually_exclusive_group()
+    prior.add_argument("--pseudocount", type=float, default=0.0)
+    prior.add_argument("--dirichlet", type=float, default=None,
+                       help="symmetric prior count; reports the posterior mean")
     lp.add_argument("--out")
     lp.set_defaults(func=_cmd_learn_params)
 
@@ -431,7 +427,7 @@ def build_parser() -> _Parser:
     ls.add_argument("--method", default="hillclimb",
                     choices=["chowliu", "pc", "hillclimb"])
     ls.add_argument("--score", default="bic",
-                    choices=["bic", "aic", "loglik", "bd"])
+                    choices=SCORE_KINDS)
     ls.add_argument("--alpha", type=float, default=0.05)
     ls.add_argument("--root", default=None)
     ls.add_argument("--restarts", type=int, default=1)
@@ -459,7 +455,7 @@ def build_parser() -> _Parser:
     sc.add_argument("--structure", required=True)
     sc.add_argument("--data", required=True)
     sc.add_argument("--score", default="bic",
-                    choices=["bic", "aic", "loglik", "bd"])
+                    choices=SCORE_KINDS)
     sc.set_defaults(func=_cmd_score)
 
     v = sub.add_parser("validate", help="check a model document")

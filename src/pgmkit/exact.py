@@ -33,7 +33,6 @@ from .models import (
     Model,
     check_evidence,
     log_joint,
-    model_factors,
     reduce_to_evidence,
     refuse_zero_evidence,
 )
@@ -79,8 +78,6 @@ def _greedy_order(adj: dict[str, set[str]], cards: Mapping[str, int],
     eliminating ``i`` sets ``bits[j] = (bits[j] | b) & ~(1 << j) & ~(1 << i)``
     for each neighbour ``j``.
     """
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}")
     names = sorted(adj)
     index = {n: i for i, n in enumerate(names)}
     bits = [sum(1 << index[m] for m in adj[n]) for n in names]
@@ -376,7 +373,6 @@ class TreeBpResult:
 @dataclass
 class _Calibration:
     messages: dict           # (source, target) -> normalized message
-    message_log_scale: dict  # (source, target) -> log of the mass pulled out
     beliefs: dict            # node -> normalized belief
     belief_log_scale: dict   # node -> log of the belief's unnormalized total
     root: dict               # node -> the root of its tree
@@ -389,10 +385,11 @@ class _MessageGraph:
 
     A message is a plain array over its edge's kept variables, in the
     sender's order. Every edge's broadcast plan is worked out once, here:
-    the axes the sender sums out, and the transpose order (None when the
-    kept variables already appear in the receiver's order) and shape that
-    take the message into the receiver's scope (a receiver's scope holds
-    every variable an incoming edge keeps).
+    the axes the sender sums out, and the shape that takes the message
+    into the receiver's scope. A receiver's scope holds every variable an
+    incoming edge keeps, in the sender's order, so no message needs a
+    transpose: junction-tree scopes are in name order, and a factor-graph
+    edge keeps one variable.
     """
 
     def __init__(self, neighbors: Mapping[object, Sequence],
@@ -408,12 +405,7 @@ class _MessageGraph:
             sender, receiver = self.scope[edge[0]], self.scope[edge[1]]
             self.kept[edge] = tuple(v for v in sender if v.name in names)
             self.summed[edge] = tuple(ax for ax, v in enumerate(sender) if v.name not in names)
-            kept_names = [v.name for v in self.kept[edge]]
-            order = [kept_names.index(v.name) for v in receiver if v.name in names]
-            self.into[edge] = (
-                None if order == sorted(order) else tuple(order),
-                tuple(v.cardinality if v.name in names else 1 for v in receiver),
-            )
+            self.into[edge] = tuple(v.cardinality if v.name in names else 1 for v in receiver)
 
     def send(self, messages: Mapping[tuple, np.ndarray], node,
              target=None) -> np.ndarray:
@@ -430,11 +422,7 @@ class _MessageGraph:
         out = base = self.base.get(node)
         for nb in self.neighbors[node]:
             if nb != target:
-                order, shape = self.into[(nb, node)]
-                message = messages[(nb, node)]
-                if order is not None:
-                    message = message.transpose(order)
-                message = message.reshape(shape)
+                message = messages[(nb, node)].reshape(self.into[(nb, node)])
                 if out is not base:
                     np.multiply(out, message, out=out)
                 elif base is not None:
@@ -516,7 +504,7 @@ def _calibrate(graph: _MessageGraph, root=None) -> _Calibration:
     for node in nodes if root is None else [root]:
         table, belief_scales[node] = combine(node)
         beliefs[node] = Factor(graph.scope[node], table, _trusted=True)
-    return _Calibration(messages, scales, beliefs, belief_scales, roots)
+    return _Calibration(messages, beliefs, belief_scales, roots)
 
 
 def _factor_graph(model: Model, evidence: Mapping[str, str]
@@ -647,7 +635,6 @@ class JunctionTree:
     assignment_of_factor: list[int]
     evidence: dict[str, str] = field(default_factory=dict)
     messages: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    message_log_scale: dict[tuple[int, int], float] = field(default_factory=dict)
     beliefs: list[Factor] | None = None
     belief_log_scale: list[float] | None = None
     calibrated: bool = False
@@ -668,7 +655,7 @@ class JunctionTree:
         into ones by :func:`factors._product_into`. Built anew on each
         access and read by no engine; the tables they calibrate on are
         these potentials sliced at the evidence, bit for bit."""
-        homed = self._homed((f.scope, f.to_linear().table) for f in model_factors(self.model))
+        homed = self._homed((f.scope, f.to_linear().table) for f in self.model.factors)
         scopes = [[self.model.variable(n) for n in sorted(c)] for c in self.cliques]
         return [Factor(s, fa._product_into(s, pairs), _trusted=True)
                 for s, pairs in zip(scopes, homed)]
@@ -712,7 +699,7 @@ class JunctionTree:
 def family_preservation_holds(jt: JunctionTree) -> bool:
     return all(
         set(f.names) <= jt.cliques[jt.assignment_of_factor[i]]
-        for i, f in enumerate(model_factors(jt.model))
+        for i, f in enumerate(jt.model.factors)
     )
 
 
@@ -802,7 +789,7 @@ def build_junction_tree(model: Model, heuristic: str = "min_fill") -> JunctionTr
     ranked = sorted(range(len(cliques)), key=lambda k: tuple(sorted(cliques[k])))
     rank = {k: r for r, k in enumerate(ranked)}
     assignment = []
-    for f in model_factors(model):
+    for f in model.factors:
         names = set(f.names)
         candidates = holding.get(f.names[0], ()) if f.names else ranked
         home = min((k for k in candidates if names <= cliques[k]), key=rank.get, default=None)
@@ -831,7 +818,6 @@ def jt_calibrate(jt: JunctionTree, evidence: Mapping[str, str] | None = None) ->
     graph, log_shift = _clique_graph(jt, evidence)
     cal = _calibrate(graph)
     jt.messages = cal.messages
-    jt.message_log_scale = cal.message_log_scale
     jt.beliefs = [cal.beliefs[i] for i in nodes]
     jt.belief_log_scale = [cal.belief_log_scale[i] + log_shift for i in nodes]
     jt.calibrated = True
@@ -853,7 +839,7 @@ def _clique_graph(jt: JunctionTree, evidence: Mapping[str, str]
     no table spans an observed variable. A clique with no home factor has
     no table. Returns the graph and the log of the scale the shift took out.
     """
-    pairs, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in model_factors(jt.model))
+    pairs, log_shift = _exp_shifted(fa.reduce_factor(f, evidence) for f in jt.model.factors)
     scope, base = {}, {}
     for i, (clique, homed) in enumerate(zip(jt.cliques, jt._homed(pairs))):
         scope[i] = [jt.model.variable(n) for n in sorted(clique.difference(evidence))]

@@ -380,15 +380,18 @@ def hill_climb(dataset: Dataset, score_kind: str = "bic", restarts: int = 1,
     The first run starts from the empty graph; further restarts start from
     random DAGs. Family scores are cached, so only touched families are
     rescored per move. Returns the best-scoring graph over all restarts.
-    ``max_indegree``, when given, must not be negative.
+    ``restarts`` must be at least 1, and ``max_indegree``, when given,
+    must not be negative.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if max_indegree is not None and max_indegree < 0:
         raise ValueError("max_indegree must not be negative")
     names = list(dataset.names)
     cache: dict = {}
     best_graph, best_score = None, -math.inf
     total_moves = 0
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         if restart == 0:
             g = DirectedGraph(names)
         else:
@@ -427,7 +430,7 @@ def hill_climb(dataset: Dataset, score_kind: str = "bic", restarts: int = 1,
             total_moves += 1
         if current > best_score:
             best_graph, best_score = g, current
-    return HillClimbResult(best_graph, best_score, max(1, restarts), total_moves)
+    return HillClimbResult(best_graph, best_score, restarts, total_moves)
 
 
 def _makes_cycle(g: DirectedGraph, move, reach: dict[str, set[str]]) -> bool:
@@ -1025,10 +1028,13 @@ def em_gmm(data: np.ndarray, k: int, rng: np.random.Generator | None = None,
     jitter_scale * trace / d on the diagonal), and mixing weights equal to
     average responsibilities. The log-likelihood trace never decreases; a
     collapsing component is reseeded and logged. Best of ``restarts``
-    seeded runs is returned. ``max_iters`` must be at least 1.
+    seeded runs is returned. ``max_iters`` and ``restarts`` must be at
+    least 1.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
@@ -1038,7 +1044,7 @@ def em_gmm(data: np.ndarray, k: int, rng: np.random.Generator | None = None,
     rng = rng or np.random.default_rng(0)
 
     best: GmmResult | None = None
-    for restart in range(max(1, restarts)):
+    for _ in range(restarts):
         result = _em_once(data, k, rng, tol, max_iters, jitter_scale)
         if best is None or result.loglik_trace[-1] > best.loglik_trace[-1]:
             best = result

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ScopeError
-from .models import CompiledModel, MarkovRandomField, model_factors
+from .models import CompiledModel, MarkovRandomField, _stacked
 from .sampling import _site_plans, _site_tables
 
 
@@ -423,13 +423,8 @@ def dual_decomposition(
     node_base = np.full((len(names), width), -math.inf)
     for i, n in enumerate(names):
         node_base[i, :cards[i]] = unary[n]
-    by_shape: dict[tuple, tuple[list, list]] = {}
-    for e, table in enumerate(edges.values()):
-        tables, members = by_shape.setdefault(table.shape, ([], []))
-        tables.append(table)
-        members.append(e)
-    groups = [(np.stack(tables), np.array(members, dtype=np.intp))
-              for tables, members in by_shape.values()]
+    groups = [(tables, np.array(members, dtype=np.intp))
+              for members, tables in _stacked(list(edges.values()))]
     compiled = CompiledModel(mrf)
     node_rows = np.arange(len(names))
     edge_states = np.zeros((len(keys), 2), dtype=np.intp)
@@ -496,7 +491,7 @@ def _site_rows(mrf: MarkovRandomField, compiled: CompiledModel) -> tuple[list, l
     blanket from ``sampling._site_tables``, each row the site's summed log
     terms at one blanket state, as a list. The tables are the ones
     ``CompiledModel`` reads, summed in the same model order."""
-    plans = _site_plans(model_factors(mrf), compiled.variables,
+    plans = _site_plans(mrf.factors, compiled.variables,
                         {n: k for k, n in enumerate(compiled.names)})
     return plans, _site_tables(plans, np.ndarray.tolist)
 
@@ -512,8 +507,10 @@ def local_search_map(
     A move is accepted only if it strictly increases the log joint; the
     returned assignment is a local optimum under single-variable flips.
     Each site's scores are read from its row of ``_site_rows`` at the
-    blanket's state.
+    blanket's state. ``max_sweeps`` must not be negative.
     """
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must not be negative")
     rng = np.random.default_rng(seed)
     compiled = CompiledModel(mrf)
     state = compiled.state

@@ -34,32 +34,46 @@ class Violation:
         return f"{self.subject}: {self.rule}"
 
 
-class BayesianNetwork:
-    """A DAG plus one CPD factor per variable.
+class Model:
+    """Named variables and a product of factors: what every inference
+    engine reads of a Bayesian network or a Markov random field."""
 
-    Each CPD's scope is (child, parent_1, ..., parent_k) with parents in
-    the declared order; rows indexed by parent configuration must sum to 1.
-    """
+    factors: list[Factor]
 
-    kind = "bayesian_network"
-
-    def __init__(self, variables: Sequence[Variable], dag: DirectedGraph,
-                 cpds: Mapping[str, Factor]):
+    def __init__(self, variables: Sequence[Variable]):
         self.variables = {v.name: v for v in variables}
         if len(self.variables) != len(variables):
             raise ValueError("duplicate variable names")
-        self.dag = dag
-        self.cpds = dict(cpds)
-
-    @property
-    def factors(self) -> list[Factor]:
-        return [self.cpds[n] for n in sorted(self.cpds)]
 
     def variable(self, name: str) -> Variable:
         try:
             return self.variables[name]
         except KeyError:
             raise ScopeError(f"unknown variable {name!r}") from None
+
+    def joint_size(self) -> int:
+        return math.prod(v.cardinality for v in self.variables.values())
+
+
+class BayesianNetwork(Model):
+    """A DAG plus one CPD factor per variable.
+
+    Each CPD's scope is (child, parent_1, ..., parent_k) with parents in
+    the declared order; rows indexed by parent configuration must sum to 1.
+    Its factors are the CPDs in child-name order.
+    """
+
+    kind = "bayesian_network"
+
+    def __init__(self, variables: Sequence[Variable], dag: DirectedGraph,
+                 cpds: Mapping[str, Factor]):
+        super().__init__(variables)
+        self.dag = dag
+        self.cpds = dict(cpds)
+
+    @property
+    def factors(self) -> list[Factor]:
+        return [self.cpds[n] for n in sorted(self.cpds)]
 
     def validate(self) -> list[Violation]:
         out = []
@@ -95,14 +109,11 @@ class BayesianNetwork:
                 out.append(Violation(name, "rows do not sum to 1 over the child states"))
         return out
 
-    def joint_size(self) -> int:
-        return math.prod(v.cardinality for v in self.variables.values())
-
     def __repr__(self):
         return f"BayesianNetwork(variables={len(self.variables)}, edges={len(self.dag.edges)})"
 
 
-class MarkovRandomField:
+class MarkovRandomField(Model):
     """Variables plus an arbitrary list of nonnegative factors.
 
     Unary and higher-order factors may coexist; the skeleton is the union
@@ -112,16 +123,8 @@ class MarkovRandomField:
     kind = "markov_random_field"
 
     def __init__(self, variables: Sequence[Variable], factor_list: Sequence[Factor]):
-        self.variables = {v.name: v for v in variables}
-        if len(self.variables) != len(variables):
-            raise ValueError("duplicate variable names")
+        super().__init__(variables)
         self.factors = list(factor_list)
-
-    def variable(self, name: str) -> Variable:
-        try:
-            return self.variables[name]
-        except KeyError:
-            raise ScopeError(f"unknown variable {name!r}") from None
 
     def skeleton(self) -> UndirectedGraph:
         edges = []
@@ -148,9 +151,6 @@ class MarkovRandomField:
             if f.domain == fa.LINEAR and negative[idx]:
                 out.append(Violation(label, "negative entry"))
         return out
-
-    def joint_size(self) -> int:
-        return math.prod(v.cardinality for v in self.variables.values())
 
     def is_pairwise(self) -> bool:
         return all(len(f.scope) <= 2 for f in self.factors)
@@ -293,16 +293,14 @@ class ChainCRF:
         return MarkovRandomField(ys, factor_list)
 
 
-Model = BayesianNetwork | MarkovRandomField
-
-
 def validate(model) -> list[Violation]:
     return model.validate()
 
 
 def _stacked(tables: Sequence[np.ndarray]) -> Iterable[tuple[list[int], np.ndarray]]:
-    """The tables grouped by shape: for each shape, the positions of its
-    tables and their stack, so that validation reduces each group at once."""
+    """The tables grouped by shape, in order of first appearance: for each
+    shape, the positions of its tables and their stack, so that validation,
+    loopy BP and dual decomposition treat each group at once."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, table in enumerate(tables):
         groups.setdefault(table.shape, []).append(k)
@@ -315,26 +313,14 @@ def bn_to_mrf(bn: BayesianNetwork) -> MarkovRandomField:
     problems = bn.validate()
     if problems:
         raise ValueError(f"invalid network: {problems[0]}")
-    variables = list(bn.variables.values())
-    factor_list = [bn.cpds[name] for name in sorted(bn.cpds)]
-    mrf = MarkovRandomField(variables, factor_list)
+    mrf = MarkovRandomField(list(bn.variables.values()), bn.factors)
     # the skeleton of the conversion equals the moral graph
     assert set(mrf.skeleton().edges) == set(moralize(bn.dag).edges)
     return mrf
 
 
 def to_factor_graph(model: Model) -> FactorGraph:
-    if isinstance(model, BayesianNetwork):
-        factor_list = [model.cpds[n] for n in sorted(model.cpds)]
-    else:
-        factor_list = list(model.factors)
-    return FactorGraph(tuple(model.variables.values()), tuple(factor_list))
-
-
-def model_factors(model: Model) -> list[Factor]:
-    if isinstance(model, BayesianNetwork):
-        return [model.cpds[n] for n in sorted(model.cpds)]
-    return list(model.factors)
+    return FactorGraph(tuple(model.variables.values()), tuple(model.factors))
 
 
 def check_evidence(model: Model, evidence: Mapping[str, str]) -> dict[str, str]:
@@ -362,7 +348,7 @@ def reduce_to_evidence(model: Model, evidence: Mapping[str, str]
     """
     kept, fixed = [], []
     massless = False
-    for f in model_factors(model):
+    for f in model.factors:
         g = fa.reduce_factor(f, evidence)
         (kept if g.scope else fixed).append(g)
         if g.scope and g is not f and not (
@@ -392,7 +378,7 @@ def log_joint(model: Model, assignment: Mapping[str, str]) -> float:
     missing = set(model.variables) - set(assignment)
     if missing:
         raise EvidenceError(f"assignment is missing variables {sorted(missing)}")
-    factors = model_factors(model)
+    factors = model.factors
     total = 0.0
     for f, table in zip(factors, fa.log_tables(factors)):
         term = table.item(tuple([v.index_of(assignment[v.name]) for v in f.scope]))
@@ -420,7 +406,7 @@ class CompiledModel:
         self.state = [0] * len(self.names)
         col = {n: k for k, n in enumerate(self.names)}
         self.factors = []  # (log table, columns, strides)
-        factors = model_factors(model)
+        factors = model.factors
         for f, logs in zip(factors, fa.log_tables(factors)):
             table = logs.reshape(-1).tolist()
             cols = [col[n] for n in f.names]
@@ -459,7 +445,7 @@ def _joint_factor(model: Model, cap: int = ENUMERATION_CAP) -> Factor:
     if size > cap:
         raise TooLargeError(f"joint table of {size} entries exceeds the cap of {cap}")
     ordered = [model.variables[n] for n in sorted(model.variables)]
-    factors = model_factors(model)
+    factors = model.factors
     pairs = [(f.scope, table) for f, table in zip(factors, fa.log_tables(factors))]
     return Factor(ordered, fa._product_into(ordered, pairs, np.add), domain=fa.LOG, _trusted=True)
 

@@ -31,7 +31,6 @@ from .models import (
     CompiledModel,
     Model,
     check_evidence,
-    model_factors,
     reduce_to_evidence,
     refuse_zero_evidence,
 )
@@ -283,7 +282,7 @@ def _scored_batch(bn, hidden, z, evidence, metadata) -> tuple[SampleBatch, np.nd
     """The ``hidden`` states ``z`` beside the evidence, and each row's log
     unnormalized joint."""
     batch = _batch(bn, len(z), evidence, metadata, [v.name for v in hidden], z)
-    return batch, batch_log_unnormalized(model_factors(bn), batch.names, batch.states)
+    return batch, batch_log_unnormalized(bn.factors, batch.names, batch.states)
 
 
 def _check_proposal_support(bn, evidence, proposal, hidden) -> None:

@@ -16,6 +16,7 @@ from .exact import _exp_shifted
 from .factors import Factor, Variable
 from .models import (
     Model,
+    _stacked,
     check_evidence,
     enumerate_inference,
     reduce_to_evidence,
@@ -178,8 +179,11 @@ def mean_field(model: Model, evidence: Mapping[str, str] | None = None,
     the sweep's last update value and the convergence test use. The
     reduced factors' logs are taken once per call, and every update and
     full ``elbo`` reads them. Evidence of probability zero that
-    ``reduce_to_evidence`` shows raises ZeroEvidenceError.
+    ``reduce_to_evidence`` shows raises ZeroEvidenceError. A negative
+    ``max_sweeps`` raises ValueError; zero runs no sweep.
     """
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must not be negative")
     evidence = check_evidence(model, evidence or {})
     mrf, log_offset = reduce_to_evidence(model, evidence)
     refuse_zero_evidence(log_offset)
@@ -277,7 +281,8 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
     tol; on loopy graphs this may never happen, which is reported rather
     than raised. Beliefs are exact on trees. Where a message or belief
     sums to zero, loopy BP takes the uniform one instead; impossible
-    evidence is refused before that fallback applies.
+    evidence is refused before that fallback applies. A negative
+    ``max_iters`` raises ValueError; zero sends no message.
 
     Both schedules run on the stacked arrays of :class:`_StackedFactorGraph`,
     in two half-steps: every factor-to-variable message, then every
@@ -295,6 +300,8 @@ def loopy_bp(model: Model, evidence: Mapping[str, str] | None = None,
         raise ValueError("schedule must be 'synchronous' or 'sequential'")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
+    if max_iters < 0:
+        raise ValueError("max_iters must not be negative")
     evidence = check_evidence(model, evidence or {})
     graph = _StackedFactorGraph(model, evidence)
     messages = graph.initial_messages()
@@ -354,16 +361,14 @@ class _StackedFactorGraph:
         cards = [v.cardinality for v in self.variables]
         self.width = width = max(cards, default=1)
         edge_var: list[int] = []
-        by_shape: dict[tuple, tuple[list, list]] = {}
-        for scope, table in pairs:
-            tables, edges = by_shape.setdefault(table.shape, ([], []))
-            tables.append(table)
+        edges = []
+        for scope, _ in pairs:
             edges.append(range(len(edge_var), len(edge_var) + len(scope)))
             edge_var += [row[v.name] for v in scope]
         self.n_edges = n = len(edge_var)
         # (tables (G, *shape), edge index per slot (G, r), shape)
-        self.groups = [(np.stack(tables), np.array(edges, dtype=np.intp), shape)
-                       for shape, (tables, edges) in by_shape.items()]
+        self.groups = [(tables, np.array([edges[k] for k in ks], dtype=np.intp), tables.shape[1:])
+                       for ks, tables in _stacked([table for _, table in pairs])]
 
         incident: list[list[int]] = [[] for _ in cards]
         for e, i in enumerate(edge_var):

@@ -1,4 +1,5 @@
 import io as stdio
+import itertools
 import math
 
 import numpy as np
@@ -457,6 +458,38 @@ class TestMap:
         assert "no variables" in capsys.readouterr().err
         assert not lp_path.exists()
 
+    @pytest.mark.parametrize("evidence", [[], ["A=0"], ["A=0", "C=1"]])
+    def test_lp_export_encodes_the_field_the_engine_answers_for(self, voting_path, tmp_path,
+                                                              evidence):
+        from pgmkit.mapinf import export_map_ilp, ilp_objective_at
+        from pgmkit.models import reduce_to_evidence
+
+        lp_path = tmp_path / "map.lp"
+        flags = [f for pair in evidence for f in ("--evidence", pair)]
+        code, out = run(["map", "--model", voting_path, "--engine", "enum", *flags,
+                         "--export-lp", str(lp_path)])
+        assert code == 0
+        field, _ = reduce_to_evidence(voting_mrf(), dict(p.split("=") for p in evidence))
+        assert lp_path.read_text() == export_map_ilp(field)
+        if not evidence:
+            assert lp_path.read_text() == export_map_ilp(voting_mrf())
+        # the printed answer is a maximum of the exported objective
+        answer = {n: grep(out, f"map[{n}]") for n in field.variables}
+        best = max(ilp_objective_at(field, dict(zip(field.variables, states)))
+                   for states in itertools.product("01", repeat=len(field.variables)))
+        assert ilp_objective_at(field, answer) == pytest.approx(best, abs=1e-12)
+
+    def test_lp_export_with_every_variable_observed_exits_2(self, voting_path, tmp_path,
+                                                            capsys):
+        lp_path = tmp_path / "map.lp"
+        flags = [f for n in "ABCD" for f in ("--evidence", f"{n}=0")]
+        code, out = run(["map", "--model", voting_path, "--engine", "enum", *flags,
+                         "--export-lp", str(lp_path)])
+        assert code == 2
+        assert "no variables" in capsys.readouterr().err
+        assert not lp_path.exists()
+        assert "map[" not in out
+
     def test_graphcut_engine(self, tmp_path):
         from pgmkit.factors import Factor, Variable
         from pgmkit.models import MarkovRandomField, enumerate_inference
@@ -552,6 +585,28 @@ class TestLearning:
             assert np.allclose(
                 learned.cpds[name].table, bn.cpds[name].table, atol=0.05
             )
+
+    def test_learn_params_takes_one_prior_count(self, student_path, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(forward_sample(student_network(), 300, make_rng(4)).to_csv())
+        argv = ["learn-params", "--structure", student_path, "--data", str(data_path)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--pseudocount", "5", "--dirichlet", "0"])
+        assert exc.value.code == 64
+        assert "not allowed with argument" in capsys.readouterr().err
+        for flag in ("--pseudocount", "--dirichlet"):
+            code, out = run(argv + [flag, "-1"])
+            assert code == 2
+            assert "loglik=" not in out
+            assert capsys.readouterr().err == f"error={flag} must be nonnegative\n"
+
+        def answer(out):
+            return [line for line in out.splitlines() if not line.startswith("config.")]
+
+        with_dirichlet = run(argv + ["--dirichlet", "2"])
+        assert with_dirichlet[0] == 0
+        assert answer(with_dirichlet[1]) == answer(run(argv + ["--pseudocount", "2"])[1])
+        assert answer(with_dirichlet[1]) != answer(run(argv)[1])
 
     def test_learn_structure_chowliu(self, tmp_path, student_path):
         bn = student_network()
@@ -710,6 +765,21 @@ class TestJtree:
         assert code == 0
         assert grep(out, "valid") == "true"
 
+    def test_validate_names_every_violation_in_one_error_line(self, tmp_path, capsys):
+        from pgmkit.factors import Factor
+
+        bn = student_network()
+        for name in ("DIFFICULTY", "INVESTMENT"):
+            bn.cpds[name] = Factor(bn.cpds[name].scope, 2 * bn.cpds[name].table)
+        path = tmp_path / "unnormalized.json"
+        path.write_text(serialize_model(bn))
+        code, out = run(["validate", "--model", str(path)])
+        assert code == 2
+        assert [line for line in out.splitlines() if not line.startswith("config.")] == []
+        assert capsys.readouterr().err == (
+            "error=$: DIFFICULTY: rows do not sum to 1 over the child states; "
+            "INVESTMENT: rows do not sum to 1 over the child states\n")
+
     def test_non_finite_table_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(
@@ -734,3 +804,29 @@ class TestJtree:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["query", "--model", "{voting}", "--target", "A", "--engine", "loopy", "--max-iters", "-1"],
+     "max_iters must not be negative"),
+    (["query", "--model", "{voting}", "--target", "A", "--engine", "meanfield",
+      "--max-iters", "-1"], "max_sweeps must not be negative"),
+    (["map", "--model", "{voting}", "--engine", "localsearch", "--max-iters", "-1"],
+     "max_sweeps must not be negative"),
+    (["learn-structure", "--data", "{student}", "--method", "hillclimb", "--restarts", "-3"],
+     "restarts must be at least 1"),
+    (["learn-structure", "--data", "{student}", "--method", "hillclimb", "--restarts", "0"],
+     "restarts must be at least 1"),
+    (["em-gmm", "--data", "{points}", "--k", "2", "--restarts", "-2"],
+     "restarts must be at least 1"),
+], ids=["loopy", "meanfield", "localsearch", "hillclimb_-3", "hillclimb_0", "em_gmm"])
+def test_a_count_out_of_range_exits_2(voting_path, tmp_path, capsys, argv, message):
+    student = tmp_path / "student.csv"
+    student.write_text(forward_sample(student_network(), 300, make_rng(4)).to_csv())
+    points = tmp_path / "points.csv"
+    points.write_text("x\n" + "\n".join(f"{x:.6f}" for x in make_rng(2).normal(size=30)))
+    paths = {"voting": voting_path, "student": student, "points": points}
+    code, out = run([arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("config.")] == []
+    assert capsys.readouterr().err == f"error={message}\n"

@@ -27,7 +27,7 @@ from pgmkit.exact import (
 )
 from pgmkit.factors import Factor, Variable
 from pgmkit.graphs import DirectedGraph
-from pgmkit.models import MarkovRandomField, model_factors, random_cpds
+from pgmkit.models import MarkovRandomField, random_cpds
 
 WINDOW = 3   # a variable's factors reach at most this many variables back
 
@@ -78,7 +78,7 @@ def with_indicators(model, evidence):
     for name, state in evidence.items():
         var = model.variable(name)
         indicators.append(Factor([var], np.eye(var.cardinality)[var.index_of(state)]))
-    return MarkovRandomField(list(model.variables.values()), model_factors(model) + indicators)
+    return MarkovRandomField(list(model.variables.values()), model.factors + indicators)
 
 
 def same_marginal(engine, name, got, want):

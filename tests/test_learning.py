@@ -919,6 +919,13 @@ class TestStructureParameters:
         with pytest.raises(ValueError, match="max_cond_size must not be negative"):
             pc(y_structure_dag(), max_cond_size=-1)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_fewer_than_one_restart_is_refused(self, restarts, monkeypatch):
+        data = Dataset.from_batch(forward_sample(student_network(), 200, make_rng(1)))
+        self.forbid(monkeypatch, "_family_score")
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            hill_climb(data, restarts=restarts)
+
     def test_negative_max_indegree_is_refused(self, monkeypatch):
         data = Dataset.from_batch(forward_sample(student_network(), 200, make_rng(1)))
         self.forbid(monkeypatch, "_family_score")
@@ -1253,6 +1260,15 @@ class TestEmGmm:
         data = make_rng(2).normal(size=(20, 1))
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             em_gmm(data, 2, max_iters=max_iters)
+
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_fewer_than_one_restart_is_refused(self, restarts, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(learning, "_em_once", refuse)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            em_gmm(make_rng(2).normal(size=(20, 1)), 2, restarts=restarts)
 
     def test_k1_closed_form(self):
         gen = make_rng(64)

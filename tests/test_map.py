@@ -8,7 +8,7 @@ import pytest
 
 import test_golden
 from conftest import random_mrf, random_tree_mrf
-from pgmkit import sampling
+from pgmkit import mapinf, sampling
 from pgmkit.cli import main
 from pgmkit.factors import Factor, Variable
 from pgmkit.io import serialize_model
@@ -29,6 +29,7 @@ from pgmkit.mapinf import (
     simulated_annealing_map,
 )
 from pgmkit.models import MarkovRandomField, enumerate_inference, log_joint
+from pgmkit.zoo import voting_mrf
 
 
 def enumerate_min_energy(m: PairwiseEnergyModel):
@@ -387,6 +388,20 @@ class TestDualDecomposition:
 
 
 class TestLocalSearch:
+    def test_a_negative_sweep_count_is_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the model was compiled")
+
+        monkeypatch.setattr(mapinf, "CompiledModel", refuse)
+        with pytest.raises(ValueError, match="max_sweeps must not be negative"):
+            local_search_map(voting_mrf(), max_sweeps=-1)
+
+    def test_no_sweep_keeps_the_start(self):
+        start = {"A": "1", "B": "0", "C": "1", "D": "0"}
+        got, logp = local_search_map(voting_mrf(), max_sweeps=0, init=start)
+        assert got == start
+        assert logp == log_joint(voting_mrf(), start)
+
     def test_unary_only_exact(self, rng):
         vs = [Variable(n, ("0", "1", "2")) for n in "abcd"]
         factors = [Factor([v], rng.random(3) + 0.1) for v in vs]

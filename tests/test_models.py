@@ -24,7 +24,6 @@ from pgmkit.models import (
     bn_to_mrf,
     enumerate_inference,
     log_joint,
-    model_factors,
     reduce_to_evidence,
     to_factor_graph,
     validate,
@@ -257,7 +256,7 @@ class TestCompiledModel:
         # the conditional cache cap, is its per-factor sum bit for bit
         compiled = CompiledModel(model)
         assert compiled.names == sorted(model.variables)
-        plans = _site_plans(model_factors(model), compiled.variables,
+        plans = _site_plans(model.factors, compiled.variables,
                             {n: k for k, n in enumerate(compiled.names)})
         for _ in range(20):
             compiled.state[:] = [int(rng.integers(v.cardinality)) for v in compiled.variables]

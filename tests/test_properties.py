@@ -54,7 +54,6 @@ from pgmkit.models import (
     check_evidence,
     enumerate_inference,
     log_joint,
-    model_factors,
     reduce_to_evidence,
 )
 from pgmkit.sampling import batch_log_unnormalized
@@ -130,7 +129,7 @@ def log_twin(model):
     """The model as an MRF of log-domain factors, each raised by LOG_LIFT;
     returns it and the log of the factor the lifts multiply Z by."""
     factors = [Factor(f.scope, f.to_log().table + LOG_LIFT, domain=LOG)
-               for f in model_factors(model)]
+               for f in model.factors]
     return MarkovRandomField(list(model.variables.values()), factors), LOG_LIFT * len(factors)
 
 
@@ -245,6 +244,29 @@ def test_clique_tables_are_sliced_potentials(data):
         check_clique_tables(model, evidence)
 
 
+def check_edges_keep_the_receiver_order(graph):
+    """Every edge keeps variables of the receiver's scope, in the order the
+    receiver lists them, so a message reshapes into the receiver with no
+    transpose."""
+    for (_, receiver), kept in graph.kept.items():
+        kept = [v.name for v in kept]
+        assert kept == [v.name for v in graph.scope[receiver] if v.name in kept]
+
+
+@SETTINGS
+@given(st.data())
+def test_message_edges_keep_the_receiver_order(data):
+    model = data.draw(st.one_of(bayesian_networks(), loopy_mrfs(), factor_graphs()))
+    for evidence in ({}, any_evidence(data.draw, model)):
+        check_edges_keep_the_receiver_order(
+            exact._clique_graph(build_junction_tree(model), evidence)[0])
+        try:
+            graph = exact._factor_graph(model, evidence)[0]
+        except ZeroEvidenceError:
+            continue
+        check_edges_keep_the_receiver_order(graph)
+
+
 def test_clique_tables_of_the_wide_network():
     # two of its cliques are home to no factor, and so hold no table
     wide, evidence = wide_network()
@@ -296,7 +318,7 @@ def check_pseudo_likelihood(model, rows):
             want += math.log(oracle_conditional(model, name, given)[s])
     want /= len(rows)
     data = Dataset(tuple(model.variable(n) for n in names), np.array(rows))
-    as_field = MarkovRandomField(list(model.variables.values()), model_factors(model))
+    as_field = MarkovRandomField(list(model.variables.values()), model.factors)
     for m in (as_field, log_twin(model)[0]):
         value, _ = pseudo_likelihood(m, data)
         assert value == pytest.approx(want, rel=0, abs=1e-9)
@@ -327,7 +349,7 @@ def check_one_log_convention(model):
     ``batch_log_unnormalized`` row and minus the summed ``to_energies``
     entries are one number."""
     names = sorted(model.variables)
-    factors = model_factors(model)
+    factors = model.factors
     energies = [f.to_energies() for f in factors]
     states = np.array(list(itertools.product(
         *(range(model.variable(n).cardinality) for n in names))), dtype=np.int64)
@@ -570,7 +592,7 @@ def always_rescored_annealing(mrf, schedule, seed):
     cards = [v.cardinality for v in compiled.variables]
     state[:] = [int(rng.integers(card)) for card in cards]
     best, best_score = list(state), compiled.log_score()
-    factors = model_factors(mrf)
+    factors = mrf.factors
     col = {n: k for k, n in enumerate(compiled.names)}
     terms = [[(logs, [col[n] for n in f.names])
               for f, logs in zip(factors, log_tables(factors)) if name in f.names]

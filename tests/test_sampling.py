@@ -7,6 +7,7 @@ from conftest import random_mrf, random_tree_mrf
 from pgmkit import exact, sampling
 from pgmkit.errors import (
     InfiniteWeightError,
+    InvalidKernelError,
     TooLargeError,
     TrappedStateError,
     ZeroEvidenceError,
@@ -466,6 +467,35 @@ class TestMetropolisHastings:
         kernel = ExactIndependenceKernel(mrf, joint)
         batch = metropolis_hastings(mrf, kernel, 2000, 0, make_rng(28))
         assert batch.metadata["acceptance_rate"] == pytest.approx(1.0)
+
+    def test_a_kernel_over_other_variables_is_refused(self, rng):
+        mrf = self.three_var_mrf(rng)
+        kernel = SingleSiteUniformKernel([mrf.variables["a"], mrf.variables["b"]])
+        with pytest.raises(InvalidKernelError, match="kernel covers"):
+            metropolis_hastings(mrf, kernel, 10, 0, make_rng(30))
+        # under evidence the kernel must cover the free variables alone
+        with pytest.raises(InvalidKernelError, match="kernel covers"):
+            metropolis_hastings(mrf, SingleSiteUniformKernel(list(mrf.variables.values())),
+                                10, 0, make_rng(30), {"c": "0"})
+
+    def test_a_proposal_that_cannot_return_is_refused(self, rng):
+        # every state has mass; the kernel flips a but claims it only ever
+        # moves to a = 1, so no move to a = 1 can be undone
+        mrf = self.three_var_mrf(rng)
+
+        class OneWayKernel:
+            variables = tuple(mrf.variables[n] for n in sorted(mrf.variables))
+
+            def propose(self, state, rng):
+                new = state.copy()
+                new[0] = 1 - new[0]
+                return new
+
+            def log_density(self, from_state, to_state):
+                return 0.0 if to_state[0] == 1 else -math.inf
+
+        with pytest.raises(InvalidKernelError, match="cannot return"):
+            metropolis_hastings(mrf, OneWayKernel(), 10, 0, make_rng(31))
 
     def test_detailed_balance_of_explicit_kernel(self, rng):
         for _ in range(5):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_mrf, random_tree_mrf
 from pgmkit.errors import DegenerateUpdateError, ZeroEvidenceError
-from pgmkit import exact
+from pgmkit import exact, variational
 from pgmkit.exact import tree_bp
 from pgmkit.factors import Factor, Variable, align_to
 from pgmkit.models import MarkovRandomField, enumerate_inference
@@ -100,6 +100,19 @@ class TestElbo:
 
 
 class TestMeanField:
+    def test_a_negative_sweep_count_is_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the model was conditioned")
+
+        monkeypatch.setattr(variational, "reduce_to_evidence", refuse)
+        with pytest.raises(ValueError, match="max_sweeps must not be negative"):
+            mean_field(voting_mrf(), max_sweeps=-1)
+
+    def test_no_sweep_keeps_the_start(self):
+        q, trace = mean_field(voting_mrf(), max_sweeps=0)
+        assert trace.sweeps == 0 and len(trace.values) == 1
+        assert all(np.array_equal(q.prob(n), [0.5, 0.5]) for n in "ABCD")
+
     def test_independent_variables_recovered_in_one_sweep(self):
         a, b = Variable("a", ("0", "1")), Variable("b", ("0", "1"))
         mrf = MarkovRandomField(
@@ -206,6 +219,19 @@ class TestMeanField:
 
 
 class TestLoopyBp:
+    def test_a_negative_iteration_count_is_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the model was conditioned")
+
+        monkeypatch.setattr(variational, "reduce_to_evidence", refuse)
+        with pytest.raises(ValueError, match="max_iters must not be negative"):
+            loopy_bp(voting_mrf(), max_iters=-1)
+
+    def test_no_iteration_answers_from_the_uniform_start(self):
+        result = loopy_bp(voting_mrf(), max_iters=0)
+        assert result.iterations == 0 and not result.converged
+        assert all(np.array_equal(m.values, [0.5, 0.5]) for m in result.marginals.values())
+
     def test_tree_exact(self, rng):
         for _ in range(10):
             mrf = random_tree_mrf(rng, n=int(rng.integers(2, 7)), max_states=3)
