@@ -57,6 +57,7 @@ from .models import (
     enumerate_inference,
     log_joint,
     reduce_to_evidence,
+    relevant_network,
 )
 from .sampling import (
     SingleSiteUniformKernel,
@@ -138,7 +139,13 @@ def _uniform_kernel(model, evidence) -> SingleSiteUniformKernel:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_negative_max_iters(args) -> None:
+    if args.max_iters < 0:
+        raise ValueError("--max-iters must not be negative")
+
+
 def _cmd_query(args, out) -> int:
+    _refuse_negative_max_iters(args)
     model = _read_model(args.model)
     evidence = _parse_evidence(args.evidence)
     target = args.target
@@ -147,6 +154,9 @@ def _cmd_query(args, out) -> int:
     if target in evidence:
         raise EvidenceError(f"query variable {target!r} is also evidence")
     engine = args.engine
+    if engine in ("ve", "bp", "jtree"):
+        # barren nodes sum out to 1; enum, the oracle, answers the full network
+        model = relevant_network(model, [target], evidence)
     if engine == "enum":
         marg = enumerate_inference(model, [target], evidence)
         values = marg.values
@@ -185,16 +195,18 @@ def _cmd_query(args, out) -> int:
 
 
 def _cmd_map(args, out) -> int:
+    _refuse_negative_max_iters(args)
     model = _read_model(args.model)
     evidence = check_evidence(model, _parse_evidence(args.evidence))
+    engine = args.engine
     # The field of the unobserved variables: the export encodes it, and every
     # engine but enum and maxprod searches it. The export is written, and every
     # line printed, only once the engine has answered, so a refusal leaves no
     # file and no partial output.
-    mrf, log_offset = reduce_to_evidence(model, evidence)
+    if args.export_lp or engine not in ("enum", "maxprod"):
+        mrf, log_offset = reduce_to_evidence(model, evidence)
     text = export_map_ilp(mrf) if args.export_lp else None
     lines: list[str] = []
-    engine = args.engine
     if engine == "enum":
         assignment, logp = enumerate_inference(model, mode="map", evidence=evidence)
     elif engine == "maxprod":

@@ -361,6 +361,51 @@ def reduce_to_evidence(model: Model, evidence: Mapping[str, str]
     return MarkovRandomField(free, kept), log_offset
 
 
+def relevant_network(model: Model, query: Iterable[str], evidence: Iterable[str]) -> Model:
+    """The Bayesian network over the query, the evidence and their
+    ancestors: the sub-network every sum-product query may start from.
+
+    Every other node is barren. Summed out from the leaves up, its CPD
+    gives 1, so the sub-network has the same marginals and the same
+    p(evidence) (Baker & Boult, UAI 1990). That holds only for a CPD whose
+    every row sums to 1: a node outside the set whose CPD is not a linear
+    table with rows summing to 1 within 1e-12 is kept, with its
+    ancestors. The sub-network reuses the kept CPDs. An MRF, whose
+    normalization couples every factor, and a network with nothing to
+    drop come back as the model itself.
+    """
+    if not isinstance(model, BayesianNetwork):
+        return model
+    parents = model.dag.parents
+    kept: set[str] = set()
+
+    def walk(seeds: Iterable[str]) -> None:
+        stack = list(seeds)
+        while stack:
+            n = stack.pop()
+            if n not in kept:
+                kept.add(n)
+                stack.extend(parents(n))
+
+    walk([*query, *evidence])
+    if len(kept) < len(model.variables):
+        walk([n for n in model.variables if n not in kept
+              and not _rows_sum_to_one(model.cpds.get(n))])
+    if len(kept) == len(model.variables):
+        return model
+    edges = [(u, v) for u, v in model.dag.edges if v in kept]
+    return BayesianNetwork([v for n, v in model.variables.items() if n in kept],
+                           DirectedGraph(kept, edges),
+                           {n: f for n, f in model.cpds.items() if n in kept})
+
+
+def _rows_sum_to_one(cpd: Factor | None) -> bool:
+    """Whether a CPD, over its child first, is a linear table whose every
+    row over the child sums to 1 within 1e-12 (NaN fails)."""
+    return (cpd is not None and cpd.domain == fa.LINEAR
+            and bool((np.abs(cpd.table.sum(axis=0) - 1.0) <= 1e-12).all()))
+
+
 def refuse_zero_evidence(log_offset: float) -> None:
     """Raise ZeroEvidenceError when ``reduce_to_evidence``'s offset shows
     the evidence has probability zero: the refusal of every engine that

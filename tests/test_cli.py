@@ -121,6 +121,48 @@ class TestQuery:
             lines[engine] = [l for l in out.splitlines() if l.startswith("p[")][0]
         assert len(set(lines.values())) == 1
 
+    def test_only_ve_bp_and_jtree_drop_barren_nodes(self, student_path, monkeypatch):
+        from pgmkit import cli
+
+        pruned = []
+        prune = cli.relevant_network
+        monkeypatch.setattr(cli, "relevant_network", lambda *a: pruned.append(a) or prune(*a))
+        for engine in ("ve", "bp", "jtree", "enum", "loopy", "meanfield", "gibbs", "mh"):
+            pruned.clear()
+            code, _ = run(["query", "--model", student_path, "--target", "GRADE",
+                           "--engine", engine, "--n", "50", "--burn-in", "0"])
+            assert code == 0
+            assert len(pruned) == (engine in ("ve", "bp", "jtree")), engine
+
+    def test_jtree_and_bp_answer_on_the_network_the_query_needs(self, tmp_path, monkeypatch):
+        # P -> Q, and X0..X4 each under Q and every earlier X: the full
+        # network is no polytree and its largest clique holds 3^6 entries;
+        # the query keeps P and Q alone
+        from pgmkit import exact
+        from pgmkit.errors import NotATreeError, TooLargeError
+        from pgmkit.factors import Variable
+        from pgmkit.graphs import DirectedGraph
+        from pgmkit.models import random_cpds
+
+        xs = [f"X{k}" for k in range(5)]
+        v = {n: Variable(n, ("s0", "s1", "s2")) for n in ["P", "Q", *xs]}
+        edges = [("P", "Q")] + [(p, x) for k, x in enumerate(xs) for p in ["Q", *xs[:k]]]
+        bn = random_cpds(list(v.values()), DirectedGraph(v, edges), np.random.default_rng(5))
+        path = tmp_path / "barren.json"
+        path.write_text(serialize_model(bn))
+        monkeypatch.setattr(exact, "TABLE_CAP", 3**5)
+        with pytest.raises(TooLargeError):
+            exact.build_junction_tree(bn)
+        with pytest.raises(NotATreeError):
+            exact.tree_bp(bn)
+        lines = {}
+        for engine in ("enum", "jtree", "bp"):
+            code, out = run(["query", "--model", str(path), "--target", "Q",
+                             "--evidence", "P=s1", "--engine", engine])
+            assert code == 0
+            lines[engine] = [l for l in out.splitlines() if l.startswith("p[")][0]
+        assert len(set(lines.values())) == 1
+
     def test_conditional_query(self, student_path):
         code, out = run([
             "query", "--model", student_path, "--target", "LETTER",
@@ -413,12 +455,16 @@ class TestMap:
             model = parse_model(handle.read())
         assert log_joint(model, assignment) == float(grep(out, "logp")) == -math.inf
 
-    @pytest.mark.parametrize("max_iters", ["0", "-1"])
-    def test_dualdecomp_with_no_iterations_exits_2(self, voting_path, capsys, max_iters):
+    @pytest.mark.parametrize("max_iters, message", [
+        ("0", "max_iters must be at least 1"),
+        ("-1", "--max-iters must not be negative"),   # the rule of every engine
+    ], ids=["0", "-1"])
+    def test_dualdecomp_with_no_iterations_exits_2(self, voting_path, capsys, max_iters,
+                                                   message):
         code, _ = run(["map", "--model", voting_path, "--engine", "dualdecomp",
                        "--max-iters", max_iters])
         assert code == 2
-        assert "max_iters must be at least 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error={message}\n"
 
     def test_lp_export(self, voting_path, tmp_path):
         lp_path = tmp_path / "map.lp"
@@ -808,11 +854,11 @@ class TestJtree:
 
 @pytest.mark.parametrize("argv, message", [
     (["query", "--model", "{voting}", "--target", "A", "--engine", "loopy", "--max-iters", "-1"],
-     "max_iters must not be negative"),
+     "--max-iters must not be negative"),
     (["query", "--model", "{voting}", "--target", "A", "--engine", "meanfield",
-      "--max-iters", "-1"], "max_sweeps must not be negative"),
+      "--max-iters", "-1"], "--max-iters must not be negative"),
     (["map", "--model", "{voting}", "--engine", "localsearch", "--max-iters", "-1"],
-     "max_sweeps must not be negative"),
+     "--max-iters must not be negative"),
     (["learn-structure", "--data", "{student}", "--method", "hillclimb", "--restarts", "-3"],
      "restarts must be at least 1"),
     (["learn-structure", "--data", "{student}", "--method", "hillclimb", "--restarts", "0"],

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import heapq
 import math
@@ -38,6 +39,7 @@ from pgmkit.models import (
     MarkovRandomField,
     enumerate_inference,
     random_cpds,
+    relevant_network,
     to_factor_graph,
 )
 from pgmkit.variational import loopy_bp
@@ -717,6 +719,60 @@ class TestEngineAgreement:
                     assert np.allclose(
                         bp.marginal(target).values, want.values, atol=1e-9
                     )
+
+
+class TestRelevantNetwork:
+    """``relevant_network`` drops barren nodes only where their CPDs sum out to 1."""
+
+    @staticmethod
+    def network_with_leaf(rng, leaf_cpd):
+        """A -> B, A -> C -> D and A -> E over binary variables, random CPDs
+        but D's, which ``leaf_cpd`` builds from D and C."""
+        v = {n: Variable(n, ("0", "1")) for n in "ABCDE"}
+        dag = DirectedGraph(v, [("A", "B"), ("A", "C"), ("C", "D"), ("A", "E")])
+        bn = random_cpds(list(v.values()), dag, rng)
+        bn.cpds["D"] = leaf_cpd(v["D"], v["C"])
+        return bn
+
+    @pytest.mark.parametrize("leaf_cpd", [
+        lambda d, c: Factor([d, c], 2 * np.array([[0.3, 0.6], [0.7, 0.4]])),
+        lambda d, c: Factor([d, c], np.log([[0.3, 0.6], [0.7, 0.4]]), domain=fa.LOG),
+    ], ids=["rows_sum_to_2", "log_domain"])
+    def test_a_barren_leaf_that_may_not_sum_out_stays(self, rng, leaf_cpd):
+        bn = self.network_with_leaf(rng, leaf_cpd)
+        evidence = {"C": "1"}
+        sub = relevant_network(bn, ["B"], evidence)
+        assert sorted(sub.variables) == ["A", "B", "C", "D"]
+        assert all(sub.cpds[n] is bn.cpds[n] for n in sub.variables)
+        log_z = enumerate_inference(bn, mode="log_partition", evidence=evidence)
+        jt = jt_calibrate(build_junction_tree(sub), evidence)
+        bp = tree_bp(sub, evidence)
+        for name in "AB":
+            want = enumerate_inference(bn, [name], evidence)
+            for got in (variable_elimination(sub, [name], evidence).normalized(),
+                        jt_query(jt, name),
+                        jt_marginal(build_junction_tree(sub), name, evidence),
+                        bp.marginal(name)):
+                np.testing.assert_allclose(got.table, want.table, rtol=0, atol=1e-12)
+        for got in (variable_elimination(sub, ["B"], evidence).log_normalizer,
+                    jt.log_partition, bp.log_partition):
+            assert got == pytest.approx(log_z, rel=0, abs=1e-12)
+
+    def test_a_field_and_a_network_with_nothing_to_drop_come_back_as_they_are(self, rng):
+        mrf = random_mrf(rng)
+        assert relevant_network(mrf, ["v0"], {}) is mrf
+        bn = self.network_with_leaf(rng, lambda d, c: Factor([d, c], [[0.5, 0.5], [0.5, 0.5]]))
+        assert relevant_network(bn, ["D"], {"B": "0", "E": "1"}) is bn
+
+    def test_a_long_observed_chain_is_walked_once(self, monkeypatch):
+        bn, evidence = hmm_chain(np.random.default_rng(3), 3000)
+        calls = collections.Counter()
+        parents = bn.dag.parents
+        monkeypatch.setattr(bn.dag, "parents", lambda v: calls.update([v]) or parents(v))
+        monkeypatch.setattr(bn.dag, "ancestors", lambda v: pytest.fail("a walk per node"))
+        assert relevant_network(bn, ["H1500"], evidence) is bn
+        assert len(calls) == len(bn.variables)
+        assert max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------

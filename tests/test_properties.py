@@ -1,7 +1,8 @@
 """Property tests: variable elimination, the junction tree, tree belief
 propagation, max-product decoding, the Gibbs conditionals and the
 pseudo-likelihood against the enumeration oracle on random small models;
-loopy BP, dual decomposition and annealing against their per-edge or
+exact queries on networks with and without barren descendants; loopy BP,
+dual decomposition and annealing against their per-edge or
 always-re-scoring forms and their bounds.
 
 Tables are built from exactly representable values (MRF entries in
@@ -16,6 +17,8 @@ two of them overflows a plain exp. The sum-product engines must give the
 twin the model's marginals, and its log partition plus the lifts.
 """
 
+import contextlib
+import io as stdio
 import itertools
 import math
 
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import wide_network
-from pgmkit import exact, sampling
+from pgmkit import cli, exact, sampling
 from pgmkit.errors import NotATreeError, ZeroEvidenceError
 from pgmkit.exact import (
     MAX_PRODUCT,
@@ -46,6 +49,7 @@ from pgmkit.mapinf import (
     simulated_annealing_map,
 )
 from pgmkit.graphs import DirectedGraph
+from pgmkit.io import serialize_model
 from pgmkit.learning import Dataset, pseudo_likelihood
 from pgmkit.models import (
     BayesianNetwork,
@@ -55,6 +59,7 @@ from pgmkit.models import (
     enumerate_inference,
     log_joint,
     reduce_to_evidence,
+    relevant_network,
 )
 from pgmkit.sampling import batch_log_unnormalized
 from pgmkit.variational import LoopyBpResult, loopy_bp
@@ -80,6 +85,14 @@ def _variables(draw, n):
     ]
 
 
+def _dyadic_cpd(draw, child, parents):
+    rows = math.prod(p.cardinality for p in parents)
+    columns = draw(st.lists(st.sampled_from(DYADIC_COLUMNS[child.cardinality]),
+                            min_size=rows, max_size=rows))
+    table = np.array(columns).T.reshape([child.cardinality] + [p.cardinality for p in parents])
+    return Factor([child, *parents], table)
+
+
 @st.composite
 def bayesian_networks(draw):
     n = draw(st.integers(2, 5))
@@ -88,11 +101,23 @@ def bayesian_networks(draw):
     for i, child in enumerate(variables):
         parents = draw(st.lists(st.sampled_from(variables[:i]), max_size=2, unique=True)) if i else []
         edges += [(p.name, child.name) for p in parents]
-        rows = math.prod(p.cardinality for p in parents)
-        columns = draw(st.lists(st.sampled_from(DYADIC_COLUMNS[child.cardinality]),
-                                min_size=rows, max_size=rows))
-        table = np.array(columns).T.reshape([child.cardinality] + [p.cardinality for p in parents])
-        cpds[child.name] = Factor([child, *parents], table)
+        cpds[child.name] = _dyadic_cpd(draw, child, parents)
+    return BayesianNetwork(variables, DirectedGraph([v.name for v in variables], edges), cpds)
+
+
+@st.composite
+def with_barren_descendants(draw, bn):
+    """The network with one to three children added below it, each under
+    one or two drawn parents among the network and the earlier children:
+    barren to every query and evidence over the network's own variables."""
+    variables = list(bn.variables.values())
+    edges, cpds = list(bn.dag.edges), dict(bn.cpds)
+    for k in range(draw(st.integers(1, 3))):
+        child = Variable(f"b{k}", tuple(f"s{j}" for j in range(draw(st.integers(2, 3)))))
+        parents = draw(st.lists(st.sampled_from(variables), min_size=1, max_size=2, unique=True))
+        edges += [(p.name, child.name) for p in parents]
+        cpds[child.name] = _dyadic_cpd(draw, child, parents)
+        variables.append(child)
     return BayesianNetwork(variables, DirectedGraph([v.name for v in variables], edges), cpds)
 
 
@@ -192,6 +217,44 @@ def test_bayesian_networks_match_the_oracle(data):
     bn = data.draw(bayesian_networks())
     for evidence in ({}, data.draw(evidence_for(bn))):
         check_against_oracle(bn, evidence)
+
+
+def query_through_the_cli(path, model, target, evidence, engine):
+    """``query`` on the model written to ``path``: exit code, stdout, stderr."""
+    path.write_text(serialize_model(model))
+    argv = ["query", "--model", str(path), "--target", target, "--engine", engine]
+    for name, state in evidence.items():
+        argv += ["--evidence", f"{name}={state}"]
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+@SETTINGS
+@given(st.data())
+def test_barren_descendants_change_no_exact_query(tmp_path_factory, data):
+    bn = data.draw(bayesian_networks())
+    full = data.draw(with_barren_descendants(bn))
+    evidence = data.draw(evidence_for(bn))
+    target = data.draw(st.sampled_from([n for n in sorted(bn.variables) if n not in evidence]))
+    path = tmp_path_factory.mktemp("barren") / "model.json"
+    for engine in ("ve", "jtree", "bp"):
+        # bp answers where the network is a polytree and exits 3 on both where it is not
+        assert (query_through_the_cli(path, full, target, evidence, engine)
+                == query_through_the_cli(path, bn, target, evidence, engine))
+
+    sub = relevant_network(full, [target], evidence)
+    assert set(sub.variables) <= set(bn.variables)
+    log_z = enumerate_inference(full, mode="log_partition", evidence=evidence)
+    if log_z == -math.inf:
+        with pytest.raises(ZeroEvidenceError):
+            variable_elimination(sub, [target], evidence)
+        return
+    got = variable_elimination(sub, [target], evidence)
+    want = enumerate_inference(full, [target], evidence)
+    np.testing.assert_allclose(got.normalized().table, want.table, rtol=0, atol=1e-9)
+    assert got.log_normalizer == pytest.approx(log_z, rel=0, abs=1e-9)
 
 
 @SETTINGS
