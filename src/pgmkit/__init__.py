@@ -49,6 +49,7 @@ from .exact import (
     jt_query,
     max_product_decode,
     tree_bp,
+    tree_bp_marginal,
     variable_elimination,
 )
 from .mapinf import (

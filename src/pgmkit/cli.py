@@ -32,7 +32,7 @@ from .exact import (
     jt_calibrate,
     jt_marginal,
     max_product_decode,
-    tree_bp,
+    tree_bp_marginal,
     variable_elimination,
 )
 from .io import (
@@ -163,7 +163,7 @@ def _cmd_query(args, out) -> int:
     elif engine == "ve":
         values = variable_elimination(model, [target], evidence).normalized().values
     elif engine == "bp":
-        values = tree_bp(model, evidence).marginal(target).values
+        values = tree_bp_marginal(model, target, evidence).values
     elif engine == "jtree":
         values = jt_marginal(build_junction_tree(model), target, evidence).values
     elif engine == "loopy":

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import (
+    EvidenceError,
     IncompatibleVariableError,
     NotATreeError,
     OrderingError,
@@ -384,12 +385,13 @@ class _MessageGraph:
     variables; the one send step of tree BP and the junction tree.
 
     A message is a plain array over its edge's kept variables, in the
-    sender's order. Every edge's broadcast plan is worked out once, here:
-    the axes the sender sums out, and the shape that takes the message
-    into the receiver's scope. A receiver's scope holds every variable an
-    incoming edge keeps, in the sender's order, so no message needs a
-    transpose: junction-tree scopes are in name order, and a factor-graph
-    edge keeps one variable.
+    sender's order. An edge's broadcast plan is worked out on the first
+    send that reads it, and kept in ``plans``: the axes the sender sums
+    out, and the shape that takes the message into the receiver's scope.
+    So a collect pass plans only the edges it sends on. A receiver's scope
+    holds every variable an incoming edge keeps, in the sender's order, so
+    no message needs a transpose: junction-tree scopes are in name order,
+    and a factor-graph edge keeps one variable.
     """
 
     def __init__(self, neighbors: Mapping[object, Sequence],
@@ -399,13 +401,18 @@ class _MessageGraph:
         self.neighbors = neighbors
         self.scope = scope
         self.base = base
-        self.kept, self.summed, self.into = {}, {}, {}
-        for edge, names in keep.items():
-            names = set(names)
-            sender, receiver = self.scope[edge[0]], self.scope[edge[1]]
-            self.kept[edge] = tuple(v for v in sender if v.name in names)
-            self.summed[edge] = tuple(ax for ax, v in enumerate(sender) if v.name not in names)
-            self.into[edge] = tuple(v.cardinality if v.name in names else 1 for v in receiver)
+        self.keep = keep
+        self.plans: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def _plan(self, edge: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The edge's summed sender axes and its shape in the receiver."""
+        names = set(self.keep[edge])
+        sender, receiver = self.scope[edge[0]], self.scope[edge[1]]
+        plan = self.plans[edge] = (
+            tuple(ax for ax, v in enumerate(sender) if v.name not in names),
+            tuple(v.cardinality if v.name in names else 1 for v in receiver),
+        )
+        return plan
 
     def send(self, messages: Mapping[tuple, np.ndarray], node,
              target=None) -> np.ndarray:
@@ -419,10 +426,12 @@ class _MessageGraph:
         multiplied into it in place, so no base table or message is
         written, and each entry's products run in neighbour order.
         """
+        plans = self.plans
         out = base = self.base.get(node)
         for nb in self.neighbors[node]:
             if nb != target:
-                message = messages[(nb, node)].reshape(self.into[(nb, node)])
+                edge = (nb, node)
+                message = messages[edge].reshape((plans.get(edge) or self._plan(edge))[1])
                 if out is not base:
                     np.multiply(out, message, out=out)
                 elif base is not None:
@@ -434,7 +443,10 @@ class _MessageGraph:
             out = np.ones([v.cardinality for v in self.scope[node]])
         # C order fixes the summation order of the reductions that follow
         out = np.ascontiguousarray(out)
-        axes = self.summed[(node, target)] if target is not None else ()
+        if target is None:
+            return out
+        edge = (node, target)
+        axes = (plans.get(edge) or self._plan(edge))[0]
         return np.sum(out, axis=axes) if axes else out
 
 
@@ -468,10 +480,14 @@ def _calibrate(graph: _MessageGraph, root=None) -> _Calibration:
     normalized, and the log of every pulled-out total is carried along, so
     a belief's log scale is the log-partition of its tree. Messages flow
     from the leaves to the roots of :func:`_tree_schedule`, then back out.
-    Given a ``root`` node, only the collect pass toward it runs: its tree
-    is rooted there, and the root's belief is the only one built. A graph
-    with a cycle raises NotATreeError before any message is sent (a clique
-    tree from build_junction_tree never has one).
+    Given a ``root`` node, only collect passes run, one message per edge:
+    the root's tree is rooted there, and every other tree at its first
+    node. The root's belief is the only one built; each other tree's root
+    only has its total taken, so evidence of probability zero in any tree
+    raises ZeroEvidenceError, as the two passes do. A message depends only
+    on the subtree behind it, so each is bit for bit that of the two
+    passes. A graph with a cycle raises NotATreeError before any message
+    is sent (a clique tree from build_junction_tree never has one).
     """
     nodes, neighbors = graph.nodes, graph.neighbors
     order, parent, roots = _tree_schedule(nodes if root is None else [root, *nodes], neighbors)
@@ -492,8 +508,7 @@ def _calibrate(graph: _MessageGraph, root=None) -> _Calibration:
         table, log_total = _rescaled(graph.send(messages, node, target))
         return table, scale + log_total
 
-    edges = [(node, parent[node]) for node in reversed(order)
-             if parent[node] is not None and (root is None or roots[node] == root)]
+    edges = [(node, parent[node]) for node in reversed(order) if parent[node] is not None]
     if root is None:
         edges += [(node, nb) for node in order for nb in neighbors[node] if nb != parent[node]]
     for edge in edges:                # leaves toward the roots, then back out
@@ -504,6 +519,10 @@ def _calibrate(graph: _MessageGraph, root=None) -> _Calibration:
     for node in nodes if root is None else [root]:
         table, belief_scales[node] = combine(node)
         beliefs[node] = Factor(graph.scope[node], table, _trusted=True)
+    if root is not None:
+        for node in order:
+            if parent[node] is None and node != root:
+                _rescaled(graph.send(messages, node))   # the tree's total: refuses zero mass
     return _Calibration(messages, beliefs, belief_scales, roots)
 
 
@@ -560,6 +579,27 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
         MessageStore(cal.messages, len(cal.messages)),
         float(log_z),
     )
+
+
+def tree_bp_marginal(model: Model, target: str,
+                     evidence: Mapping[str, str] | None = None) -> Factor:
+    """Normalized p(target | evidence) from collect passes alone.
+
+    Messages flow from the leaves toward the target's variable node, one
+    per edge of its tree, and only its belief is built; every other tree
+    of the forest collects toward its first node. The answer is
+    ``tree_bp(model, evidence).marginal(target)`` bit for bit, and the
+    refusals are those of :func:`tree_bp`: NotATreeError for a cycle,
+    before any send, and ZeroEvidenceError when any tree has no mass. A
+    target that is also evidence raises EvidenceError.
+    """
+    evidence = check_evidence(model, evidence or {})
+    model.variable(target)
+    if target in evidence:
+        raise EvidenceError(f"query variable {target!r} is also evidence")
+    graph, _, _ = _factor_graph(model, evidence)
+    root = ("v", target)
+    return _calibrate(graph, root=root).beliefs[root]
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,24 @@ LOG = "log"
 _LOG_MAX = math.log(sys.float_info.max)  # the largest log whose exp is finite
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__   # the one way to set a field of a frozen object
+
+
+@dataclass(frozen=True, init=False)
 class Variable:
     """A named discrete variable with an ordered tuple of state labels."""
 
     name: str
     states: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
-        if len(self.states) < 1:
-            raise ValueError(f"variable {self.name!r} needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError(f"variable {self.name!r} has duplicate state labels")
+    def __init__(self, name: str, states: Iterable[str]):
+        states = tuple(map(str, states))
+        if not states:
+            raise ValueError(f"variable {name!r} needs at least one state")
+        if len(set(states)) != len(states):
+            raise ValueError(f"variable {name!r} has duplicate state labels")
+        _set(self, "name", name)
+        _set(self, "states", states)
 
     @property
     def cardinality(self) -> int:
@@ -110,12 +115,12 @@ class Factor:
         # Either way the table is C-ordered, which fixes the summation order
         # of later reductions.
         scope = tuple(scope)
-        names = tuple(v.name for v in scope)
+        names = tuple([v.name for v in scope])
         if len(set(names)) != len(names):
             raise ScopeError(f"duplicate variables in scope {list(names)}")
         if domain not in (LINEAR, LOG):
             raise ValueError(f"unknown domain tag {domain!r}")
-        shape = tuple(v.cardinality for v in scope)
+        shape = tuple([len(v.states) for v in scope])
         table = np.asarray(values, dtype=float, order="C")
         if table.shape != shape:
             expected = math.prod(shape)
@@ -131,11 +136,11 @@ class Factor:
                     raise ValueError("linear-domain factor entries must be nonnegative")
                 if not np.max(table) < math.inf:   # NaN fails this too
                     raise ValueError(f"{domain}-domain factor entries must not be NaN or +inf")
-        table.flags.writeable = False
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "names", names)
+        table.setflags(write=False)
+        _set(self, "scope", scope)
+        _set(self, "table", table)
+        _set(self, "domain", domain)
+        _set(self, "names", names)
 
     def __setattr__(self, name, value):
         raise AttributeError("factors are immutable")

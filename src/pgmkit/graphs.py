@@ -270,11 +270,17 @@ def _find_cycle(g: DirectedGraph, remaining: Sequence[str]) -> list[str]:
 
 
 def is_dag(g: DirectedGraph) -> bool:
-    try:
-        topological_sort(g)
-        return True
-    except NotADagError:
-        return False
+    """Whether the graph has no directed cycle: Kahn's count, in no
+    particular order, of the nodes left with no unvisited parent reaches
+    every node."""
+    indegree = {n: len(ps) for n, ps in g._parents.items()}
+    ready = [n for n, d in indegree.items() if not d]
+    for n in ready:   # grows as it is walked
+        for c in g._children[n]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                ready.append(c)
+    return len(ready) == len(indegree)
 
 
 def moralize(g: DirectedGraph) -> UndirectedGraph:

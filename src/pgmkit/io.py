@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from operator import getitem
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -131,49 +131,10 @@ def _require(document, key, types, path):
     return value
 
 
-class _Entry(NamedTuple):
-    """A factor entry of a model document that passed the structural checks."""
-
-    kind: str
-    document: dict
-    scope: tuple[Variable, ...]
-    shape: tuple[int, ...]
-    domain: str
-    table: list
-    path: str
-
-
-def _entry(document, path: str, by_name: dict[str, Variable]) -> _Entry:
-    """Check everything of one factor entry but its numbers."""
-    kind = _require(document, "kind", str, path)
-    scope_names = _require(document, "scope", list, path)
-    table = _require(document, "table", list, path)
-    domain = document.get("domain", "linear")
-    if domain not in ("linear", "log"):
-        raise SchemaError(f"unknown domain {domain!r}", path=path)
-    scope = []
-    for name in scope_names:
-        if not isinstance(name, str):
-            raise SchemaError(f"scope entry {name!r} is not a variable name", path=path)
-        if name not in by_name:
-            raise SchemaError(f"scope references unknown variable {name!r}", path=path)
-        scope.append(by_name[name])
-    shape = tuple(v.cardinality for v in scope)
-    expected = math.prod(shape)
-    if len(table) != expected:
-        raise SchemaError(
-            f"table has {len(table)} entries but the scope "
-            f"{scope_names} requires {expected}",
-            path=path,
-        )
-    if len(set(scope_names)) != len(scope_names):
-        # Factor's own refusal, raised here to keep its place in entry order
-        raise ScopeError(f"duplicate variables in scope {scope_names}")
-    return _Entry(kind, document, tuple(scope), shape, domain, table, path)
-
-
-def _tables(entries: list[_Entry]) -> list[np.ndarray]:
-    """The tables of the entries as read-only float arrays, in entry order.
+def _tables(scopes: list[tuple[Variable, ...]], raw: list[list],
+            groups: dict[tuple, list[int]]) -> list[np.ndarray]:
+    """The raw tables of the factor entries as read-only float arrays, in
+    entry order; ``groups`` lists the entries of each (shape, domain).
 
     The tables of one (shape, domain) are read as one block and checked at
     once, and each is returned as a view of its block. A linear table may
@@ -181,13 +142,10 @@ def _tables(entries: list[_Entry]) -> list[np.ndarray]:
     (-Infinity is a zero). Of the refused tables, the first in document
     order is reported, as reading the entries one by one would.
     """
-    groups: dict[tuple, list[int]] = {}
-    for k, e in enumerate(entries):
-        groups.setdefault((e.shape, e.domain), []).append(k)
-    tables: list = [None] * len(entries)
+    tables: list = [None] * len(raw)
     faults = []   # (position, message) of the first refused table of each group
     for (shape, domain), ks in groups.items():
-        block, unreadable = _block([entries[k] for k in ks], shape)
+        block, unreadable = _block([(scopes[k], raw[k]) for k in ks], shape, domain)
         allowed = block < math.inf
         if domain == "linear":
             allowed &= block >= 0
@@ -202,7 +160,7 @@ def _tables(entries: list[_Entry]) -> list[np.ndarray]:
                 tables[k] = table
     if faults:
         k, message = min(faults)
-        raise SchemaError(message, path=entries[k].path)
+        raise SchemaError(message, path=f"$.factors[{k}]")
     return tables
 
 
@@ -214,23 +172,58 @@ def _refusal(table: np.ndarray, domain: str) -> str:
     return "linear-domain factor entries must be finite"
 
 
-def _block(entries: list[_Entry], shape: tuple[int, ...]) -> tuple[np.ndarray, str | None]:
-    """The entries' tables stacked as floats, and None; or, when one cannot
-    be read, the stack of the tables before it and the reason."""
+def _block(entries: list[tuple], shape: tuple[int, ...], domain: str
+           ) -> tuple[np.ndarray, str | None]:
+    """The (scope, raw table) entries' tables stacked as floats, and None;
+    or, when one cannot be read, the stack of the tables before it and the
+    reason."""
     try:
-        return np.array([e.table for e in entries], dtype=float).reshape(len(entries), *shape), None
+        return np.array([table for _, table in entries], dtype=float).reshape(len(entries), *shape), None
     except (TypeError, ValueError, OverflowError):
         pass   # a nonnumeric entry, a nested table or a huge integer: read one at a time
     rows = []
-    for e in entries:
+    for scope, table in entries:
         try:
-            rows.append(Factor(e.scope, e.table, e.domain, _trusted=True).table)
+            rows.append(Factor(scope, table, domain, _trusted=True).table)
         except (TypeError, ValueError, OverflowError) as exc:
             return np.array(rows).reshape(len(rows), *shape), str(exc)
     return np.array(rows), None
 
 
+def _kind_refusal(entry: dict, kind: str, scope_names: list, network: bool,
+                  children: dict[str, int], i: int, path: str) -> SchemaError | None:
+    """The refusal of factor entry ``i`` for the model type, if any: a
+    factor of the wrong kind, or a CPD whose child is missing, not first in
+    its scope or already given. A network's accepted child joins
+    ``children``."""
+    if not network:
+        if kind != "potential":
+            return SchemaError("markov random fields require potential factors", path=path)
+        return None
+    if kind != "cpd":
+        return SchemaError("bayesian networks require cpd factors", path=path)
+    try:
+        child = _require(entry, "child", str, path)
+    except SchemaError as exc:
+        return exc
+    if not scope_names or scope_names[0] != child:
+        return SchemaError("cpd scope must start with the child", path=path)
+    if child in children:
+        return SchemaError(f"duplicate cpd for {child!r}", path=path)
+    children[child] = i
+    return None
+
+
 def document_to_model(document: dict) -> Model:
+    """The model a document describes, read in one pass over its factors.
+
+    The refusals keep one precedence: the document's header and variables
+    first; then the first factor entry, in document order, that is
+    malformed or whose table is refused (a malformed entry before its
+    table); then the first entry of the wrong kind for the model type, or
+    a CPD whose child is missing, not first in its scope or repeated; then
+    an unknown model type; then the model's own validation.
+    """
     version = _require(document, "format_version", int, "$")
     if version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version}", path="$.format_version")
@@ -243,41 +236,65 @@ def document_to_model(document: dict) -> Model:
         states = _require(entry, "states", list, path)
         if not states or not all(isinstance(s, str) for s in states):
             raise SchemaError("states must be a nonempty list of strings", path=path)
-        variables.append(Variable(name, tuple(states)))
+        variables.append(Variable(name, states))
     by_name = {v.name: v for v in variables}
     if len(by_name) != len(variables):
         raise SchemaError("duplicate variable names", path="$.variables")
 
+    network = model_type == "bayesian_network"
     factor_entries = _require(document, "factors", list, "$")
-    parsed: list[_Entry] = []
+    scopes: list[tuple[Variable, ...]] = []
+    raw: list[list] = []
+    domains: list[str] = []
+    groups: dict[tuple, list[int]] = {}
+    children: dict[str, int] = {}   # a network's CPD children, at their entries
+    late = None   # the first kind or child refusal, raised once every table is read
     try:
         for i, entry in enumerate(factor_entries):
-            parsed.append(_entry(entry, f"$.factors[{i}]", by_name))
+            path = f"$.factors[{i}]"
+            kind = _require(entry, "kind", str, path)
+            scope_names = _require(entry, "scope", list, path)
+            table = _require(entry, "table", list, path)
+            domain = entry.get("domain", "linear")
+            if domain not in ("linear", "log"):
+                raise SchemaError(f"unknown domain {domain!r}", path=path)
+            scope = []
+            for name in scope_names:
+                if not isinstance(name, str):
+                    raise SchemaError(f"scope entry {name!r} is not a variable name", path=path)
+                if name not in by_name:
+                    raise SchemaError(f"scope references unknown variable {name!r}", path=path)
+                scope.append(by_name[name])
+            shape = tuple([len(v.states) for v in scope])
+            expected = math.prod(shape)
+            if len(table) != expected:
+                raise SchemaError(
+                    f"table has {len(table)} entries but the scope "
+                    f"{scope_names} requires {expected}",
+                    path=path,
+                )
+            if len(set(scope_names)) != len(scope_names):
+                # Factor's own refusal, raised here to keep its place in entry order
+                raise ScopeError(f"duplicate variables in scope {scope_names}")
+            scopes.append(tuple(scope))
+            raw.append(table)
+            domains.append(domain)
+            groups.setdefault((shape, domain), []).append(i)
+            if late is None and model_type in ("bayesian_network", "markov_random_field"):
+                late = _kind_refusal(entry, kind, scope_names, network, children, i, path)
     except Exception:
-        _tables(parsed)   # a refused table in an earlier factor is reported first
+        _tables(scopes, raw, groups)   # a refused table in an earlier factor is reported first
         raise
-    factors = [Factor(e.scope, table, e.domain, _trusted=True)
-               for e, table in zip(parsed, _tables(parsed))]
+    factors = [Factor(scope, table, domain, _trusted=True)
+               for scope, table, domain in zip(scopes, _tables(scopes, raw, groups), domains)]
+    if late is not None:
+        raise late
 
-    if model_type == "bayesian_network":
-        cpds = {}
-        edges = []
-        for e, factor in zip(parsed, factors):
-            if e.kind != "cpd":
-                raise SchemaError("bayesian networks require cpd factors", path=e.path)
-            child = _require(e.document, "child", str, e.path)
-            if not factor.names or factor.names[0] != child:
-                raise SchemaError("cpd scope must start with the child", path=e.path)
-            if child in cpds:
-                raise SchemaError(f"duplicate cpd for {child!r}", path=e.path)
-            cpds[child] = factor
-            edges.extend((parent, child) for parent in factor.names[1:])
-        dag = DirectedGraph([v.name for v in variables], edges)
-        model = BayesianNetwork(variables, dag, cpds)
+    if network:
+        edges = [(parent, f.names[0]) for f in factors for parent in f.names[1:]]
+        model = BayesianNetwork(variables, DirectedGraph(by_name, edges),
+                                {child: factors[k] for child, k in children.items()})
     elif model_type == "markov_random_field":
-        for e in parsed:
-            if e.kind != "potential":
-                raise SchemaError("markov random fields require potential factors", path=e.path)
         model = MarkovRandomField(variables, factors)
     else:
         raise SchemaError(f"unknown model_type {model_type!r}", path="$.model_type")

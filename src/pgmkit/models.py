@@ -77,35 +77,35 @@ class BayesianNetwork(Model):
 
     def validate(self) -> list[Violation]:
         out = []
-        if set(self.dag.nodes) != set(self.variables):
+        if set(self.dag.nodes) != self.variables.keys():
             out.append(Violation("dag", "node set differs from declared variables"))
             return out
         if not is_dag(self.dag):
             out.append(Violation("dag", "graph is cyclic"))
-        missing = set(self.variables) - set(self.cpds)
+        missing = self.variables.keys() - self.cpds.keys()
         for name in sorted(missing):
             out.append(Violation(name, "no CPD declared"))
         names = sorted(self.cpds)
+        cpds = [self.cpds[n] for n in names]
         negative = np.zeros(len(names), dtype=bool)
         normalized = np.ones(len(names), dtype=bool)
-        for ks, block in _stacked([self.cpds[n].table for n in names]):
+        for ks, block in _stacked([cpd.table for cpd in cpds]):
             negative[ks] = block.reshape(len(ks), -1).min(axis=1) < 0
             if block.ndim > 1:   # a table over no variable fails the scope checks below
                 # the tolerance of np.allclose(row_sums, 1, atol=1e-9); NaN fails
                 row_sums = block.sum(axis=1).reshape(len(ks), -1)
                 normalized[ks] = (np.abs(row_sums - 1.0) <= 1e-9 + 1e-5).all(axis=1)
-        for k, name in enumerate(names):
-            cpd = self.cpds[name]
+        for name, cpd, neg, norm in zip(names, cpds, negative.tolist(), normalized.tolist()):
             expected = (name,) + self.dag.parents(name) if name in self.variables else None
-            if expected is not None and set(cpd.names) != set(expected):
+            if expected is not None and cpd.names != expected and set(cpd.names) != set(expected):
                 out.append(Violation(name, f"CPD scope {list(cpd.names)} != child+parents {list(expected)}"))
                 continue
             if cpd.names[0] != name:
                 out.append(Violation(name, "CPD scope must list the child variable first"))
                 continue
-            if negative[k]:
+            if neg:
                 out.append(Violation(name, "negative CPD entry"))
-            if not normalized[k]:
+            if not norm:
                 out.append(Violation(name, "rows do not sum to 1 over the child states"))
         return out
 
@@ -305,7 +305,7 @@ def _stacked(tables: Sequence[np.ndarray]) -> Iterable[tuple[list[int], np.ndarr
     for k, table in enumerate(tables):
         groups.setdefault(table.shape, []).append(k)
     for ks in groups.values():
-        yield ks, np.stack([tables[k] for k in ks])
+        yield ks, np.array([tables[k] for k in ks])   # as np.stack, at a third of its cost
 
 
 def bn_to_mrf(bn: BayesianNetwork) -> MarkovRandomField:
@@ -424,9 +424,16 @@ def log_joint(model: Model, assignment: Mapping[str, str]) -> float:
     if missing:
         raise EvidenceError(f"assignment is missing variables {sorted(missing)}")
     factors = model.factors
+    terms = [f.table.item(tuple([v.index_of(assignment[v.name]) for v in f.scope]))
+             for f in factors]
+    # one np.log over the linear entries read: the ufunc fa.log_tables takes
+    # of whole tables, so every term is its entry there, bit for bit
+    linear = [k for k, f in enumerate(factors) if f.domain != fa.LOG]
+    with np.errstate(divide="ignore"):
+        for k, term in zip(linear, np.log([terms[k] for k in linear]).tolist()):
+            terms[k] = term
     total = 0.0
-    for f, table in zip(factors, fa.log_tables(factors)):
-        term = table.item(tuple([v.index_of(assignment[v.name]) for v in f.scope]))
+    for term in terms:
         if term == -math.inf:
             return -math.inf
         total += term

@@ -1,17 +1,20 @@
 import collections
 import dataclasses
 import heapq
+import io as stdio
 import math
 
 import numpy as np
 import pytest
 
 from conftest import hmm_chain, random_bn, random_mrf, random_tree_mrf
-from pgmkit import exact, factors as fa
+from pgmkit import cli, exact, factors as fa
 from pgmkit.errors import (
+    EvidenceError,
     IncompatibleVariableError,
     NotATreeError,
     OrderingError,
+    ScopeError,
     TooLargeError,
     ZeroEvidenceError,
 )
@@ -29,10 +32,12 @@ from pgmkit.exact import (
     max_product_decode,
     running_intersection_holds,
     tree_bp,
+    tree_bp_marginal,
     variable_elimination,
 )
 from pgmkit.factors import MIN_SUM, OR_AND, Factor, Variable
 from pgmkit.graphs import DirectedGraph, UndirectedGraph, induced_width, max_weight_spanning_tree
+from pgmkit.io import serialize_model
 from pgmkit.models import (
     BayesianNetwork,
     ChainCRF,
@@ -298,6 +303,45 @@ class TestTreeBp:
                 want = enumerate_inference(mrf, list(f.names))
                 got = fa.align_to(result.factor_beliefs[i], sorted(f.names))
                 assert np.allclose(got.table, want.table, atol=1e-9)
+
+
+class TestTreeBpMarginal:
+    def test_is_the_two_pass_marginal(self, rng):
+        mrf = random_tree_mrf(rng, n=6)
+        names = sorted(mrf.variables)
+        for evidence in ({}, {names[2]: mrf.variable(names[2]).states[0]}):
+            result = tree_bp(mrf, evidence)
+            for name in names:
+                if name not in evidence:
+                    got = tree_bp_marginal(mrf, name, evidence)
+                    assert got.names == (name,)
+                    assert got.table.tobytes() == result.marginal(name).table.tobytes()
+
+    def test_zero_mass_in_another_tree_is_refused(self):
+        # a and b form one tree, c another whose two factors have no state
+        # in common: every message has mass, but c's own total is zero, and
+        # the collect pass toward a never reaches it
+        a, b, c = (Variable(n, ("0", "1")) for n in "abc")
+        mrf = MarkovRandomField([a, b, c], [Factor([a, b], [[1.0, 2.0], [3.0, 4.0]]),
+                                            Factor([c], [1.0, 0.0]), Factor([c], [0.0, 1.0])])
+        with pytest.raises(ZeroEvidenceError):
+            tree_bp(mrf)
+        with pytest.raises(ZeroEvidenceError):
+            tree_bp_marginal(mrf, "a")
+
+    def test_a_cycle_is_refused_before_any_send(self, monkeypatch):
+        from pgmkit.zoo import voting_mrf
+
+        monkeypatch.setattr(exact._MessageGraph, "send", no_tables)
+        with pytest.raises(NotATreeError):
+            tree_bp_marginal(voting_mrf(), "A")
+
+    def test_a_target_that_is_unknown_or_observed_is_refused(self, rng):
+        bn = chain_bn(3, rng)
+        with pytest.raises(ScopeError):
+            tree_bp_marginal(bn, "nope")
+        with pytest.raises(EvidenceError):
+            tree_bp_marginal(bn, "x1", {"x1": "0"})
 
 
 class TestMaxProductDecode:
@@ -1024,6 +1068,43 @@ def test_message_passing_builds_no_factor_per_message(monkeypatch):
         counts[steps] = (bp, jt_count, ve, len(built))
     for small, large in zip(counts[150], counts[600]):
         assert large <= 4.1 * small
+
+
+def test_bp_query_sends_once_per_edge_and_plans_only_what_it_sends(tmp_path, monkeypatch):
+    # a count, the same on any machine: on an HMM chain of n and 4n steps,
+    # `query --engine bp` sends one message per factor-graph edge and
+    # builds one belief, and no edge it does not send on is planned
+    graphs, sends = [], []
+    factor_graph, send = exact._factor_graph, exact._MessageGraph.send
+
+    def recording_factor_graph(*args):
+        out = factor_graph(*args)
+        graphs.append(out[0])
+        return out
+
+    monkeypatch.setattr(exact, "_factor_graph", recording_factor_graph)
+    monkeypatch.setattr(exact._MessageGraph, "send",
+                        lambda self, messages, node, target=None:
+                        sends.append((node, target)) or send(self, messages, node, target))
+    messages = {}
+    for steps in (25, 100):
+        bn, evidence = hmm_chain(np.random.default_rng(3), steps)
+        path = tmp_path / f"chain{steps}.json"
+        path.write_text(serialize_model(bn))
+        argv = ["query", "--model", str(path), "--target", f"H{steps // 2:03d}", "--engine", "bp"]
+        for name, state in evidence.items():
+            argv += ["--evidence", f"{name}={state}"]
+        graphs.clear()
+        sends.clear()
+        assert cli.main(argv, out=stdio.StringIO()) == 0
+        (graph,) = graphs
+        sent = [edge for edge in sends if edge[1] is not None]
+        edges = sum(len(nbs) for nbs in graph.neighbors.values()) // 2
+        assert len(sent) == len(set(sent)) == edges
+        assert [node for node, target in sends if target is None] == [("v", f"H{steps // 2:03d}")]
+        assert set(graph.plans) == set(sent)
+        messages[steps] = len(sent)
+    assert messages[100] <= 4.1 * messages[25]
 
 
 @pytest.mark.parametrize("engine", [

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import wide_network
 from pgmkit import cli, exact, sampling
-from pgmkit.errors import NotATreeError, ZeroEvidenceError
+from pgmkit.errors import NotADagError, NotATreeError, ZeroEvidenceError
 from pgmkit.exact import (
     MAX_PRODUCT,
     build_junction_tree,
@@ -37,6 +37,7 @@ from pgmkit.exact import (
     jt_query,
     max_product_decode,
     tree_bp,
+    tree_bp_marginal,
     variable_elimination,
 )
 from pgmkit.factors import LOG, Factor, Variable, log_tables, reduce_factor
@@ -48,7 +49,7 @@ from pgmkit.mapinf import (
     mrf_to_energy_model,
     simulated_annealing_map,
 )
-from pgmkit.graphs import DirectedGraph
+from pgmkit.graphs import DirectedGraph, is_dag, topological_sort
 from pgmkit.io import serialize_model
 from pgmkit.learning import Dataset, pseudo_likelihood
 from pgmkit.models import (
@@ -311,9 +312,9 @@ def check_edges_keep_the_receiver_order(graph):
     """Every edge keeps variables of the receiver's scope, in the order the
     receiver lists them, so a message reshapes into the receiver with no
     transpose."""
-    for (_, receiver), kept in graph.kept.items():
-        kept = [v.name for v in kept]
-        assert kept == [v.name for v in graph.scope[receiver] if v.name in kept]
+    for (sender, receiver), names in graph.keep.items():
+        kept = [v.name for v in graph.scope[sender] if v.name in names]
+        assert kept == [v.name for v in graph.scope[receiver] if v.name in names]
 
 
 @SETTINGS
@@ -440,6 +441,34 @@ def test_every_log_reader_takes_one_log_convention(data):
             check_one_log_convention(m)
 
 
+def whole_table_log_joint(model, assignment):
+    """``log_joint`` as the logs of every factor's whole table read at the
+    assignment, summed in model order."""
+    total = 0.0
+    for f, table in zip(model.factors, log_tables(model.factors)):
+        term = table.item(tuple(v.index_of(assignment[v.name]) for v in f.scope))
+        if term == -math.inf:
+            return -math.inf
+        total += term
+    return total
+
+
+@SETTINGS
+@given(st.data())
+def test_log_joint_is_the_whole_table_logs_bit_for_bit(data):
+    structure = data.draw(st.one_of(bayesian_networks(), factor_graphs()))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    models = [structure, log_twin(structure)[0]]
+    if isinstance(structure, BayesianNetwork):
+        models.append(with_float_tables(structure, seed))
+    names = sorted(structure.variables)
+    states = itertools.product(*(structure.variable(n).states for n in names))
+    for state in itertools.islice(states, 64):
+        assignment = dict(zip(names, state))
+        for m in models:
+            assert log_joint(m, assignment).hex() == whole_table_log_joint(m, assignment).hex()
+
+
 # ---------------------------------------------------------------------------
 # Loopy BP, dual decomposition and annealing
 # ---------------------------------------------------------------------------
@@ -484,13 +513,20 @@ def normalized(table):
     return table / total if total > 0 else np.full(len(table), 1.0 / len(table))
 
 
+def uniform_messages(graph):
+    """A uniform message on every factor-graph edge, over the one variable
+    the edge keeps."""
+    cards = {edge: graph.scope[("v", name)][0].cardinality
+             for edge, (name,) in graph.keep.items()}
+    return {edge: np.full(card, 1.0 / card) for edge, card in cards.items()}
+
+
 def per_edge_loopy_bp(model, evidence, max_iters, damping, tol):
     """The synchronous schedule as one send per edge: every proposal reads
     the old messages, then all are blended."""
     evidence = check_evidence(model, evidence)
     graph, variables, _ = exact._factor_graph(model, evidence)
-    messages = {edge: np.full(v.cardinality, 1.0 / v.cardinality)
-                for edge, (v,) in graph.kept.items()}
+    messages = uniform_messages(graph)
     edges = ([edge for edge in messages if edge[0][0] == "f"]
              + [edge for edge in messages if edge[0][0] == "v"])
     residual, iterations = math.inf, 0
@@ -514,8 +550,7 @@ def per_edge_sequential_loopy_bp(model, evidence, max_iters, damping, tol):
     after it, factor-to-variable edges first."""
     evidence = check_evidence(model, evidence)
     graph, variables, _ = exact._factor_graph(model, evidence)
-    messages = {edge: np.full(v.cardinality, 1.0 / v.cardinality)
-                for edge, (v,) in graph.kept.items()}
+    messages = uniform_messages(graph)
     order = (sorted(edge for edge in messages if edge[0][0] == "f")
              + sorted(edge for edge in messages if edge[0][0] == "v"))
     residual, iterations = math.inf, 0
@@ -602,10 +637,10 @@ def test_loopy_bp_wide_and_narrow_messages_match_the_per_edge_schedule():
 
 
 @st.composite
-def forests(draw):
+def forests(draw, zeros=False):
     """Factor graphs without a cycle: each factor joins variables of
-    distinct components. Entries are positive, so tree BP never refuses."""
-    model = draw(factor_graphs(zeros=False))
+    distinct components. Without zeros, tree BP never refuses."""
+    model = draw(factor_graphs(zeros=zeros))
     component = {n: n for n in model.variables}
 
     def root(n):
@@ -635,6 +670,57 @@ def test_loopy_bp_is_exact_on_forests(data):
     assert result.converged
     for name, belief in result.marginals.items():
         assert np.allclose(belief.values, exact_bp.marginal(name).values, rtol=0, atol=1e-12)
+
+
+def bp_outcome(run):
+    """The marginal's entries as hex strings, or the refusal's type."""
+    try:
+        return [x.hex() for x in run().values.tolist()]
+    except (NotATreeError, ZeroEvidenceError) as exc:
+        return type(exc)
+
+
+@SETTINGS
+@given(st.data())
+def test_tree_bp_marginal_is_tree_bp_bit_for_bit(tmp_path_factory, data):
+    # forests with zeros and log tables, and factor graphs that may have a
+    # cycle; the evidence may split a tree, and the target lies in any one
+    model = data.draw(st.one_of(forests(zeros=True), factor_graphs()))
+    names = sorted(model.variables)
+    target = data.draw(st.sampled_from(names))
+    observed = data.draw(st.lists(st.sampled_from(names).filter(lambda n: n != target), unique=True))
+    evidence = {n: data.draw(st.sampled_from(model.variable(n).states)) for n in observed}
+    want = bp_outcome(lambda: tree_bp(model, evidence).marginal(target))
+    assert bp_outcome(lambda: tree_bp_marginal(model, target, evidence)) == want
+
+    # the CLI prints what the two passes print, with the same exit code
+    path = tmp_path_factory.mktemp("bp") / "model.json"
+    got = query_through_the_cli(path, model, target, evidence, "bp")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "tree_bp_marginal",
+                  lambda model, target, evidence: tree_bp(model, evidence).marginal(target))
+        assert got == query_through_the_cli(path, model, target, evidence, "bp")
+
+
+@st.composite
+def digraphs(draw):
+    """Up to seven nodes and any set of edges between distinct nodes:
+    cyclic and acyclic graphs alike."""
+    names = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = [(u, v) for u in names for v in names if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    return DirectedGraph(names, edges)
+
+
+@SETTINGS
+@given(digraphs())
+def test_is_dag_exactly_when_a_topological_order_exists(g):
+    try:
+        topological_sort(g)
+    except NotADagError:
+        assert not is_dag(g)
+    else:
+        assert is_dag(g)
 
 
 @SETTINGS
