@@ -339,7 +339,8 @@ def _cmd_jtree(args, out) -> int:
     for a, b in sorted(jt.tree_edges):
         sep = ",".join(sorted(jt.sepsets[(a, b)]))
         print(f"sepset[{a}-{b}]={sep}", file=out)
-    width = max(len(c) for c in jt.cliques) - 1
+    # a model with no variables has one empty clique, of width 0
+    width = max(max(len(c) for c in jt.cliques) - 1, 0)
     print(f"width={width}", file=out)
     if args.dot:
         export_dot(jt, args.dot)

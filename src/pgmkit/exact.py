@@ -335,12 +335,6 @@ def _rescaled(table: np.ndarray, semiring: Semiring = SUM_PRODUCT) -> tuple[np.n
     return table / total, math.log(total)
 
 
-def posterior(model: Model, target: str,
-              evidence: Mapping[str, str] | None = None, **kw) -> Factor:
-    """Convenience wrapper: normalized p(target | evidence) via elimination."""
-    return variable_elimination(model, [target], evidence, **kw).normalized()
-
-
 # ---------------------------------------------------------------------------
 # Two-pass calibration on trees: belief propagation on factor trees here,
 # the junction tree below
@@ -357,7 +351,10 @@ class MessageStore:
     """
 
     messages: dict[tuple, np.ndarray] = field(default_factory=dict)
-    sends: int = 0
+
+    @property
+    def sends(self) -> int:
+        return len(self.messages)
 
 
 @dataclass
@@ -576,7 +573,7 @@ def tree_bp(model: Model, evidence: Mapping[str, str] | None = None) -> TreeBpRe
     return TreeBpResult(
         {v.name: cal.beliefs[("v", v.name)] for v in variables},
         [cal.beliefs[node] for node in graph.nodes if node[0] == "f"],
-        MessageStore(cal.messages, len(cal.messages)),
+        MessageStore(cal.messages),
         float(log_z),
     )
 

@@ -391,44 +391,6 @@ def d_separated(
     return True
 
 
-def d_separated_by_paths(
-    g: DirectedGraph, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()
-) -> bool:
-    """Path-enumeration oracle for d-separation (exponential; tests only)."""
-    xs, ys, zs = set(xs), set(ys), set(zs)
-    if xs & ys or xs & zs or ys & zs:
-        raise ValueError("query sets must be disjoint")
-    edge_set = set(g.edges)
-    skeleton = {n: set(g.skeleton().neighbors(n)) for n in g.nodes}
-    z_anc = set(zs)
-    for z in zs:
-        z_anc |= g.ancestors(z)
-
-    def path_active(path: list[str]) -> bool:
-        for i in range(1, len(path) - 1):
-            prev, node, nxt = path[i - 1], path[i], path[i + 1]
-            is_collider = (prev, node) in edge_set and (nxt, node) in edge_set
-            if is_collider:
-                if node not in z_anc:
-                    return False
-            else:
-                if node in zs:
-                    return False
-        return True
-
-    def extend(path: list[str]) -> bool:
-        node = path[-1]
-        if node in ys:
-            return path_active(path)
-        for nb in sorted(skeleton[node]):
-            if nb not in path:
-                if extend(path + [nb]):
-                    return True
-        return False
-
-    return not any(extend([x]) for x in sorted(xs))
-
-
 def markov_blanket(g, v: str, mode: str | None = None) -> set[str]:
     """Parents + children + spouses in a DAG; neighbors in an undirected graph."""
     if mode is None:

@@ -152,9 +152,6 @@ class MarkovRandomField(Model):
                 out.append(Violation(label, "negative entry"))
         return out
 
-    def is_pairwise(self) -> bool:
-        return all(len(f.scope) <= 2 for f in self.factors)
-
     def __repr__(self):
         return f"MarkovRandomField(variables={len(self.variables)}, factors={len(self.factors)})"
 

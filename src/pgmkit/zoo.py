@@ -51,30 +51,6 @@ def student_network() -> BayesianNetwork:
     return BayesianNetwork([d, i, g, s, letter], dag, cpds)
 
 
-def earthquake_network() -> BayesianNetwork:
-    """Burglary and earthquake independently cause the alarm.
-
-    The structure is the classic v-structure; the table values are chosen
-    to be faithful (every edge carries real dependence).
-    """
-    b = Variable("BURGLARY", ("no", "yes"))
-    e = Variable("EARTHQUAKE", ("no", "yes"))
-    a = Variable("ALARM", ("no", "yes"))
-    dag = DirectedGraph(
-        ["ALARM", "BURGLARY", "EARTHQUAKE"],
-        [("BURGLARY", "ALARM"), ("EARTHQUAKE", "ALARM")],
-    )
-    alarm = np.zeros((2, 2, 2))  # (alarm, burglary, earthquake)
-    alarm[1] = [[0.001, 0.29], [0.94, 0.95]]
-    alarm[0] = 1.0 - alarm[1]
-    cpds = {
-        "BURGLARY": Factor([b], [0.99, 0.01]),
-        "EARTHQUAKE": Factor([e], [0.98, 0.02]),
-        "ALARM": Factor([a, b, e], alarm),
-    }
-    return BayesianNetwork([a, b, e], dag, cpds)
-
-
 def voting_mrf() -> MarkovRandomField:
     """Four binary voters on a cycle with agreement potentials 10/5/1."""
     names = ["A", "B", "C", "D"]
@@ -121,15 +97,6 @@ def chow_liu_example() -> tuple[UndirectedGraph, dict[tuple[str, str], float]]:
 def y_structure_dag() -> DirectedGraph:
     """A -> C <- B with C -> D: fully identifiable from independence tests."""
     return DirectedGraph("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
-
-
-def y_structure_network(seed: int = 0) -> BayesianNetwork:
-    """The y-structure with random CPTs (binary variables)."""
-    from .models import random_cpds
-
-    rng = np.random.default_rng(seed)
-    variables = [Variable(n, ("0", "1")) for n in "ABCD"]
-    return random_cpds(variables, y_structure_dag(), rng)
 
 
 def three_state_chain() -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from pgmkit.cli import main
 from pgmkit.io import dataset_to_csv, serialize_model
 from pgmkit.learning import Dataset
+from pgmkit.models import MarkovRandomField
 from pgmkit.sampling import forward_sample, make_rng
 from pgmkit.zoo import student_network, voting_mrf
 
@@ -805,6 +806,17 @@ class TestJtree:
         assert code == 0
         assert "width=" in out
         assert dot_path.exists()
+
+    @pytest.mark.parametrize("model", [student_network(), voting_mrf(), MarkovRandomField([], [])],
+                             ids=["student", "voting", "empty"])
+    def test_width_is_the_induced_width(self, tmp_path, model):
+        from pgmkit.exact import choose_ordering
+
+        path = tmp_path / "model.json"
+        path.write_text(serialize_model(model))
+        code, out = run(["jtree", "--model", str(path)])
+        assert code == 0
+        assert grep(out, "width") == str(choose_ordering(model).induced_width)
 
     def test_validate_command(self, student_path):
         code, out = run(["validate", "--model", student_path])
