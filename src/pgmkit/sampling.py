@@ -79,16 +79,9 @@ class SampleBatch:
         return float(np.mean(self.column(name) == var.index_of(state)))
 
     def to_csv(self) -> str:
-        header = list(self.names)
-        if self.weights is not None:
-            header.append("weight")
-        lines = [",".join(header)]
-        for i, row in enumerate(self.states):
-            cells = [v.states[s] for v, s in zip(self.variables, row)]
-            if self.weights is not None:
-                cells.append(f"{self.weights[i]:.17g}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        """The batch as a dataset CSV (see ``io.dataset_to_csv``)."""
+        from .io import dataset_to_csv   # io imports this module through learning
+        return dataset_to_csv(self)
 
 
 def _categorical_rows(table_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -607,6 +607,58 @@ class TestSample:
         assert [l for l in out.splitlines() if not l.startswith("config.")] == [
             "DIFFICULTY,GRADE,INVESTMENT,LETTER,SAT"]
 
+    @staticmethod
+    def _relabelled(tmp_path, states: dict[str, list[str]]) -> str:
+        """The student network with the given state labels, as a model file."""
+        from pgmkit.io import canonical_json, model_to_document
+
+        document = model_to_document(student_network())
+        for entry in document["variables"]:
+            entry["states"] = states.get(entry["name"], entry["states"])
+        path = tmp_path / "relabelled.json"
+        path.write_text(canonical_json(document))
+        return str(path)
+
+    def test_sample_out_round_trips_through_learn_params(self, tmp_path):
+        from pgmkit.io import parse_model
+        from pgmkit.learning import mle_bn
+
+        labels = {"DIFFICULTY": ["very easy", "quite hard indeed"],   # inner spaces, 17 bytes
+                  "GRADE": ["größer", "中文", "grade three of three"],  # non-ASCII, 20 bytes
+                  "LETTER": ["l0", "ünïcödé letter"]}
+        model_path = self._relabelled(tmp_path, labels)
+        data_path, fit_path = tmp_path / "s.csv", tmp_path / "fit.json"
+        code, _ = run(["sample", "--model", model_path, "--n", "400", "--seed", "3",
+                       "--out", str(data_path)])
+        assert code == 0
+        model = parse_model(open(model_path).read())
+        batch = forward_sample(model, 400, make_rng(3))
+        assert data_path.read_text().splitlines()[1:] == [
+            ",".join(v.states[s] for v, s in zip(batch.variables, row)) for row in batch.states]
+        code, out = run(["learn-params", "--structure", model_path, "--data", str(data_path),
+                         "--out", str(fit_path)])
+        assert code == 0
+        assert grep(out, "n") == "400"
+        expected = mle_bn(model.dag, Dataset(batch.variables, batch.states), 0.0)
+        assert fit_path.read_text() == serialize_model(expected)
+
+    @pytest.mark.parametrize("states, refused", [
+        (["x,y", " z"], "state 'x,y'"),
+        (["x", " z"], "state ' z'"),
+        (["x", "z\t"], "state 'z\\t'"),
+        (["x", "y\nz"], "state 'y\\nz'"),
+        (["x", "y\u2028z"], "state 'y\\u2028z'"),
+    ])
+    def test_sample_refuses_labels_the_reader_cannot_read_back(
+            self, tmp_path, capsys, states, refused):
+        model_path = self._relabelled(tmp_path, {"DIFFICULTY": states})
+        data_path = tmp_path / "s.csv"
+        code, out = run(["sample", "--model", model_path, "--n", "5", "--out", str(data_path)])
+        assert code == 2
+        assert not data_path.exists()
+        assert "written=" not in out
+        assert f"variable 'DIFFICULTY': {refused} cannot be written" in capsys.readouterr().err
+
     def test_stdout_csv(self, student_path):
         code, out = run(["sample", "--model", student_path, "--n", "3", "--seed", "7"])
         assert code == 0
@@ -787,6 +839,19 @@ class TestLearning:
             outputs.add(out)
         assert len(outputs) == 1
 
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "row 3, column 2: non-finite value nan"),
+        ("-inf", "row 3, column 2: non-finite value -inf"),
+        ("Infinity", "row 3, column 2: non-finite value inf"),
+    ])
+    def test_em_gmm_refuses_non_finite_values(self, tmp_path, capsys, cell, message):
+        data_path = tmp_path / "g.csv"
+        data_path.write_text(f"x,y\n1.0,2.0\n3.0,{cell}\n5.0,6.0\n")
+        code, out = run(["em-gmm", "--data", str(data_path), "--k", "2"])
+        assert code == 2
+        assert "loglik=" not in out
+        assert capsys.readouterr().err == f"error={message}\n"
 
     @pytest.mark.parametrize("max_iters", ["0", "-1"])
     def test_em_gmm_with_no_iterations_exits_2(self, tmp_path, capsys, max_iters):

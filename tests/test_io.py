@@ -1,11 +1,14 @@
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_bn, random_mrf
+from pgmkit import io as pgmkit_io
 from pgmkit.errors import SchemaError, ScopeError
 from pgmkit.factors import Factor, Variable
 from pgmkit.io import (
@@ -19,6 +22,7 @@ from pgmkit.io import (
     parse_model,
     serialize_model,
 )
+from pgmkit.graphs import DirectedGraph
 from pgmkit.learning import Dataset
 from pgmkit.models import BayesianNetwork, MarkovRandomField, enumerate_inference, validate
 from pgmkit.sampling import forward_sample, make_rng
@@ -342,6 +346,145 @@ def test_parse_of_serialize_reproduces_the_model(data):
         assert serialize_model(again) == text
 
 
+def load_dataset_by_rows(text: str, variables=None) -> Dataset:
+    """Row-by-row reference for ``load_dataset``: split, strip and look up
+    every cell of every row."""
+    lines = [line for line in text.strip().splitlines() if line]
+    if variables is None and len(lines) < 2:
+        raise SchemaError("dataset needs a header and at least one row")
+    if not lines:
+        raise SchemaError("empty dataset")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(set(header)) != len(header):
+        raise SchemaError("duplicate columns in header")
+    body = lines[1:]
+    if hasattr(variables, "variables"):
+        variables = list(variables.variables.values())
+    by_name = {v.name: v for v in variables or ()}
+    if "weight" in header and "weight" not in by_name:
+        raise SchemaError("column 'weight': per-row weights are not supported")
+    if variables is None:
+        seen = [set() for _ in header]
+        for r, line in enumerate(body, start=1):
+            for states, cell in zip(seen, _row_cells(r, line, len(header))):
+                states.add(cell)
+        by_name = {name: Variable(name, tuple(sorted(s))) for name, s in zip(header, seen)}
+    unknown = [h for h in header if h not in by_name]
+    if unknown:
+        raise SchemaError(f"unknown columns {unknown}")
+    missing = sorted(set(by_name) - set(header))
+    if missing:
+        raise SchemaError(f"missing columns {missing}")
+    rows = []
+    for r, line in enumerate(body, start=1):
+        row = []
+        for name, cell in zip(header, _row_cells(r, line, len(header))):
+            if cell not in by_name[name].states:
+                raise SchemaError(f"row {r}, column {name!r}: invalid state {cell!r}")
+            row.append(by_name[name].states.index(cell))
+        rows.append(row)
+    ordered = sorted(by_name)
+    rows = np.array(rows, dtype=np.int64).reshape(len(body), len(header))
+    rows = rows[:, [header.index(n) for n in ordered]]
+    return Dataset(tuple(by_name[n] for n in ordered), rows)
+
+
+def _row_cells(r: int, line: str, width: int) -> list[str]:
+    """The stripped cells of data row r, which must number ``width``."""
+    cells = [c.strip() for c in line.split(",")]
+    if len(cells) != width:
+        raise SchemaError(f"row {r} has {len(cells)} cells, expected {width}")
+    return cells
+
+
+def _outcome(read, *args):
+    """What a reader makes of a CSV: its variables and rows, or its error."""
+    try:
+        data = read(*args)
+    except (SchemaError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return data.variables, data.rows.tolist()
+
+
+# Labels of 1-20 bytes: stems of 7, 8, 15 and 16 bytes make labels that
+# share whole 8-byte words; the tails add NUL, whitespace, and two- and
+# three-byte characters.
+_LABEL = st.builds(
+    lambda stem, tail: stem + tail,
+    st.sampled_from(["", "s", "abcdefg", "abcdefgh", "abcdefghabcdefg", "abcdefghabcdefgh"]),
+    st.text(alphabet=["a", "b", "\0", " ", "\xa0", "é", "中"], max_size=3),
+).filter(lambda s: 1 <= len(s.encode()) <= 20)
+_PAD = st.sampled_from(["", "", " ", "\t", "\xa0", "　"])
+
+
+def _family(base: str) -> list[str]:
+    """Labels one character away from ``base``: with a NUL after it,
+    without its last character, with another last character or eighth or
+    sixteenth character, and padded with whitespace (which no stripped
+    cell can match)."""
+    family = [base, base + "\0", base[:-1], " " + base, base + "\xa0"]
+    for i in {7, 15, len(base) - 1} & set(range(len(base))):
+        family.append(base[:i] + ("b" if base[i] == "a" else "a") + base[i + 1:])
+    return [s for s in family if 1 <= len(s.encode()) <= 20]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_load_dataset_matches_the_row_by_row_reference(data):
+    names = [f"v{k}" for k in range(data.draw(st.integers(1, 3)))]
+    families = [_family(data.draw(_LABEL)) for _ in names]
+    variables = [
+        Variable(name, data.draw(st.lists(st.sampled_from(family) | _LABEL,
+                                          min_size=1, max_size=4, unique=True)))
+        for name, family in zip(names, families)
+    ]
+    header = data.draw(st.permutations(names))
+    lines = [",".join(data.draw(_PAD) + name + data.draw(_PAD) for name in header)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        cells = []
+        for name in header:
+            k = names.index(name)
+            # a state, or rarely any label near the states, which may be a bad cell
+            cell = data.draw(st.sampled_from(variables[k].states) if data.draw(st.integers(0, 39))
+                             else st.sampled_from(families[k]) | _LABEL)
+            cells.append(data.draw(_PAD) + cell + data.draw(_PAD))
+        fault = data.draw(st.integers(0, 29))   # 0: a short row, 1: a long one
+        lines.append(",".join(cells[:-1] if fault == 0 else cells + ["s"] if fault == 1 else cells))
+        lines.extend([""] * data.draw(st.integers(0, 1)))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + newline * data.draw(st.integers(0, 2))
+    given_variables = data.draw(st.sampled_from([None, variables]))
+    expected = _outcome(load_dataset_by_rows, text, given_variables)
+    assert _outcome(load_dataset, text, given_variables) == expected
+    # a hash under which every string collides leaves only the byte comparisons
+    with mock.patch.object(pgmkit_io, "_MIX", np.uint64(0)):
+        assert _outcome(load_dataset, text, given_variables) == expected
+
+
+@pytest.mark.parametrize("states", [
+    # the first word's last byte, and the second and third words; the
+    # cells also hold labels that are no state, so that some are refused
+    ("abcdefgh", "abcdefga", "abcdefg", "abcdefgh\0", "abcdefgha"),
+    ("abcdefghabcdefgh", "abcdefghabcdefga", "abcdefgaabcdefgh", "abcdefghabcdefgha",
+     "abcdefghabcdefghb", "abcdefghabcdefghab"),
+    ("a", "a\0", "\0", "\0a", "é", "e", "中文", "中"),   # NUL and multibyte labels
+    ("z", " z", "z\xa0", "y"),   # padded states, which no cell matches
+    ("x", "y", ""),   # an empty state, last of all when its column comes last
+])
+def test_load_dataset_matches_the_reference_at_word_edges(states):
+    cells = [*states, *(c for c in ("z", "abcdefgh\0\0", "é\0") if c not in states)]
+    for pad in ("", " "):
+        for row in (cells, cells[::-1]):
+            for text in ("v0,w\n" + "".join(f"{pad}{cell}{pad},x\n" for cell in row),
+                         "w,v0\n" + "".join(f"x,{pad}{cell}{pad}\n" for cell in row)):
+                for variables in (None, [Variable("v0", states), Variable("w", ("x",))],
+                                  [Variable("v0", cells), Variable("w", ("x",))]):
+                    expected = _outcome(load_dataset_by_rows, text, variables)
+                    assert _outcome(load_dataset, text, variables) == expected
+                    with mock.patch.object(pgmkit_io, "_MIX", np.uint64(0)):
+                        assert _outcome(load_dataset, text, variables) == expected
+
+
 class TestDatasetCsv:
     def test_small_round_trip(self):
         a, b = Variable("a", ("no", "yes")), Variable("b", ("x", "y"))
@@ -433,12 +576,42 @@ class TestDatasetCsv:
                 assert [v.states[s] for s in column] == [
                     original.states[s] for s in dataset.column(v.name)]
 
+    @pytest.mark.parametrize("variables, message", [
+        ([Variable("a", ("x,y", " z")), Variable("b", ("0",))], "variable 'a': state 'x,y'"),
+        ([Variable("a", ("x", "y\r")), Variable("b", ("0",))], "variable 'a': state 'y\\r'"),
+        ([Variable("a", ("x", "\xa0y")), Variable("b", ("0",))], "variable 'a': state '\\xa0y'"),
+        ([Variable("a b ", ("x",)), Variable("b", ("0",))], "variable 'a b ': name"),
+        ([Variable("a", ("x", "y\x1ez")), Variable("b", ("0",))], "variable 'a': state 'y\\x1ez'"),
+        ([Variable("a", ("x", ""))], "variable 'a': state ''"),   # a blank line, skipped
+    ])
+    def test_writer_refuses_what_the_reader_cannot_read_back(self, variables, message):
+        data = Dataset(tuple(variables), np.zeros((2, len(variables)), dtype=np.int64))
+        with pytest.raises(SchemaError, match="^" + re.escape(message) + " cannot be written"):
+            dataset_to_csv(data)
+
+    def test_one_writer_for_datasets_and_sample_batches(self):
+        a, b = Variable("a", ("", "yes no")), Variable("b", ("中文", "größer than twelve"))
+        batch = forward_sample(BayesianNetwork(
+            [a, b], DirectedGraph({"a": a, "b": b}, [("a", "b")]),
+            {"a": Factor([a], [0.5, 0.5]), "b": Factor([b, a], [[0.3, 0.7], [0.6, 0.4]])}),
+            30, make_rng(2))
+        data = Dataset(batch.variables, batch.states)
+        assert batch.to_csv() == dataset_to_csv(data)
+        for variables in ([a, b], None):
+            again = load_dataset(dataset_to_csv(data), variables)
+            assert [[v.states[s] for v, s in zip(again.variables, row)] for row in again.rows] == [
+                [v.states[s] for v, s in zip(data.variables, row)] for row in data.rows]
+
     def test_vector_csv(self):
         data = load_vector_csv("x,y\n1.5,2\n3,4\n")
         assert data.shape == (2, 2)
         assert data[0, 0] == 1.5
         with pytest.raises(SchemaError):
             load_vector_csv("x\n1\n1,2\n")
+        with pytest.raises(SchemaError, match=r"^row 2, column 2: non-finite value nan$"):
+            load_vector_csv("1,2\n3,nan\n")
+        with pytest.raises(SchemaError, match=r"^row 3, column 1: non-finite value inf$"):
+            load_vector_csv("x\n1\ninf\n")
 
 
 class TestDot:
